@@ -74,6 +74,10 @@ class ManifestRow:
         d = {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
         return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
+    @property
+    def label(self) -> float | None:
+        return self.pseudo_mos if self.pseudo_mos is not None else self.mos
+
     @classmethod
     def from_dict(cls, d: dict) -> "ManifestRow":
         return cls(**d)
@@ -108,9 +112,19 @@ class Manifest:
         if not lines:
             raise ValidationError(f"empty manifest {path}")
         header = json.loads(lines[0])
-        if header.get("kind") != MANIFEST_KIND:
+        if not isinstance(header, dict) or header.get("kind") != MANIFEST_KIND:
             raise ValidationError(f"{path} is not a dataset manifest")
-        rows = [ManifestRow.from_dict(json.loads(ln)) for ln in lines[1:] if ln.strip()]
+        missing = [k for k in ("seed", "label_scale", "references") if k not in header]
+        if missing:
+            raise ValidationError(f"{path}:1: manifest header lacks {missing}")
+        rows = []
+        for i, ln in enumerate(lines[1:], start=2):
+            if not ln.strip():
+                continue
+            try:
+                rows.append(ManifestRow.from_dict(json.loads(ln)))
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{path}:{i}: bad manifest row: {exc}") from None
         return cls(
             seed=header["seed"],
             label_scale=tuple(header["label_scale"]),
@@ -224,8 +238,7 @@ class Config:
 
 
 def load_adapters(path: str | Path) -> dict[int, AdapterConfig]:
-    d = json.loads(Path(path).read_text())
-    return {int(k): AdapterConfig.from_dict(v) for k, v in d.items()}
+    return Config.from_dict({"adapters": json.loads(Path(path).read_text())}).adapters
 
 
 def job_seed(dataset_seed: int, reference_id: str, distortion_id: int) -> int:
@@ -255,8 +268,7 @@ def _load_ref(path: str) -> PointCloud:
 
 
 def _build_worker(args: tuple) -> dict:
-    ref_path, ref_id, did, level, seed, out_path, adapters_raw = args
-    adapters = {int(k): AdapterConfig.from_dict(v) for k, v in adapters_raw.items()}
+    ref_path, ref_id, did, level, seed, out_path, adapters = args
     row: dict = {
         "sample_id": Path(out_path).stem, "reference_id": ref_id,
         "distortion_id": did, "level": level, "seed": seed,
@@ -294,9 +306,6 @@ def cmd_build(
     clouds_dir = out_dir / "clouds"
     clouds_dir.mkdir(parents=True, exist_ok=True)
 
-    adapters_raw = {
-        str(k): {"command": v.command, "args": list(v.args), "serialize": v.serialize}
-        for k, v in config.adapters.items()}
     tasks = []
     references = {}
     for ref_path in ref_paths:
@@ -307,7 +316,7 @@ def cmd_build(
                 seed = job_seed(config.seed, ref_id, did)
                 sample_id = f"{ref_id}__d{did:02d}_l{level}"
                 out_path = str(clouds_dir / f"{sample_id}.ply")
-                tasks.append((str(ref_path), ref_id, did, level, seed, out_path, adapters_raw))
+                tasks.append((str(ref_path), ref_id, did, level, seed, out_path, config.adapters))
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -329,8 +338,6 @@ def cmd_build(
 # ---------------------------------------------------------------------------
 # score
 # ---------------------------------------------------------------------------
-
-_REF_NORMALS_CACHE: dict[str, PointCloud] = {}
 
 
 def _score_worker(args: tuple) -> list[tuple[str, str, str, float]]:
@@ -583,11 +590,10 @@ def _labeled_samples(manifest: Manifest, base: Path, refs: set[str]) -> list[Tra
     for row in manifest.ok_rows():
         if row.reference_id not in refs:
             continue
-        label = row.pseudo_mos if row.pseudo_mos is not None else row.mos
-        if label is None:
+        if row.label is None:
             raise ValidationError(f"{row.sample_id}: no label for training/eval")
         cloud = load_ply(base / "clouds" / row.path)
-        samples.append(TrainSample(sample_id=row.sample_id, cloud=cloud, label=float(label)))
+        samples.append(TrainSample(sample_id=row.sample_id, cloud=cloud, label=float(row.label)))
     return samples
 
 
@@ -669,7 +675,7 @@ def cmd_eval(
     labels, preds, types = [], [], []
     pred_lines = ["sample_id,distortion_id,level,label,prediction"]
     for row in test_rows:
-        label = row.pseudo_mos if row.pseudo_mos is not None else row.mos
+        label = row.label
         if label is None:
             raise ValidationError(f"{row.sample_id}: no label for evaluation")
         cloud = load_ply(manifest_path.parent / "clouds" / row.path)

@@ -2,8 +2,9 @@
 
 Four residual blocks of three sub-manifold conv layers (width 64), global
 pooling per block, concatenation to a 256-vector and a two-layer FC head.
-Residual variants A-D select the shortcut topology; the default D joins the
-first layer's output into the third layer's pre-activation.
+Residual variants A-D differ only in the block shortcut; the shortcut table
+`_SHORTCUTS` is the single place a variant is defined. The default D joins
+the first layer's output into the third layer's pre-activation.
 """
 
 from __future__ import annotations
@@ -107,21 +108,19 @@ def param_count(model: Model) -> int:
     return sum(int(np.prod(a.shape)) for a in model.params.values())
 
 
-def _block_plan(variant: str, b: int) -> str:
-    if variant == "A":
-        return "plain"
-    if variant == "D":
-        return "span23"
-    # B and C need matching widths on the shortcut: the first block's input
-    # is 3-wide, so it falls back to the 2,3-layer span
-    if b == 0:
-        return "span23"
-    return "span12" if variant == "B" else "span13"
+# (source, join): the block activation `source` (0 = block input, 1 = layer
+# 0's output) is added to layer `join`'s pre-activation before its ReLU.
+_SHORTCUTS: dict[str, tuple[int, int] | None] = {"A": None, "B": (0, 1), "C": (0, 2), "D": (1, 2)}
+
+
+def _shortcut(variant: str, b: int) -> tuple[int | None, int | None]:
+    # block 0's 3-wide input cannot join a width-wide activation, so the
+    # variants whose shortcut starts there (B, C) take D's row in block 0
+    return _SHORTCUTS["D" if b == 0 and variant in ("B", "C") else variant] or (None, None)
 
 
 @dataclass
 class BlockCache:
-    plan: str
     layers: list[LayerCache]
     join_mask: np.ndarray | None
 
@@ -140,72 +139,33 @@ def _block_forward(
     training: bool, update_stats: bool,
 ) -> tuple[np.ndarray, BlockCache]:
     cfg = model.config
-    plan = _block_plan(cfg.residual, b)
+    source, join = _shortcut(cfg.residual, b)
     kw = dict(training=training, momentum=cfg.bn_momentum, eps=cfg.bn_eps,
               update_stats=update_stats)
-    p1, p2, p3 = (model.layer_view(b, l) for l in range(3))
-    if plan == "plain":
-        h1, c1 = layer_forward(p1, x, kmap, activate=True, **kw)
-        h2, c2 = layer_forward(p2, h1, kmap, activate=True, **kw)
-        h3, c3 = layer_forward(p3, h2, kmap, activate=True, **kw)
-        return h3, BlockCache(plan, [c1, c2, c3], None)
-    if plan == "span23":
-        h1, c1 = layer_forward(p1, x, kmap, activate=True, **kw)
-        h2, c2 = layer_forward(p2, h1, kmap, activate=True, **kw)
-        z3, c3 = layer_forward(p3, h2, kmap, activate=False, **kw)
-        out, mask = relu_forward(z3 + h1)
-        return out, BlockCache(plan, [c1, c2, c3], mask)
-    if plan == "span12":
-        h1, c1 = layer_forward(p1, x, kmap, activate=True, **kw)
-        z2, c2 = layer_forward(p2, h1, kmap, activate=False, **kw)
-        h2, mask = relu_forward(z2 + x)
-        h3, c3 = layer_forward(p3, h2, kmap, activate=True, **kw)
-        return h3, BlockCache(plan, [c1, c2, c3], mask)
-    # span13
-    h1, c1 = layer_forward(p1, x, kmap, activate=True, **kw)
-    h2, c2 = layer_forward(p2, h1, kmap, activate=True, **kw)
-    z3, c3 = layer_forward(p3, h2, kmap, activate=False, **kw)
-    out, mask = relu_forward(z3 + x)
-    return out, BlockCache(plan, [c1, c2, c3], mask)
+    acts, caches, mask = [x], [], None
+    for l in range(3):
+        h, c = layer_forward(model.layer_view(b, l), acts[-1], kmap, activate=l != join, **kw)
+        if l == join:
+            h, mask = relu_forward(h + acts[source])
+        acts.append(h)
+        caches.append(c)
+    return acts[-1], BlockCache(caches, mask)
 
 
 def _block_backward(
     model: Model, b: int, dout: np.ndarray, cache: BlockCache, kmap: KernelMap,
 ) -> tuple[np.ndarray, dict]:
-    p1, p2, p3 = (model.layer_view(b, l) for l in range(3))
-    c1, c2, c3 = cache.layers
+    source, join = _shortcut(model.config.residual, b)
     grads: dict[str, np.ndarray] = {}
-
-    def store(l: int, g: dict):
-        for name, arr in g.items():
-            grads[f"conv{b}.{l}.{name}"] = arr
-
-    if cache.plan == "plain":
-        dh2, g3 = layer_backward(p3, dout, c3, kmap)
-        dh1, g2 = layer_backward(p2, dh2, c2, kmap)
-        dx, g1 = layer_backward(p1, dh1, c1, kmap)
-    elif cache.plan == "span23":
-        dpre = relu_backward(dout, cache.join_mask)
-        dh2, g3 = layer_backward(p3, dpre, c3, kmap)
-        dh1, g2 = layer_backward(p2, dh2, c2, kmap)
-        dh1 = dh1 + dpre
-        dx, g1 = layer_backward(p1, dh1, c1, kmap)
-    elif cache.plan == "span12":
-        dh2, g3 = layer_backward(p3, dout, c3, kmap)
-        dpre = relu_backward(dh2, cache.join_mask)
-        dh1, g2 = layer_backward(p2, dpre, c2, kmap)
-        dx, g1 = layer_backward(p1, dh1, c1, kmap)
-        dx = dx + dpre
-    else:  # span13
-        dpre = relu_backward(dout, cache.join_mask)
-        dh2, g3 = layer_backward(p3, dpre, c3, kmap)
-        dh1, g2 = layer_backward(p2, dh2, c2, kmap)
-        dx, g1 = layer_backward(p1, dh1, c1, kmap)
-        dx = dx + dpre
-    store(2, g3)
-    store(1, g2)
-    store(0, g1)
-    return dx, grads
+    d = dout
+    for l in (2, 1, 0):
+        if l == join:
+            d = dpre = relu_backward(d, cache.join_mask)
+        d, g = layer_backward(model.layer_view(b, l), d, cache.layers[l], kmap)
+        if l == source:
+            d = d + dpre
+        grads.update({f"conv{b}.{l}.{name}": arr for name, arr in g.items()})
+    return d, grads
 
 
 def forward(
@@ -290,30 +250,38 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> Model:
     with open(path, "rb") as f:
-        magic = f.read(len(_MAGIC))
-        if magic != _MAGIC:
+        head = f.read(len(_MAGIC) + 8)
+        if head[:len(_MAGIC)] != _MAGIC:
             raise CheckpointError("bad checkpoint magic")
-        version, header_len = struct.unpack("<II", f.read(8))
+        if len(head) != len(_MAGIC) + 8:
+            raise CheckpointError("truncated checkpoint header")
+        version, header_len = struct.unpack_from("<II", head, len(_MAGIC))
         if version != _VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        header = json.loads(f.read(header_len).decode("utf-8"))
-        config = ModelConfig(**header["config"])
+        try:
+            header = json.loads(f.read(header_len).decode("utf-8"))
+            config = ModelConfig(**header["config"])
+            arrays = [(str(name), tuple(shape)) for name, shape in header["arrays"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"bad checkpoint header: {exc!r}") from None
         fresh = init_model(config, seed=0)
-        params: dict[str, np.ndarray] = {}
-        state: dict[str, np.ndarray] = {}
-        for name, shape in header["arrays"]:
-            count = int(np.prod(shape)) if shape else 1
-            raw = f.read(count * 8)
-            if len(raw) != count * 8:
-                raise CheckpointError("truncated checkpoint blob")
-            arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            if name in fresh.params:
-                params[name] = arr
-            elif name in fresh.state:
-                state[name] = arr
-            else:
+        expected = {**fresh.params, **fresh.state}
+        loaded: dict[str, np.ndarray] = {}
+        for name, shape in arrays:
+            if name not in expected:
                 raise CheckpointError(f"unexpected array '{name}' in checkpoint")
-    missing = (set(fresh.params) - set(params)) | (set(fresh.state) - set(state))
+            want = expected[name].shape
+            if shape != want:
+                raise CheckpointError(f"array '{name}' has shape {shape}, expected {want}")
+            raw = f.read(expected[name].size * 8)
+            if len(raw) != expected[name].size * 8:
+                raise CheckpointError("truncated checkpoint blob")
+            loaded[name] = np.frombuffer(raw, dtype="<f8").reshape(want).copy()
+        if f.read(1):
+            raise CheckpointError("trailing bytes after the last checkpoint blob")
+    missing = set(expected) - set(loaded)
     if missing:
         raise CheckpointError(f"checkpoint missing arrays: {sorted(missing)[:3]}")
-    return Model(config=config, params=params, state=state)
+    return Model(config=config,
+                 params={n: a for n, a in loaded.items() if n in fresh.params},
+                 state={n: a for n, a in loaded.items() if n in fresh.state})

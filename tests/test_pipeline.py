@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from pcqa import pipeline as pl
 from pcqa.cli import main as cli_main
 from pcqa.distort import AdapterConfig
 from pcqa.pcio import save_ply
-from pcqa.sparsenn import ModelConfig, TrainConfig
+from pcqa.sparsenn import ModelConfig, TrainConfig, init_model, save_checkpoint
 
 from conftest import grid_cloud, textured_ref
 
@@ -366,6 +367,75 @@ def test_cli_bad_manifest_exit_code(tmp_path):
     bad.write_text('{"kind":"other"}\n')
     assert cli_main(["score", "--manifest", str(bad),
                      "--out", str(tmp_path / "s.csv")]) == 1
+
+
+def _assert_cli_error(argv, capsys, match):
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert match in err, err
+
+
+def _edit_checkpoint_header(raw: bytes, edit) -> bytes:
+    """Re-encode a checkpoint after `edit` mutates its JSON header."""
+    magic, (version, n) = raw[:8], struct.unpack("<II", raw[8:16])
+    header = json.loads(raw[16:16 + n])
+    edit(header)
+    new = json.dumps(header, sort_keys=True).encode()
+    return magic + struct.pack("<II", version, len(new)) + new + raw[16 + n:]
+
+
+def _set_shape(header, name, shape):
+    for entry in header["arrays"]:
+        if entry[0] == name:
+            entry[1] = shape
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (lambda raw: raw[:12], "truncated checkpoint header"),
+    (lambda raw: _edit_checkpoint_header(raw, lambda h: h["config"].update(depth=3)),
+     "bad checkpoint header"),
+    (lambda raw: raw + b"\0" * 8, "trailing bytes"),
+    (lambda raw: _edit_checkpoint_header(raw, lambda h: _set_shape(h, "fc2.b", [2])),
+     "shape"),
+], ids=["truncated-header", "unknown-config-key", "trailing-bytes", "wrong-shape"])
+def test_cli_malformed_checkpoint_exit_code(tmp_path, capsys, corrupt, match):
+    manifest = tmp_path / "manifest.jsonl"
+    pl.Manifest(seed=0, label_scale=(1.0, 5.0),
+                references={"ref0": "ref0.ply", "ref1": "ref1.ply"}).save(manifest)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(init_model(ModelConfig(**TINY_MODEL), seed=0), ckpt)
+    ckpt.write_bytes(corrupt(ckpt.read_bytes()))
+    _assert_cli_error(["eval", "--manifest", str(manifest), "--split", "test=ref1",
+                       "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")],
+                      capsys, match)
+
+
+def _manifest_lines(tmp_path):
+    manifest = pl.Manifest(seed=0, label_scale=(1.0, 5.0), references={"ref0": "ref0.ply"},
+                           rows=[pl.ManifestRow("s0", "ref0", 5, 1, 0, status="failed")])
+    manifest.save(tmp_path / "m.jsonl")
+    return [json.loads(ln) for ln in (tmp_path / "m.jsonl").read_text().splitlines()]
+
+
+def _score_manifest(tmp_path, lines, capsys, match):
+    path = tmp_path / "m.jsonl"
+    path.write_text("".join(json.dumps(d) + "\n" for d in lines))
+    _assert_cli_error(["score", "--manifest", str(path), "--out", str(tmp_path / "s.csv")],
+                      capsys, match)
+
+
+def test_cli_manifest_row_unknown_key_exit_code(tmp_path, capsys):
+    header, row = _manifest_lines(tmp_path)
+    row["grade"] = 3
+    _score_manifest(tmp_path, [header, row], capsys, "m.jsonl:2")
+
+
+@pytest.mark.parametrize("key", ["seed", "label_scale"])
+def test_cli_manifest_header_missing_field_exit_code(tmp_path, capsys, key):
+    header, row = _manifest_lines(tmp_path)
+    del header[key]
+    _score_manifest(tmp_path, [header, row], capsys, "m.jsonl:1")
 
 
 # ---------------------------------------------------------------------------

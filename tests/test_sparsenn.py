@@ -10,7 +10,10 @@ from pcqa.sparsenn import (
     init_model, load_checkpoint, param_count, save_checkpoint, smooth_l1,
     voxelize,
 )
-from pcqa.sparsenn.model import CheckpointError
+from pcqa.sparsenn.layers import layer_backward, layer_forward, relu_backward, relu_forward
+from pcqa.sparsenn.model import (
+    RESIDUAL_VARIANTS, CheckpointError, _block_backward, _block_forward,
+)
 
 from conftest import grid_cloud, shell_cloud
 
@@ -367,6 +370,66 @@ def test_gradients_residual_variants():
 
 def test_gradients_max_pooling():
     assert _fd_check(29, pooling="max") < 1e-4
+
+
+def _paper_block(model, b, x, kmap, dout):
+    """One block wired by hand from the paper's residual table: A has no
+    shortcut; B joins the block input into layer 2's pre-activation, C into
+    layer 3's, D joins layer 1's output into layer 3's. Block 0's input is
+    3-wide, so B and C fall back to D there. Returns (out, dx, grads)."""
+    cfg = model.config
+    variant = "D" if cfg.residual in ("B", "C") and b == 0 else cfg.residual
+    kw = dict(training=True, momentum=cfg.bn_momentum, eps=cfg.bn_eps, update_stats=False)
+    p1, p2, p3 = (model.layer_view(b, l) for l in range(3))
+    h1, c1 = layer_forward(p1, x, kmap, activate=True, **kw)
+    if variant == "A":
+        h2, c2 = layer_forward(p2, h1, kmap, activate=True, **kw)
+        out, c3 = layer_forward(p3, h2, kmap, activate=True, **kw)
+        dh2, g3 = layer_backward(p3, dout, c3, kmap)
+        dh1, g2 = layer_backward(p2, dh2, c2, kmap)
+        dx, g1 = layer_backward(p1, dh1, c1, kmap)
+    elif variant == "B":
+        z2, c2 = layer_forward(p2, h1, kmap, activate=False, **kw)
+        h2, mask = relu_forward(z2 + x)
+        out, c3 = layer_forward(p3, h2, kmap, activate=True, **kw)
+        dh2, g3 = layer_backward(p3, dout, c3, kmap)
+        dz2 = relu_backward(dh2, mask)
+        dh1, g2 = layer_backward(p2, dz2, c2, kmap)
+        dx, g1 = layer_backward(p1, dh1, c1, kmap)
+        dx = dx + dz2
+    else:
+        h2, c2 = layer_forward(p2, h1, kmap, activate=True, **kw)
+        z3, c3 = layer_forward(p3, h2, kmap, activate=False, **kw)
+        out, mask = relu_forward(z3 + (x if variant == "C" else h1))
+        dz3 = relu_backward(dout, mask)
+        dh2, g3 = layer_backward(p3, dz3, c3, kmap)
+        dh1, g2 = layer_backward(p2, dh2, c2, kmap)
+        if variant == "D":
+            dh1 = dh1 + dz3
+        dx, g1 = layer_backward(p1, dh1, c1, kmap)
+        if variant == "C":
+            dx = dx + dz3
+    grads = {f"conv{b}.{l}.{k}": v for l, g in ((2, g3), (1, g2), (0, g1)) for k, v in g.items()}
+    return out, dx, grads
+
+
+@pytest.mark.parametrize("variant", RESIDUAL_VARIANTS)
+@pytest.mark.parametrize("b", [0, 1])
+def test_block_wiring_matches_paper_table(variant, b):
+    rng_l = np.random.default_rng(41)
+    t = random_tensor(rng_l, n=25, extent=4)
+    kmap = build_kernel_map(t)
+    model = init_model(ModelConfig(blocks=2, width=5, fc_hidden=3, residual=variant), seed=2)
+    x = t.feats if b == 0 else rng_l.normal(size=(len(t), 5))
+    dout = rng_l.normal(size=(len(t), 5))
+    out, cache = _block_forward(model, b, x, kmap, training=True, update_stats=False)
+    dx, grads = _block_backward(model, b, dout, cache, kmap)
+    want_out, want_dx, want_grads = _paper_block(model, b, x, kmap, dout)
+    np.testing.assert_array_equal(out, want_out)
+    np.testing.assert_array_equal(dx, want_dx)
+    assert list(grads) == list(want_grads)
+    for name in grads:
+        np.testing.assert_array_equal(grads[name], want_grads[name])
 
 
 def test_zero_loss_zero_gradients(rng):
