@@ -254,15 +254,15 @@ class RegressionModel:
 
 def _eval_kind(kind: str, params: np.ndarray, qs: np.ndarray) -> np.ndarray:
     if kind == "logistic4":
-        b1, b2, b3, b4 = params
-        z = np.clip(-(qs - b3) / np.abs(b4), -700.0, 700.0)
+        b1, b2, b3, b4 = params.tolist()
+        z = np.minimum(np.maximum(-(qs - b3) / abs(b4), -700.0), 700.0)
         return (b1 - b2) / (1.0 + np.exp(z)) + b2
     if kind == "logistic5":
-        b1, b2, b3, b4, b5 = params
-        z = np.clip(b2 * (qs - b3), -700.0, 700.0)
+        b1, b2, b3, b4, b5 = params.tolist()
+        z = np.minimum(np.maximum(b2 * (qs - b3), -700.0), 700.0)
         return b1 * (0.5 - 1.0 / (1.0 + np.exp(z))) + b4 * qs + b5
     if kind == "cubic4":
-        a, b, c, d = params
+        a, b, c, d = params.tolist()
         return a * qs**3 + b * qs**2 + c * qs + d
     raise ValueError(f"unknown regression kind '{kind}'")
 
@@ -272,6 +272,15 @@ def eval_regression(model: RegressionModel, qs) -> np.ndarray | float:
     arr = np.asarray(qs, dtype=np.float64)
     out = _eval_kind(model.kind, np.asarray(model.params, dtype=np.float64), np.atleast_1d(arr))
     return float(out[0]) if arr.ndim == 0 else out
+
+
+def _stable_argsort(values: list[float]) -> list[int]:
+    """`np.argsort(values, kind="stable")` of a short list: ascending, ties
+    in index order, NaN last."""
+    total = sum(values)
+    if total == total:  # no NaN, so `<` orders every pair
+        return sorted(range(len(values)), key=values.__getitem__)
+    return sorted(range(len(values)), key=lambda i: (values[i] != values[i], values[i]))
 
 
 def nelder_mead(
@@ -286,34 +295,51 @@ def nelder_mead(
     Returns (best point, best value, iterations, converged flag). The
     iteration cap makes the search deterministic; non-convergence returns
     the best point seen so far.
+
+    The simplex is held as lists of Python floats, because on a few
+    coordinates NumPy's per-call overhead costs far more than the
+    arithmetic. Each float operation is the one the array form
+    (`sim[:-1].mean(axis=0)`, `centroid + alpha * (centroid - sim[-1])`,
+    ...) performs, in the same order, so the results and the sequence of
+    points handed to `f` are bit-identical to it.
     """
+    def evaluate(x: list[float]) -> float:
+        return float(f(np.array(x)))
+
     x0 = np.asarray(x0, dtype=np.float64)
     n = len(x0)
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
+    sim = [x0.tolist()]
     for i in range(n):
-        y = x0.copy()
+        y = list(sim[0])
         y[i] = y[i] * 1.05 if y[i] != 0.0 else 0.00025
-        sim[i + 1] = y
-    fsim = np.array([f(s) for s in sim])
+        sim.append(y)
+    fsim = [evaluate(s) for s in sim]
 
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
     it = 0
     converged = False
     while it < max_iter:
-        order = np.argsort(fsim, kind="stable")
-        sim, fsim = sim[order], fsim[order]
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[1:] - fsim[0])) <= fatol):
+        order = _stable_argsort(fsim)
+        sim = [sim[i] for i in order]
+        fsim = [fsim[i] for i in order]
+        best, fbest = sim[0], fsim[0]
+        # `all(... <= tol)` is False on a NaN, as `np.max(...) <= tol` is
+        if (all(abs(v - fbest) <= fatol for v in fsim[1:])
+                and all(abs(a - b) <= xatol for s in sim[1:] for a, b in zip(s, best))):
             converged = True
             break
         it += 1
-        centroid = sim[:-1].mean(axis=0)
-        xr = centroid + alpha * (centroid - sim[-1])
-        fr = f(xr)
-        if fr < fsim[0]:
-            xe = centroid + gamma * (xr - centroid)
-            fe = f(xe)
+        # row by row, as NumPy reduces over the leading axis
+        centroid = best
+        for s in sim[1:-1]:
+            centroid = [a + b for a, b in zip(centroid, s)]
+        centroid = [c / n for c in centroid]
+        worst = sim[-1]
+        xr = [c + alpha * (c - w) for c, w in zip(centroid, worst)]
+        fr = evaluate(xr)
+        if fr < fbest:
+            xe = [c + gamma * (r - c) for c, r in zip(centroid, xr)]
+            fe = evaluate(xe)
             if fe < fr:
                 sim[-1], fsim[-1] = xe, fe
             else:
@@ -321,18 +347,18 @@ def nelder_mead(
         elif fr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fr
         else:
-            if fr < fsim[-1]:
-                xc = centroid + rho * (xr - centroid)
-            else:
-                xc = centroid + rho * (sim[-1] - centroid)
-            fc = f(xc)
+            inner = xr if fr < fsim[-1] else worst
+            xc = [c + rho * (v - c) for c, v in zip(centroid, inner)]
+            fc = evaluate(xc)
             if fc < min(fr, fsim[-1]):
                 sim[-1], fsim[-1] = xc, fc
             else:
-                sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
-                fsim[1:] = [f(s) for s in sim[1:]]
-    best = int(np.argmin(fsim))
-    return sim[best], float(fsim[best]), it, converged
+                sim[1:] = [[b + sigma * (v - b) for v, b in zip(s, best)] for s in sim[1:]]
+                fsim[1:] = [evaluate(s) for s in sim[1:]]
+    # np.argmin: the first NaN if there is one, else the first minimum
+    nan = [i for i, v in enumerate(fsim) if v != v]
+    i = nan[0] if nan else min(range(n + 1), key=fsim.__getitem__)
+    return np.array(sim[i]), fsim[i], it, converged
 
 
 def _start_points(kind: str, qs: np.ndarray, targets: np.ndarray) -> list[np.ndarray]:
@@ -381,6 +407,21 @@ def _start_points(kind: str, qs: np.ndarray, targets: np.ndarray) -> list[np.nda
     return [np.asarray(s, dtype=np.float64) for s in starts]
 
 
+def _rmse_objective(kind: str, qs: np.ndarray, targets: np.ndarray):
+    """RMSE of the `kind` curve over (qs, targets) as a function of its
+    parameters; a non-finite RMSE reads as +inf. Run it under
+    `np.errstate(all="ignore")`: the search probes overflowing curves."""
+    n = len(targets)
+
+    def objective(params: np.ndarray) -> float:
+        d = _eval_kind(kind, params, qs) - targets
+        # bit-equal to np.sqrt(np.mean(d**2)): the same pairwise sum over d*d
+        rmse = math.sqrt(np.add.reduce(d * d) / n)
+        return rmse if math.isfinite(rmse) else math.inf
+
+    return objective
+
+
 def fit_regression(kind: str, qs: Sequence[float], targets: Sequence[float]) -> RegressionModel:
     """Least-squares fit of the chosen curve form via multi-start simplex descent.
 
@@ -396,16 +437,12 @@ def fit_regression(kind: str, qs: Sequence[float], targets: Sequence[float]) -> 
     if not (np.all(np.isfinite(qs)) and np.all(np.isfinite(targets))):
         raise ValueError("inputs must be finite")
 
-    def objective(params: np.ndarray) -> float:
-        with np.errstate(all="ignore"):
-            pred = _eval_kind(kind, params, qs)
-            rmse = float(np.sqrt(np.mean((pred - targets) ** 2)))
-        return rmse if math.isfinite(rmse) else float("inf")
-
+    objective = _rmse_objective(kind, qs, targets)
     best = None
     total_it = 0
     for x0 in _start_points(kind, qs, targets):
-        x, fx, it, conv = nelder_mead(objective, x0)
+        with np.errstate(all="ignore"):
+            x, fx, it, conv = nelder_mead(objective, x0)
         total_it += it
         if not np.all(np.isfinite(x)):
             continue

@@ -114,6 +114,9 @@ class Manifest:
         header = json.loads(lines[0])
         if not isinstance(header, dict) or header.get("kind") != MANIFEST_KIND:
             raise ValidationError(f"{path} is not a dataset manifest")
+        if header.get("version") != MANIFEST_VERSION:
+            raise ValidationError(f"{path}:1: unsupported manifest version "
+                                  f"{header.get('version')!r} (expected {MANIFEST_VERSION})")
         missing = [k for k in ("seed", "label_scale", "references") if k not in header]
         if missing:
             raise ValidationError(f"{path}:1: manifest header lacks {missing}")
@@ -183,6 +186,8 @@ class SplitSpec:
         if not path.exists():
             raise ValidationError(f"split spec file not found: {spec}")
         d = json.loads(path.read_text())
+        if not (isinstance(d, dict) and all(isinstance(d.get(k), list) for k in ("train", "test"))):
+            raise ValidationError(f"{spec}: a split file needs 'train' and 'test' lists")
         return cls(train=tuple(d["train"]), test=tuple(d["test"]))
 
 
@@ -223,17 +228,22 @@ class Config:
             if not lo < hi:
                 raise ValidationError("label scale must satisfy min < max")
             cfg.label_scale = (float(lo), float(hi))
-        if "adapters" in d:
-            cfg.adapters = {
-                int(k): AdapterConfig.from_dict(v) for k, v in d["adapters"].items()}
-        if "model" in d:
-            cfg.model = ModelConfig(**d["model"])
-        if "train" in d:
-            t = dict(d["train"])
-            for key in ("scale_range", "rotation_range", "label_scale"):
-                if key in t:
-                    t[key] = tuple(t[key])
-            cfg.train = TrainConfig(**t)
+        try:
+            if "adapters" in d:
+                cfg.adapters = {
+                    int(k): AdapterConfig.from_dict(v) for k, v in d["adapters"].items()}
+            if "model" in d:
+                cfg.model = ModelConfig(**d["model"])
+            if "train" in d:
+                t = dict(d["train"])
+                for key in ("scale_range", "rotation_range", "label_scale"):
+                    if key in t:
+                        t[key] = tuple(t[key])
+                cfg.train = TrainConfig(**t)
+        except KeyError as exc:
+            raise ValidationError(f"bad config: adapter lacks {exc}") from None
+        except TypeError as exc:
+            raise ValidationError(f"bad config: {exc}") from None
         return cfg
 
 
@@ -410,6 +420,8 @@ class AnnotateResult:
     holdout_refs: tuple[str, ...]
     fit_stats: ann.ErrorStats | None
     holdout_stats: ann.ErrorStats | None
+    fits: dict[int, tuple[str, ann.RegressionModel]]  # type -> (metric, curve)
+    screening: ann.ScreeningResult
 
 
 def _read_scores(path: str | Path) -> dict[tuple[str, str], float]:
@@ -538,7 +550,7 @@ def cmd_annotate(
         fit_srocc=fit_srocc, fit_plcc=fit_plcc,
         holdout_srocc=holdout_srocc, holdout_plcc=holdout_plcc,
         holdout_refs=tuple(holdout_refs), fit_stats=fit_stats,
-        holdout_stats=holdout_stats)
+        holdout_stats=holdout_stats, fits=fits, screening=screening)
     if report_dir is not None:
         _write_annotate_reports(Path(report_dir), result, scores_by_type, mos_by_type)
     return result
@@ -570,6 +582,21 @@ def _write_annotate_reports(report_dir, result, scores_by_type, mos_by_type):
         if stats is not None:
             rep.append(f"{tag} errors  : mean {stats.mean:.4f}  stddev {stats.stddev:.4f}"
                        f"  q95|e| {stats.q95_abs:.4f}")
+    rep.append("")
+    rep.append("curve fits (iterations summed over the simplex starts; converged is "
+               "that of the best start)")
+    rep.append(f"{'id':>3} {'metric':<12} {'kind':<10} {'iterations':>10} "
+               f"{'converged':>9} {'rmse':>10}")
+    for did, (metric, model) in sorted(result.fits.items()):
+        rep.append(f"{did:>3} {metric:<12} {model.kind:<10} {model.iterations:>10} "
+                   f"{'yes' if model.converged else 'NO':>9} {model.rmse:>10.6f}")
+    screening = result.screening
+    n_subjects = len(screening.kept) + len(screening.rejected)
+    rep.append("")
+    rep.append(f"subject screening: kept {len(screening.kept)} of {n_subjects}, "
+               f"rejected {len(screening.rejected)}")
+    for subject, reason in sorted(screening.rejected.items()):
+        rep.append(f"  rejected {subject}: {reason}")
     (report_dir / "annotation_report.txt").write_text("\n".join(rep) + "\n")
 
     if result.fit_stats is not None:

@@ -424,3 +424,178 @@ def test_rating_csv_errors(tmp_path):
     p.write_text("stimulus_id,subject_id,score\na,s,3.2\n")
     ratings = ann.RatingMatrix.from_csv(p)
     assert ratings.ratings[0].score == 3.2
+
+
+# ---------------------------------------------------------------------------
+# Nelder-Mead: bit-identity with the NumPy array formulation
+# ---------------------------------------------------------------------------
+
+
+def _reference_nelder_mead(f, x0, max_iter=10_000, xatol=1e-10, fatol=1e-12, stats=None):
+    """The simplex search written on NumPy arrays; `ann.nelder_mead` must
+    reproduce it bit for bit. `stats` counts the shrink steps taken."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for i in range(n):
+        y = x0.copy()
+        y[i] = y[i] * 1.05 if y[i] != 0.0 else 0.00025
+        sim[i + 1] = y
+    fsim = np.array([f(s) for s in sim])
+
+    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+    it = 0
+    converged = False
+    while it < max_iter:
+        order = np.argsort(fsim, kind="stable")
+        sim, fsim = sim[order], fsim[order]
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[1:] - fsim[0])) <= fatol):
+            converged = True
+            break
+        it += 1
+        centroid = sim[:-1].mean(axis=0)
+        xr = centroid + alpha * (centroid - sim[-1])
+        fr = f(xr)
+        if fr < fsim[0]:
+            xe = centroid + gamma * (xr - centroid)
+            fe = f(xe)
+            if fe < fr:
+                sim[-1], fsim[-1] = xe, fe
+            else:
+                sim[-1], fsim[-1] = xr, fr
+        elif fr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fr
+        else:
+            if fr < fsim[-1]:
+                xc = centroid + rho * (xr - centroid)
+            else:
+                xc = centroid + rho * (sim[-1] - centroid)
+            fc = f(xc)
+            if fc < min(fr, fsim[-1]):
+                sim[-1], fsim[-1] = xc, fc
+            else:
+                if stats is not None:
+                    stats["shrinks"] = stats.get("shrinks", 0) + 1
+                sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
+                fsim[1:] = [f(s) for s in sim[1:]]
+    best = int(np.argmin(fsim))
+    return sim[best], float(fsim[best]), it, converged
+
+
+def _recorded(f):
+    """`f` plus the list of the exact bytes of every point handed to it."""
+    calls = []
+
+    def g(x):
+        calls.append(np.asarray(x, dtype=np.float64).tobytes())
+        return f(x)
+    return g, calls
+
+
+def _bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
+def _assert_same_search(f, x0, stats=None, **kwargs):
+    g_new, calls_new = _recorded(f)
+    g_ref, calls_ref = _recorded(f)
+    with np.errstate(all="ignore"):
+        x, fx, it, conv = ann.nelder_mead(g_new, x0, **kwargs)
+        rx, rfx, rit, rconv = _reference_nelder_mead(g_ref, x0, stats=stats, **kwargs)
+    assert isinstance(x, np.ndarray) and x.dtype == np.float64
+    assert x.tobytes() == rx.tobytes()
+    assert _bits(fx) == _bits(rfx)
+    assert (it, conv) == (rit, rconv)
+    assert calls_new == calls_ref
+    return it, conv
+
+
+_coords = st.floats(-50.0, 50.0, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(_coords, min_size=n, max_size=n),
+    st.lists(_coords, min_size=n, max_size=n),
+    st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))),
+    st.integers(0, 400))
+def test_nelder_mead_matches_array_form_quadratic(case, max_iter):
+    x0, center, weights = (np.array(v) for v in case)
+
+    def f(x):
+        return float(np.sum(weights * (x - center) ** 2))
+    _assert_same_search(f, x0, max_iter=max_iter)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(4, 20), st.integers(0, 7))
+def test_nelder_mead_matches_array_form_logistic5(seed, n_samples, start):
+    r = np.random.default_rng(seed)
+    qs = np.sort(r.uniform(0, 100, n_samples))
+    targets = np.clip(4.5 - 0.035 * qs + r.normal(0, 0.3, n_samples), 1, 5)
+    x0 = ann._start_points("logistic5", qs, targets)[start]
+    _assert_same_search(ann._rmse_objective("logistic5", qs, targets), x0, max_iter=3000)
+
+
+def test_nelder_mead_matches_array_form_on_shrink_and_cap():
+    # a staircase: ties on its plateaus make contractions fail, so the
+    # search shrinks; the cap then stops it mid-search
+    def f(x):
+        return float(np.floor(np.sum(np.abs(x - 1.0)) * 4.0))
+    stats = {}
+    it, conv = _assert_same_search(f, np.array([1.0, 0.0, -2.0]), stats=stats)
+    assert stats["shrinks"] > 0 and conv
+    it, conv = _assert_same_search(f, np.array([1.0, 0.0, -2.0]), max_iter=20)
+    assert (it, conv) == (20, False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(_coords, min_size=n, max_size=n)),
+       st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.integers(0, 300))
+def test_nelder_mead_matches_array_form_inf_nan_regions(x0, nan_above, inf_below, max_iter):
+    # NaN must sort last (np.argsort) and win np.argmin, as the array form does
+    def f(x):
+        if x[0] > nan_above:
+            return float("nan")
+        if x[-1] < inf_below:
+            return float("inf")
+        return float(np.sum((x - 1.0) ** 2))
+    _assert_same_search(f, np.array(x0), max_iter=max_iter)
+
+
+def test_nelder_mead_nan_start_point():
+    f = lambda x: float("nan") if x[0] == 1.0 else float((x[0] - 0.5) ** 2 + x[1] ** 2)
+    _assert_same_search(f, np.array([1.0, 1.0]), max_iter=50)
+
+
+def _reference_eval_kind(kind, params, qs):
+    if kind == "logistic4":
+        b1, b2, b3, b4 = params
+        z = np.clip(-(qs - b3) / np.abs(b4), -700.0, 700.0)
+        return (b1 - b2) / (1.0 + np.exp(z)) + b2
+    if kind == "logistic5":
+        b1, b2, b3, b4, b5 = params
+        z = np.clip(b2 * (qs - b3), -700.0, 700.0)
+        return b1 * (0.5 - 1.0 / (1.0 + np.exp(z))) + b4 * qs + b5
+    a, b, c, d = params
+    return a * qs**3 + b * qs**2 + c * qs + d
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["logistic4", "logistic5", "cubic4"]), st.integers(0, 2**32 - 1),
+       st.lists(st.one_of(st.floats(-1e3, 1e3), st.floats(-1e200, 1e200),
+                          st.sampled_from([0.0, -0.0, 700.0, 1e-300])),
+                min_size=5, max_size=5))
+def test_rmse_objective_matches_array_form(kind, seed, raw):
+    r = np.random.default_rng(seed)
+    qs = r.uniform(0, 100, 14)
+    targets = r.uniform(1, 5, 14)
+    params = np.array(raw[:ann._PARAM_COUNT[kind]])
+    with np.errstate(all="ignore"):
+        got = ann._rmse_objective(kind, qs, targets)(params)
+        pred = _reference_eval_kind(kind, params, qs)
+        want = float(np.sqrt(np.mean((pred - targets) ** 2)))
+    want = want if math.isfinite(want) else float("inf")
+    assert _bits(got) == _bits(want)

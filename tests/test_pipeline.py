@@ -180,6 +180,37 @@ def test_annotate_end_to_end(tmp_path, refs_dir):
     assert "absolute errors" in text  # quantile convention recorded in the header
 
 
+def test_annotate_report_shows_fits_and_screening(tmp_path, refs_dir):
+    out, manifest = build_dataset(tmp_path, refs_dir, distortions=(5, 17))
+    pl.cmd_score(out / "manifest.jsonl", tmp_path / "scores.csv")
+    plant_ratings(manifest, tmp_path / "subjective.csv")
+    with open(tmp_path / "subjective.csv", "a", newline="") as f:
+        w = csv.writer(f)
+        for k, row in enumerate(manifest.ok_rows()):  # two raters screening must drop
+            w.writerow([row.sample_id, "zconst", "3.0"])
+            w.writerow([row.sample_id, "zbinary", "1.0" if k % 2 else "5.0"])
+    result = pl.cmd_annotate(
+        out / "manifest.jsonl", tmp_path / "scores.csv", tmp_path / "subjective.csv",
+        tmp_path / "annotated.jsonl", report_dir=tmp_path / "reports",
+        holdout_refs=("ref1",))
+    lines = (tmp_path / "reports" / "annotation_report.txt").read_text().splitlines()
+
+    assert sorted(result.fits) == [5, 17]
+    for did, (metric, model) in result.fits.items():
+        assert metric == result.selection[did]
+        want = [str(did), metric, "logistic5", str(model.iterations),
+                "yes" if model.converged else "NO"]
+        assert any(ln.split()[:5] == want for ln in lines), (want, lines)
+
+    rejected = result.screening.rejected
+    assert rejected["zconst"] == "degenerate"
+    assert rejected["zbinary"].startswith("beta2=")
+    assert (f"subject screening: kept {len(result.screening.kept)} of 20, "
+            f"rejected {len(rejected)}") in lines
+    for subject, reason in rejected.items():
+        assert f"  rejected {subject}: {reason}" in lines
+
+
 def test_annotate_missing_subjective_errors(tmp_path, refs_dir):
     out, _ = build_dataset(tmp_path, refs_dir)
     pl.cmd_score(out / "manifest.jsonl", tmp_path / "scores.csv")
@@ -436,6 +467,42 @@ def test_cli_manifest_header_missing_field_exit_code(tmp_path, capsys, key):
     header, row = _manifest_lines(tmp_path)
     del header[key]
     _score_manifest(tmp_path, [header, row], capsys, "m.jsonl:1")
+
+
+@pytest.mark.parametrize("version", [99, None])
+def test_cli_manifest_unsupported_version_exit_code(tmp_path, capsys, version):
+    header, row = _manifest_lines(tmp_path)
+    header["version"] = version
+    _score_manifest(tmp_path, [header, row], capsys, "m.jsonl:1: unsupported manifest version")
+    with pytest.raises(pl.ValidationError, match="expected 1"):
+        pl.Manifest.load(tmp_path / "m.jsonl")
+
+
+@pytest.mark.parametrize("config, match", [
+    ({"model": {"depth": 3}}, "depth"),
+    ({"train": {"momentum": 0.9}}, "momentum"),
+    ({"adapters": {"25": {"args": ["{in}", "{out}"]}}}, "command"),
+], ids=["unknown-model-key", "unknown-train-key", "adapter-without-command"])
+def test_cli_malformed_config_exit_code(tmp_path, refs_dir, capsys, config, match):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    _assert_cli_error(["build", "--refs", str(refs_dir), "--out", str(tmp_path / "ds"),
+                       "--config", str(path)], capsys, match)
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("split", [
+    {"test": ["ref1"]}, {"train": ["ref0"]}, {"train": ["ref0"], "test": "ref1"}, ["ref1"],
+], ids=["no-train", "no-test", "test-not-a-list", "not-an-object"])
+def test_cli_malformed_split_file_exit_code(tmp_path, capsys, split):
+    manifest = tmp_path / "manifest.jsonl"
+    pl.Manifest(seed=0, label_scale=(1.0, 5.0),
+                references={"ref0": "ref0.ply", "ref1": "ref1.ply"}).save(manifest)
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(split))
+    _assert_cli_error(["eval", "--manifest", str(manifest), "--split", str(path),
+                       "--checkpoint", str(tmp_path / "m.ckpt"), "--out", str(tmp_path / "eval")],
+                      capsys, "'train' and 'test' lists")
 
 
 # ---------------------------------------------------------------------------
