@@ -24,7 +24,7 @@ __all__ = [
     "BUILTIN_METRICS", "GEOMETRY_METRICS", "PSNR_CAP_DB",
     "MetricScore", "metric_order_key", "metric_applicable",
     "p2point", "p2plane", "psnr_from_geometry", "psnr_yuv",
-    "compute_metric", "ingest_external_scores",
+    "compute_metric", "score_pair", "ingest_external_scores",
 ]
 
 M_P2PO = "M-p2po"
@@ -71,70 +71,77 @@ def metric_applicable(metric: str, distortion_id: int) -> bool:
     return True
 
 
-def _pool(errors: np.ndarray, pooling: str) -> float:
-    if pooling == "mse":
-        return float(errors.mean())
-    if pooling == "hausdorff":
-        return float(errors.max())
-    raise ValueError(f"unknown pooling '{pooling}'")
+# metric id -> (per-point error, pooling); the geometric errors become PSNR
+# against the reference bounding-box diagonal, the YCbCr errors against 255
+_METRICS = {
+    M_P2PO: ("point", "mse"), H_P2PO: ("point", "hausdorff"),
+    M_P2PL: ("plane", "mse"), H_P2PL: ("plane", "hausdorff"),
+    PSNR_YUV: ("yuv", "mse"), H_PSNR_YUV: ("yuv", "hausdorff"),
+}
+_POOLINGS = {"mse": np.mean, "hausdorff": np.max}
 
 
-def _p2point_oneway(reference: PointCloud, degraded: PointCloud, pooling: str) -> float:
-    index = SpatialIndex.from_cloud(reference)
-    _, dists = index.nearest(degraded.positions)
-    return _pool(dists**2, pooling)
+def _with_normals(cloud: PointCloud) -> PointCloud:
+    if cloud.normals is None:
+        cloud, _ = estimate_normals(cloud, k=min(DEFAULT_NORMAL_K, len(cloud)))
+    return cloud
 
 
-def p2point(
-    reference: PointCloud,
-    degraded: PointCloud,
-    pooling: str = "mse",
-    symmetric: bool = False,
-) -> float:
+def _errors_oneway(reference: PointCloud, degraded: PointCloud, kinds: set[str],
+                   ycc: list) -> dict[str, np.ndarray]:
+    """Each kind's per-point errors of `degraded` against its nearest
+    `reference` points, all from one nearest-neighbour query."""
+    ids, dists = SpatialIndex.from_cloud(reference).nearest(degraded.positions)
+    errors = {}
+    if "point" in kinds:
+        errors["point"] = dists**2
+    if "plane" in kinds:
+        vectors = degraded.positions - reference.positions[ids]
+        errors["plane"] = np.einsum("ni,ni->n", vectors, reference.normals[ids]) ** 2
+    if "yuv" in kinds:
+        ref_ycc, deg_ycc = ycc
+        errors["yuv"] = (deg_ycc - ref_ycc[ids]) ** 2
+    return errors
+
+
+def _pair_errors(reference: PointCloud, degraded: PointCloud, kinds: set[str],
+                 symmetric: bool) -> list[dict[str, np.ndarray]]:
+    """Per-point errors of degraded vs reference and, when symmetric, of
+    reference vs degraded. Each cloud's normals are estimated (if it has
+    none) and its colours converted to YCbCr at most once."""
+    if "plane" in kinds:
+        reference = _with_normals(reference)
+        if symmetric:
+            degraded = _with_normals(degraded)
+    ycc = [rgb_to_ycbcr(c.colors.astype(np.float64)) if "yuv" in kinds else None
+           for c in (reference, degraded)]
+    fwd = _errors_oneway(reference, degraded, kinds, ycc)
+    if not symmetric:
+        return [fwd]
+    return [fwd, _errors_oneway(degraded, reference, kinds, ycc[::-1])]
+
+
+def _pool(directions: list[dict[str, np.ndarray]], kind: str, pooling: str) -> np.ndarray:
+    """Pool each direction's errors of one kind; the worse direction wins."""
+    if pooling not in _POOLINGS:
+        raise ValueError(f"unknown pooling '{pooling}'")
+    return np.maximum.reduce([_POOLINGS[pooling](d[kind], axis=0) for d in directions])
+
+
+def p2point(reference: PointCloud, degraded: PointCloud, pooling: str = "mse",
+            symmetric: bool = False) -> float:
     """Squared nearest-neighbor distance statistic of degraded vs reference.
 
     The symmetric form (max over both directions) is what the final metric
     scores use.
     """
-    if len(reference) == 0 or len(degraded) == 0:
-        raise ValueError("clouds must be non-empty")
-    fwd = _p2point_oneway(reference, degraded, pooling)
-    if not symmetric:
-        return fwd
-    return max(fwd, _p2point_oneway(degraded, reference, pooling))
+    return float(_pool(_pair_errors(reference, degraded, {"point"}, symmetric), "point", pooling))
 
 
-def _with_normals(cloud: PointCloud, k: int) -> PointCloud:
-    if cloud.normals is not None:
-        return cloud
-    cloud, _ = estimate_normals(cloud, k=min(k, len(cloud)))
-    return cloud
-
-
-def _p2plane_oneway(reference: PointCloud, degraded: PointCloud, pooling: str) -> float:
-    index = SpatialIndex.from_cloud(reference)
-    ids, _ = index.nearest(degraded.positions)
-    vectors = degraded.positions - reference.positions[ids]
-    proj = np.einsum("ni,ni->n", vectors, reference.normals[ids])
-    return _pool(proj**2, pooling)
-
-
-def p2plane(
-    reference: PointCloud,
-    degraded: PointCloud,
-    pooling: str = "mse",
-    symmetric: bool = False,
-    normal_k: int = DEFAULT_NORMAL_K,
-) -> float:
+def p2plane(reference: PointCloud, degraded: PointCloud, pooling: str = "mse",
+            symmetric: bool = False) -> float:
     """p2point errors projected on the reference surface normals."""
-    if len(reference) == 0 or len(degraded) == 0:
-        raise ValueError("clouds must be non-empty")
-    ref = _with_normals(reference, normal_k)
-    fwd = _p2plane_oneway(ref, degraded, pooling)
-    if not symmetric:
-        return fwd
-    deg = _with_normals(degraded, normal_k)
-    return max(fwd, _p2plane_oneway(deg, reference, pooling))
+    return float(_pool(_pair_errors(reference, degraded, {"plane"}, symmetric), "plane", pooling))
 
 
 def _capped_psnr(peak_sq: float, error: float) -> float:
@@ -153,46 +160,38 @@ def psnr_from_geometry(error: float, reference: PointCloud) -> float:
     return _capped_psnr(peak * peak, error)
 
 
-def _yuv_errors_oneway(reference: PointCloud, degraded: PointCloud, pooling: str) -> np.ndarray:
-    index = SpatialIndex.from_cloud(reference)
-    ids, _ = index.nearest(degraded.positions)
-    ref_ycc = rgb_to_ycbcr(reference.colors[ids].astype(np.float64))
-    deg_ycc = rgb_to_ycbcr(degraded.colors.astype(np.float64))
-    sq = (deg_ycc - ref_ycc) ** 2
-    if pooling == "mse":
-        return sq.mean(axis=0)
-    if pooling == "hausdorff":
-        return sq.max(axis=0)
-    raise ValueError(f"unknown pooling '{pooling}'")
+def _psnr_from_ycc(errors: np.ndarray) -> float:
+    psnr = [_capped_psnr(255.0 * 255.0, float(e)) for e in errors]
+    return (6.0 * psnr[0] + psnr[1] + psnr[2]) / 8.0
 
 
 def psnr_yuv(reference: PointCloud, degraded: PointCloud, pooling: str = "mse") -> float:
     """Symmetric luma-weighted color PSNR: (6*Y + Cb + Cr) / 8, capped at 100 dB."""
-    if len(reference) == 0 or len(degraded) == 0:
-        raise ValueError("clouds must be non-empty")
-    fwd = _yuv_errors_oneway(reference, degraded, pooling)
-    bwd = _yuv_errors_oneway(degraded, reference, pooling)
-    errors = np.maximum(fwd, bwd)
-    peak_sq = 255.0 * 255.0
-    psnr = [_capped_psnr(peak_sq, float(e)) for e in errors]
-    return (6.0 * psnr[0] + psnr[1] + psnr[2]) / 8.0
+    return _psnr_from_ycc(_pool(_pair_errors(reference, degraded, {"yuv"}, True), "yuv", pooling))
+
+
+def score_pair(reference: PointCloud, degraded: PointCloud,
+               metrics: tuple[str, ...] = BUILTIN_METRICS) -> dict[str, float]:
+    """The requested builtin metrics of one (reference, degraded) pair, all
+    from one nearest-neighbour query per direction."""
+    unknown = [m for m in metrics if m not in _METRICS]
+    if unknown:
+        raise ValueError(f"unknown builtin metric '{unknown[0]}'")
+    if not metrics:
+        return {}
+    errors = _pair_errors(reference, degraded, {_METRICS[m][0] for m in metrics}, True)
+    scores = {}
+    for metric in metrics:
+        kind, pooling = _METRICS[metric]
+        pooled = _pool(errors, kind, pooling)
+        scores[metric] = (_psnr_from_ycc(pooled) if kind == "yuv"
+                          else psnr_from_geometry(float(pooled), reference))
+    return scores
 
 
 def compute_metric(metric: str, reference: PointCloud, degraded: PointCloud) -> float:
     """Evaluate one builtin metric id on a (reference, degraded) pair."""
-    if metric == M_P2PO:
-        return psnr_from_geometry(p2point(reference, degraded, "mse", symmetric=True), reference)
-    if metric == H_P2PO:
-        return psnr_from_geometry(p2point(reference, degraded, "hausdorff", symmetric=True), reference)
-    if metric == M_P2PL:
-        return psnr_from_geometry(p2plane(reference, degraded, "mse", symmetric=True), reference)
-    if metric == H_P2PL:
-        return psnr_from_geometry(p2plane(reference, degraded, "hausdorff", symmetric=True), reference)
-    if metric == PSNR_YUV:
-        return psnr_yuv(reference, degraded, "mse")
-    if metric == H_PSNR_YUV:
-        return psnr_yuv(reference, degraded, "hausdorff")
-    raise ValueError(f"unknown builtin metric '{metric}'")
+    return score_pair(reference, degraded, (metric,))[metric]
 
 
 def ingest_external_scores(path: str | Path) -> list[MetricScore]:

@@ -7,6 +7,8 @@ so that metric arithmetic downstream stays stable.
 from __future__ import annotations
 
 import dataclasses
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +22,7 @@ __all__ = [
     "PlyError",
     "load_ply",
     "save_ply",
+    "atomic_write",
     "bounding_box",
     "estimate_normals",
     "DEFAULT_NORMAL_K",
@@ -240,6 +243,20 @@ def load_ply(path: str | Path) -> PointCloud:
     if colors.min() < 0 or colors.max() > 255:
         raise PlyError("color values out of uchar range")
     return PointCloud(positions=positions, colors=colors)
+
+
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w"):
+    """Open a temp file beside `path` and rename it over `path` when the block
+    ends without error; otherwise the temp file goes and `path` is untouched."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save_ply(

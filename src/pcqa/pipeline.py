@@ -9,6 +9,7 @@ level) so builds are reproducible at any parallelism.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -25,7 +26,7 @@ from .distort import (
     REGISTRY, NATIVE_IDS, AdapterConfig, AdapterError, DistortionError,
     DistortionSpec, apply_distortion,
 )
-from .pcio import PointCloud, load_ply, save_ply
+from .pcio import PointCloud, atomic_write, load_ply, save_ply
 from .sparsenn import (
     Model, ModelConfig, TrainConfig, TrainSample,
     init_model, load_checkpoint, param_count, predict, save_checkpoint, train,
@@ -102,9 +103,9 @@ class Manifest:
         }
 
     def save(self, path: str | Path) -> None:
-        lines = [json.dumps(self.header(), sort_keys=True, separators=(",", ":"))]
-        lines += [r.to_json() for r in sorted(self.rows, key=lambda r: r.sample_id)]
-        Path(path).write_text("\n".join(lines) + "\n")
+        with atomic_write(path) as f:
+            f.write(json.dumps(self.header(), sort_keys=True, separators=(",", ":")) + "\n")
+            f.writelines(r.to_json() + "\n" for r in sorted(self.rows, key=lambda r: r.sample_id))
 
     @classmethod
     def load(cls, path: str | Path) -> "Manifest":
@@ -200,7 +201,6 @@ class SplitSpec:
 class Config:
     seed: int = 0
     distortions: tuple[int, ...] = NATIVE_IDS
-    metrics: tuple[str, ...] = fr.BUILTIN_METRICS
     label_scale: tuple[float, float] = (1.0, 5.0)
     adapters: dict[int, AdapterConfig] = field(default_factory=dict)
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -221,8 +221,6 @@ class Config:
             unknown = [i for i in cfg.distortions if i not in REGISTRY]
             if unknown:
                 raise ValidationError(f"unknown distortion ids {unknown}")
-        if "metrics" in d:
-            cfg.metrics = tuple(d["metrics"])
         if "label_scale" in d:
             lo, hi = d["label_scale"]
             if not lo < hi:
@@ -266,15 +264,9 @@ def job_seed(dataset_seed: int, reference_id: str, distortion_id: int) -> int:
 # build
 # ---------------------------------------------------------------------------
 
-_REF_CACHE: dict[str, PointCloud] = {}
-
-
+@functools.cache
 def _load_ref(path: str) -> PointCloud:
-    cloud = _REF_CACHE.get(path)
-    if cloud is None:
-        cloud = load_ply(path)
-        _REF_CACHE[path] = cloud
-    return cloud
+    return load_ply(path)
 
 
 def _build_worker(args: tuple) -> dict:
@@ -308,6 +300,7 @@ def cmd_build(
     jobs: int = 1,
 ) -> Manifest:
     """One distorted cloud + manifest row per (reference, distortion, level)."""
+    _load_ref.cache_clear()  # a reference file may have changed since the last command
     refs_dir = Path(refs_dir)
     out_dir = Path(out_dir)
     ref_paths = sorted(refs_dir.glob("*.ply"))
@@ -351,16 +344,9 @@ def cmd_build(
 
 
 def _score_worker(args: tuple) -> list[tuple[str, str, str, float]]:
-    ref_path, ref_id, degraded_path, degraded_id, did, metrics = args
-    reference = _load_ref(ref_path)
-    degraded = load_ply(degraded_path)
-    out = []
-    for metric in metrics:
-        if not fr.metric_applicable(metric, did):
-            continue
-        value = fr.compute_metric(metric, reference, degraded)
-        out.append((metric, ref_id, degraded_id, value))
-    return out
+    ref_path, ref_id, degraded_path, degraded_id, metrics = args
+    scores = fr.score_pair(_load_ref(ref_path), load_ply(degraded_path), metrics)
+    return [(metric, ref_id, degraded_id, value) for metric, value in scores.items()]
 
 
 def cmd_score(
@@ -370,6 +356,7 @@ def cmd_score(
     jobs: int = 1,
 ) -> int:
     """One score row per applicable (metric, sample); returns the row count."""
+    _load_ref.cache_clear()
     manifest_path = Path(manifest_path)
     manifest = Manifest.load(manifest_path)
     base = manifest_path.parent
@@ -385,8 +372,7 @@ def cmd_score(
         skipped += len(metrics) - len(applicable)
         tasks.append((
             manifest.references[row.reference_id], row.reference_id,
-            str(base / "clouds" / row.path), row.sample_id,
-            row.distortion_id, applicable))
+            str(base / "clouds" / row.path), row.sample_id, applicable))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_score_worker, tasks, chunksize=4))
@@ -396,9 +382,9 @@ def cmd_score(
     scores = sorted(
         (s for chunk in chunks for s in chunk),
         key=lambda s: (fr.metric_order_key(s[0]), s[2]))
-    lines = ["metric_name,reference_id,degraded_id,value"]
-    lines += [f"{m},{r},{d},{v!r}" for m, r, d, v in scores]
-    Path(out_csv).write_text("\n".join(lines) + "\n")
+    with atomic_write(out_csv) as f:
+        f.write("metric_name,reference_id,degraded_id,value\n")
+        f.writelines(f"{m},{r},{d},{v!r}\n" for m, r, d, v in scores)
     if skipped:
         log.info("skipped %d inapplicable (metric, sample) pairs", skipped)
     return len(scores)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..pcio import atomic_write
 from .layers import (
     LayerCache, FCCache, fc_backward, fc_forward, global_pool,
     global_pool_backward, layer_backward, layer_forward,
@@ -228,24 +229,18 @@ def backward(model: Model, cache: ModelCache, dq: float) -> dict[str, np.ndarray
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
     """Versioned binary: magic, config header, parameter and running-stat blobs."""
-    names = sorted(model.params) + sorted(model.state)
-    manifest = []
-    blobs = []
-    for name in names:
-        arr = model.params.get(name)
-        if arr is None:
-            arr = model.state[name]
-        manifest.append([name, list(arr.shape)])
-        blobs.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    arrays = [(n, model.params[n]) for n in sorted(model.params)]
+    arrays += [(n, model.state[n]) for n in sorted(model.state)]
     header = json.dumps(
-        {"config": dataclasses.asdict(model.config), "arrays": manifest},
+        {"config": dataclasses.asdict(model.config),
+         "arrays": [[name, list(arr.shape)] for name, arr in arrays]},
         sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<II", _VERSION, len(header)))
         f.write(header)
-        for blob in blobs:
-            f.write(blob)
+        for _, arr in arrays:
+            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> Model:

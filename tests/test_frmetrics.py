@@ -1,9 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcqa.colors import rgb_to_ycbcr
 from pcqa import frmetrics as fr
-from pcqa.pcio import PointCloud, bounding_box, estimate_normals
+from pcqa.pcio import DEFAULT_NORMAL_K, PointCloud, SpatialIndex, bounding_box, estimate_normals
 
 from conftest import grid_cloud, random_cloud
 
@@ -294,3 +297,168 @@ def test_monotonicity_probe_gaussian_shift():
                 for seed in range(3)]
         means.append(np.mean(vals))
     assert all(b >= a for a, b in zip(means, means[1:]))
+
+
+# ---------------------------------------------------------------------------
+# score_pair against the one-pass-per-metric code it replaced
+# ---------------------------------------------------------------------------
+# The oracle below is the per-metric implementation that score_pair
+# replaced: each metric builds its own trees, runs its own nearest-neighbour
+# queries and estimates normals again. score_pair must match it bit for bit.
+
+
+def _old_pool(errors, pooling):
+    if pooling == "mse":
+        return float(errors.mean())
+    if pooling == "hausdorff":
+        return float(errors.max())
+    raise ValueError(f"unknown pooling '{pooling}'")
+
+
+def _p2point_oneway(reference, degraded, pooling):
+    index = SpatialIndex.from_cloud(reference)
+    _, dists = index.nearest(degraded.positions)
+    return _old_pool(dists**2, pooling)
+
+
+def _old_p2point(reference, degraded, pooling="mse", symmetric=False):
+    fwd = _p2point_oneway(reference, degraded, pooling)
+    if not symmetric:
+        return fwd
+    return max(fwd, _p2point_oneway(degraded, reference, pooling))
+
+
+def _old_with_normals(cloud, k):
+    if cloud.normals is not None:
+        return cloud
+    cloud, _ = estimate_normals(cloud, k=min(k, len(cloud)))
+    return cloud
+
+
+def _p2plane_oneway(reference, degraded, pooling):
+    index = SpatialIndex.from_cloud(reference)
+    ids, _ = index.nearest(degraded.positions)
+    vectors = degraded.positions - reference.positions[ids]
+    proj = np.einsum("ni,ni->n", vectors, reference.normals[ids])
+    return _old_pool(proj**2, pooling)
+
+
+def _old_p2plane(reference, degraded, pooling="mse", symmetric=False):
+    ref = _old_with_normals(reference, DEFAULT_NORMAL_K)
+    fwd = _p2plane_oneway(ref, degraded, pooling)
+    if not symmetric:
+        return fwd
+    deg = _old_with_normals(degraded, DEFAULT_NORMAL_K)
+    return max(fwd, _p2plane_oneway(deg, reference, pooling))
+
+
+def _yuv_errors_oneway(reference, degraded, pooling):
+    index = SpatialIndex.from_cloud(reference)
+    ids, _ = index.nearest(degraded.positions)
+    ref_ycc = rgb_to_ycbcr(reference.colors[ids].astype(np.float64))
+    deg_ycc = rgb_to_ycbcr(degraded.colors.astype(np.float64))
+    sq = (deg_ycc - ref_ycc) ** 2
+    if pooling == "mse":
+        return sq.mean(axis=0)
+    if pooling == "hausdorff":
+        return sq.max(axis=0)
+    raise ValueError(f"unknown pooling '{pooling}'")
+
+
+def _old_psnr_yuv(reference, degraded, pooling="mse"):
+    fwd = _yuv_errors_oneway(reference, degraded, pooling)
+    bwd = _yuv_errors_oneway(degraded, reference, pooling)
+    errors = np.maximum(fwd, bwd)
+    psnr = [fr._capped_psnr(255.0 * 255.0, float(e)) for e in errors]
+    return (6.0 * psnr[0] + psnr[1] + psnr[2]) / 8.0
+
+
+def _old_compute_metric(metric, reference, degraded):
+    geo = fr.psnr_from_geometry
+    if metric == fr.M_P2PO:
+        return geo(_old_p2point(reference, degraded, "mse", symmetric=True), reference)
+    if metric == fr.H_P2PO:
+        return geo(_old_p2point(reference, degraded, "hausdorff", symmetric=True), reference)
+    if metric == fr.M_P2PL:
+        return geo(_old_p2plane(reference, degraded, "mse", symmetric=True), reference)
+    if metric == fr.H_P2PL:
+        return geo(_old_p2plane(reference, degraded, "hausdorff", symmetric=True), reference)
+    if metric == fr.PSNR_YUV:
+        return _old_psnr_yuv(reference, degraded, "mse")
+    if metric == fr.H_PSNR_YUV:
+        return _old_psnr_yuv(reference, degraded, "hausdorff")
+    raise ValueError(f"unknown builtin metric '{metric}'")
+
+
+_grid_point = st.tuples(*[st.integers(0, 3)] * 3)  # tiny grid: many exact ties
+_real_point = st.tuples(*[st.floats(-50, 50, allow_nan=False, width=32)] * 3)
+_normal = st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1)
+
+
+@st.composite
+def _clouds(draw, points):
+    pos = draw(st.lists(points, min_size=3, max_size=10, unique=True))
+    n = len(pos)
+    cols = draw(st.lists(st.tuples(*[st.integers(0, 255)] * 3), min_size=n, max_size=n))
+    normals = None
+    if draw(st.booleans()):
+        normals = np.array(draw(st.lists(_normal, min_size=n, max_size=n)))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return PointCloud(np.array(pos, dtype=float), np.array(cols), normals=normals)
+
+
+_pairs = st.one_of(
+    st.tuples(_clouds(_grid_point), _clouds(_grid_point)),
+    st.tuples(_clouds(_real_point), _clouds(_real_point)))
+
+
+def _assert_matches_oracle(ref, deg, metrics):
+    got = fr.score_pair(ref, deg, metrics)
+    assert list(got) == list(metrics)
+    for m in metrics:
+        assert repr(got[m]) == repr(_old_compute_metric(m, ref, deg)), m
+        assert repr(fr.compute_metric(m, ref, deg)) == repr(got[m]), m
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_pairs,
+       metrics=st.lists(st.sampled_from(fr.BUILTIN_METRICS), min_size=1, unique=True))
+def test_score_pair_matches_per_metric_oracle(pair, metrics):
+    ref, deg = pair
+    _assert_matches_oracle(ref, deg, tuple(metrics))
+
+
+def _assert_public_match_oracle(ref, deg, pooling, symmetric):
+    assert (repr(fr.p2point(ref, deg, pooling, symmetric))
+            == repr(_old_p2point(ref, deg, pooling, symmetric)))
+    assert (repr(fr.p2plane(ref, deg, pooling, symmetric))
+            == repr(_old_p2plane(ref, deg, pooling, symmetric)))
+    assert repr(fr.psnr_yuv(ref, deg, pooling)) == repr(_old_psnr_yuv(ref, deg, pooling))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_pairs, pooling=st.sampled_from(["mse", "hausdorff"]), symmetric=st.booleans())
+def test_public_metrics_match_per_metric_oracle(pair, pooling, symmetric):
+    _assert_public_match_oracle(*pair, pooling, symmetric)
+
+
+def test_score_pair_every_metric_subset(rng):
+    pairs = [(grid_cloud(rng, n=120, extent=8), grid_cloud(rng, n=90, extent=8)),
+             (random_cloud(rng, n=150), random_cloud(rng, n=80))]
+    ref, _ = estimate_normals(random_cloud(rng, n=100), k=8)
+    pairs.append((ref, random_cloud(rng, n=70)))
+    subsets = [c for r in range(1, 7) for c in combinations(fr.BUILTIN_METRICS, r)]
+    assert len(subsets) == 63
+    for ref, deg in pairs:
+        for metrics in subsets:
+            _assert_matches_oracle(ref, deg, metrics)
+        for pooling in ("mse", "hausdorff"):
+            for symmetric in (False, True):
+                _assert_public_match_oracle(ref, deg, pooling, symmetric)
+
+
+def test_score_pair_rejects_unknown_metric(rng):
+    cloud = random_cloud(rng, n=10)
+    with pytest.raises(ValueError, match="unknown builtin metric 'PCQM'"):
+        fr.score_pair(cloud, cloud, ("M-p2po", "PCQM"))
+    assert fr.score_pair(cloud, cloud, ()) == {}

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcqa.pcio import (
-    PointCloud, PlyError, SpatialIndex, bounding_box, estimate_normals,
+    PointCloud, PlyError, SpatialIndex, atomic_write, bounding_box, estimate_normals,
     k_nearest, load_ply, save_ply,
 )
 
@@ -309,3 +309,19 @@ def test_normals_k_out_of_range(rng):
         estimate_normals(cloud, k=11)
     with pytest.raises(ValueError):
         estimate_normals(cloud, k=2)
+
+
+def test_atomic_write_failure_mid_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "artifact.bin"
+    path.write_bytes(b"previous")
+    with pytest.raises(RuntimeError, match="interrupted"):
+        with atomic_write(path, "wb") as f:
+            f.write(b"partial new content")
+            f.flush()
+            raise RuntimeError("interrupted")
+    assert path.read_bytes() == b"previous"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]
+    with atomic_write(path) as f:
+        f.write("new\n")
+    assert path.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]

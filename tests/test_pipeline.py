@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pcqa import frmetrics as fr
+from pcqa import pcio
 from pcqa import pipeline as pl
 from pcqa.cli import main as cli_main
-from pcqa.distort import AdapterConfig
-from pcqa.pcio import save_ply
+from pcqa.distort import AdapterConfig, DistortionSpec, apply_distortion
+from pcqa.pcio import load_ply, save_ply
 from pcqa.sparsenn import ModelConfig, TrainConfig, init_model, save_checkpoint
 
 from conftest import grid_cloud, textured_ref
@@ -597,3 +599,133 @@ def test_serialized_adapter_parallel_build(tmp_path, refs_dir):
                     adapters={25: AdapterConfig("cp", ("{in}", "{out}"), serialize=True)})
     manifest = pl.cmd_build(refs_dir, tmp_path / "ds", cfg, jobs=4)
     assert all(r.status == "ok" for r in manifest.rows)
+
+
+# ---------------------------------------------------------------------------
+# Reference cache, atomic artifacts, one nearest-neighbour pass per direction
+# ---------------------------------------------------------------------------
+
+
+def test_build_rereads_a_changed_reference(tmp_path):
+    refs = tmp_path / "refs"
+    refs.mkdir()
+    rng = np.random.default_rng(8)
+    cfg = pl.Config(seed=0, distortions=(5,))  # color-only: keeps every point
+    save_ply(grid_cloud(rng, n=300, extent=50), refs / "ref0.ply")
+    pl.cmd_build(refs, tmp_path / "a", cfg)
+    save_ply(grid_cloud(rng, n=500, extent=50), refs / "ref0.ply")
+    pl.cmd_build(refs, tmp_path / "b", cfg)
+    assert len(load_ply(tmp_path / "a" / "clouds" / "ref0__d05_l1.ply")) == 300
+    assert len(load_ply(tmp_path / "b" / "clouds" / "ref0__d05_l1.ply")) == 500
+
+
+def test_score_rereads_a_changed_reference(tmp_path, refs_dir):
+    out, _ = build_dataset(tmp_path, refs_dir, distortions=(5,))
+    pl.cmd_score(out / "manifest.jsonl", tmp_path / "before.csv")
+    ref = load_ply(refs_dir / "ref0.ply")
+    save_ply(ref.with_colors(255 - ref.colors), refs_dir / "ref0.ply")
+    pl.cmd_score(out / "manifest.jsonl", tmp_path / "after.csv")
+    want = fr.score_pair(load_ply(refs_dir / "ref0.ply"),
+                         load_ply(out / "clouds" / "ref0__d05_l1.ply"), ("PSNRyuv",))
+    rows = {(r["metric_name"], r["degraded_id"]): r["value"]
+            for r in csv.DictReader(open(tmp_path / "after.csv"))}
+    assert rows[("PSNRyuv", "ref0__d05_l1")] == repr(want["PSNRyuv"])
+
+
+@pytest.mark.parametrize("did, builds, normals", [(17, 4, 2), (5, 2, 0)])
+def test_score_worker_one_nn_pass_per_direction(tmp_path, monkeypatch, did, builds, normals):
+    # 2 trees for the two nearest-neighbour queries, plus one inside each
+    # normal estimation when a p2plane metric applies
+    ref = textured_ref(np.random.default_rng(9), n=300, extent=40)
+    save_ply(ref, tmp_path / "ref.ply")
+    save_ply(apply_distortion(ref, DistortionSpec(did, 4, 1)), tmp_path / "deg.ply")
+    counts = {"builds": 0, "queries": 0, "normals": 0}
+
+    def counted(key, f):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return f(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(pcio.SpatialIndex, "__init__",
+                        counted("builds", pcio.SpatialIndex.__init__))
+    monkeypatch.setattr(pcio.SpatialIndex, "nearest",
+                        counted("queries", pcio.SpatialIndex.nearest))
+    monkeypatch.setattr(fr, "estimate_normals", counted("normals", fr.estimate_normals))
+
+    metrics = tuple(m for m in fr.BUILTIN_METRICS if fr.metric_applicable(m, did))
+    rows = pl._score_worker(
+        (str(tmp_path / "ref.ply"), "ref", str(tmp_path / "deg.ply"), "deg", metrics))
+    assert [r[0] for r in rows] == list(metrics)
+    assert counts == {"builds": builds, "queries": 2, "normals": normals}
+
+
+def test_manifest_save_failure_keeps_previous_file(tmp_path, refs_dir, monkeypatch):
+    out, manifest = build_dataset(tmp_path, refs_dir, distortions=(5,))
+    path = out / "manifest.jsonl"
+    before = path.read_bytes()
+    to_json = pl.ManifestRow.to_json
+    written = []
+
+    def fail_after_three_rows(row):
+        if len(written) == 3:
+            raise RuntimeError("disk full")
+        written.append(row)
+        return to_json(row)
+    monkeypatch.setattr(pl.ManifestRow, "to_json", fail_after_three_rows)
+    manifest.rows[0].pseudo_mos = 2.0
+    with pytest.raises(RuntimeError, match="disk full"):
+        manifest.save(path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["clouds", "manifest.jsonl"]
+
+
+def test_score_csv_failure_keeps_previous_file(tmp_path, refs_dir, monkeypatch):
+    out, _ = build_dataset(tmp_path, refs_dir, distortions=(5,))
+    csv_path = tmp_path / "scores.csv"
+    pl.cmd_score(out / "manifest.jsonl", csv_path)
+    before = csv_path.read_bytes()
+
+    class Unprintable(float):
+        def __repr__(self):
+            raise RuntimeError("cannot format")
+
+    score_pair = fr.score_pair
+    calls = []
+
+    def last_sample_unprintable(reference, degraded, metrics):
+        calls.append(1)
+        scores = score_pair(reference, degraded, metrics)
+        if len(calls) == 14:  # ref1__d05_l7, the last row of the CSV
+            scores = {m: Unprintable(v) for m, v in scores.items()}
+        return scores
+    monkeypatch.setattr(fr, "score_pair", last_sample_unprintable)
+    with pytest.raises(RuntimeError, match="cannot format"):
+        pl.cmd_score(out / "manifest.jsonl", csv_path)
+    assert csv_path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds", "refs", "scores.csv"]
+
+
+def test_checkpoint_save_failure_keeps_previous_file(tmp_path):
+    model = init_model(ModelConfig(**TINY_MODEL), seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    before = path.read_bytes()
+    model.state["zz_bad"] = np.array(["not a number"], dtype=object)  # written last
+    with pytest.raises(ValueError):
+        save_checkpoint(model, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_annotate_out_may_be_its_input_manifest(tmp_path, refs_dir):
+    out, manifest = build_dataset(tmp_path, refs_dir, distortions=(5, 17))
+    pl.cmd_score(out / "manifest.jsonl", tmp_path / "scores.csv")
+    plant_ratings(manifest, tmp_path / "subjective.csv")
+    path = str(out / "manifest.jsonl")
+    assert cli_main(["annotate", "--manifest", path, "--scores", str(tmp_path / "scores.csv"),
+                     "--subjective", str(tmp_path / "subjective.csv"), "--out", path,
+                     "--holdout-refs", "ref1"]) == 0
+    annotated = pl.Manifest.load(path)
+    assert len(annotated.rows) == len(manifest.rows)
+    assert all(r.pseudo_mos is not None for r in annotated.ok_rows())
+    assert sorted(p.name for p in out.iterdir()) == ["clouds", "manifest.jsonl"]
