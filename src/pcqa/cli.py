@@ -8,6 +8,7 @@ PCQA_ADAPTERS environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -25,8 +26,6 @@ EXIT_RUNTIME = 2
 
 def _load_config(args) -> pl.Config:
     cfg = pl.Config.from_file(args.config) if args.config else pl.Config()
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
     if getattr(args, "subset", None):
         cfg.distortions = tuple(int(s) for s in args.subset.split(","))
     if not cfg.adapters and os.environ.get("PCQA_ADAPTERS"):
@@ -36,6 +35,8 @@ def _load_config(args) -> pl.Config:
 
 def _cmd_build(args) -> int:
     cfg = _load_config(args)
+    if args.seed is not None:
+        cfg.seed = args.seed
     manifest = pl.cmd_build(args.refs, args.out, cfg, jobs=args.jobs)
     n_failed = sum(1 for r in manifest.rows if r.status == "failed")
     print(f"built {len(manifest.rows) - n_failed}/{len(manifest.rows)} samples "
@@ -71,6 +72,8 @@ def _split_from_args(args, manifest_path: str) -> pl.SplitSpec:
 
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
+    if args.seed is not None:
+        cfg.train = dataclasses.replace(cfg.train, seed=args.seed)
     split = _split_from_args(args, args.manifest)
     pl.cmd_train(args.manifest, split, cfg.model, cfg.train, args.out,
                  loss_csv=args.loss_csv)
@@ -116,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refs", required=True, help="directory with reference PLY files")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="dataset seed")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--subset", default=None, help="comma-separated distortion ids")
     p.set_defaults(func=_cmd_build)
@@ -143,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--loss-csv", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="training seed: weight init, sample order, augmentation")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .colors import rgb_to_ycbcr
-from .distort import affects_geometry
+from .distort import REGISTRY
 from .pcio import DEFAULT_NORMAL_K, PointCloud, SpatialIndex, bounding_box, estimate_normals
 
 __all__ = [
@@ -67,7 +67,7 @@ def metric_order_key(metric: str) -> tuple[int, str]:
 def metric_applicable(metric: str, distortion_id: int) -> bool:
     """Geometry metrics are undefined for distortions that keep positions fixed."""
     if metric in GEOMETRY_METRICS:
-        return affects_geometry(distortion_id)
+        return REGISTRY[distortion_id].moves_geometry
     return True
 
 
@@ -82,9 +82,11 @@ _POOLINGS = {"mse": np.mean, "hausdorff": np.max}
 
 
 def _with_normals(cloud: PointCloud) -> PointCloud:
-    if cloud.normals is None:
-        cloud, _ = estimate_normals(cloud, k=min(DEFAULT_NORMAL_K, len(cloud)))
-    return cloud
+    if cloud.normals is not None:
+        return cloud
+    if len(cloud) < 3:  # too few points for a plane fit: the degenerate-case normal
+        return cloud.with_normals(np.tile((0.0, 0.0, 1.0), (len(cloud), 1)))
+    return estimate_normals(cloud, k=min(DEFAULT_NORMAL_K, len(cloud)))[0]
 
 
 def _errors_oneway(reference: PointCloud, degraded: PointCloud, kinds: set[str],

@@ -130,12 +130,6 @@ def bounding_box(cloud: PointCloud) -> BoundingBox:
 # PLY serialization
 # ---------------------------------------------------------------------------
 
-_PLY_TYPE_SIZES = {
-    "char": 1, "int8": 1, "uchar": 1, "uint8": 1,
-    "short": 2, "int16": 2, "ushort": 2, "uint16": 2,
-    "int": 4, "int32": 4, "uint": 4, "uint32": 4,
-    "float": 4, "float32": 4, "double": 8, "float64": 8,
-}
 _PLY_NP_TYPES = {
     "char": "i1", "int8": "i1", "uchar": "u1", "uint8": "u1",
     "short": "i2", "int16": "i2", "ushort": "u2", "uint16": "u2",
@@ -179,7 +173,7 @@ def _parse_header(f) -> tuple[str, int, list[tuple[str, str]]]:
             if parts[1] == "list":
                 raise PlyError("list properties are not supported on vertices")
             ptype, pname = parts[1], parts[2]
-            if ptype not in _PLY_TYPE_SIZES:
+            if ptype not in _PLY_NP_TYPES:
                 raise PlyError(f"unknown property type '{ptype}'")
             properties.append((pname, ptype))
     if fmt is None:

@@ -264,6 +264,14 @@ def job_seed(dataset_seed: int, reference_id: str, distortion_id: int) -> int:
 # build
 # ---------------------------------------------------------------------------
 
+def _map(worker, tasks: list, jobs: int) -> list:
+    """worker over tasks in order, in a pool of `jobs` processes when jobs > 1."""
+    if jobs <= 1:
+        return [worker(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(worker, tasks, chunksize=4))
+
+
 @functools.cache
 def _load_ref(path: str) -> PointCloud:
     return load_ply(path)
@@ -321,13 +329,7 @@ def cmd_build(
                 out_path = str(clouds_dir / f"{sample_id}.ply")
                 tasks.append((str(ref_path), ref_id, did, level, seed, out_path, config.adapters))
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows_raw = list(pool.map(_build_worker, tasks, chunksize=4))
-    else:
-        rows_raw = [_build_worker(t) for t in tasks]
-
-    rows = [ManifestRow.from_dict(r) for r in rows_raw]
+    rows = [ManifestRow.from_dict(r) for r in _map(_build_worker, tasks, jobs)]
     failures = [r for r in rows if r.status == "failed"]
     if failures:
         log.warning("%d/%d build jobs failed; first: %s (%s)",
@@ -373,14 +375,8 @@ def cmd_score(
         tasks.append((
             manifest.references[row.reference_id], row.reference_id,
             str(base / "clouds" / row.path), row.sample_id, applicable))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_score_worker, tasks, chunksize=4))
-    else:
-        chunks = [_score_worker(t) for t in tasks]
-
     scores = sorted(
-        (s for chunk in chunks for s in chunk),
+        (s for chunk in _map(_score_worker, tasks, jobs) for s in chunk),
         key=lambda s: (fr.metric_order_key(s[0]), s[2]))
     with atomic_write(out_csv) as f:
         f.write("metric_name,reference_id,degraded_id,value\n")
@@ -412,6 +408,19 @@ class AnnotateResult:
 
 def _read_scores(path: str | Path) -> dict[tuple[str, str], float]:
     return {(s.metric, s.degraded_id): s.value for s in fr.ingest_external_scores(path)}
+
+
+def _safe_corr(labels: list[float], preds: list[float]) -> tuple[float, float]:
+    """(PLCC, SROCC); NaN where a correlation is undefined or too few samples."""
+    try:
+        p = ann.plcc(labels, preds)
+    except (ann.DegenerateCorrelationError, ValueError):
+        p = float("nan")
+    try:
+        s = ann.srocc(labels, preds)
+    except (ann.DegenerateCorrelationError, ValueError):
+        s = float("nan")
+    return p, s
 
 
 def cmd_annotate(
@@ -510,21 +519,14 @@ def cmd_annotate(
                 r.mos = round(rec.mos, 10)
     manifest.save(out_manifest)
 
-    def correlate(recs: list[ann.AnnotationRecord]) -> tuple[float, float]:
-        m = [r.mos for r in recs]
-        p = [r.pseudo_mos for r in recs]
-        try:
-            return ann.srocc(m, p), ann.plcc(m, p)
-        except ann.DegenerateCorrelationError:
-            return float("nan"), float("nan")
-
     fit_recs = [by_id[r.sample_id] for r in fit_rows]
-    fit_srocc, fit_plcc = correlate(fit_recs)
+    fit_plcc, fit_srocc = _safe_corr([r.mos for r in fit_recs], [r.pseudo_mos for r in fit_recs])
     fit_stats = ann.annotation_error_stats(fit_recs) if len(fit_recs) >= 2 else None
 
     hold_recs = [by_id[r.sample_id] for r in labeled if r.reference_id in holdout_set]
     if hold_recs:
-        holdout_srocc, holdout_plcc = correlate(hold_recs)
+        holdout_plcc, holdout_srocc = _safe_corr(
+            [r.mos for r in hold_recs], [r.pseudo_mos for r in hold_recs])
         holdout_stats = ann.annotation_error_stats(hold_recs) if len(hold_recs) >= 2 else None
     else:
         log.warning("no holdout references; holdout report degenerates to the fit set")
@@ -650,18 +652,6 @@ class EvalReport:
             "per_type": {str(k): {"plcc": v[0], "srocc": v[1]}
                          for k, v in sorted(self.per_type.items())},
         }
-
-
-def _safe_corr(labels: list[float], preds: list[float]) -> tuple[float, float]:
-    try:
-        p = ann.plcc(labels, preds)
-    except (ann.DegenerateCorrelationError, ValueError):
-        p = float("nan")
-    try:
-        s = ann.srocc(labels, preds)
-    except (ann.DegenerateCorrelationError, ValueError):
-        s = float("nan")
-    return p, s
 
 
 def cmd_eval(

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,11 @@ from pcqa.distort import (
     REGISTRY, NATIVE_IDS, EXTERNAL_IDS, AdapterConfig, AdapterFailedError,
     AdapterNotConfiguredError, AdapterOutputError, AdapterToolMissingError,
     DistortionError, DistortionSpec, anchor_boxes, apply_distortion,
-    color_transform, downsample, external_codec, gaussian_snr_sigma,
-    geometry_noise, local_distortion, octree_compress, pointwise_color_noise,
-    rng_for_spec, structured_color_noise,
+    external_codec, gaussian_snr_sigma, rng_for_spec,
 )
 from pcqa.pcio import PointCloud, bounding_box, load_ply, save_ply
 
-from conftest import grid_cloud, random_cloud
+from conftest import grid_cloud, random_cloud, textured_ref
 
 
 def flat_cloud(n=1000, value=128, extent=40.0, seed=0):
@@ -92,14 +92,14 @@ def test_geometry_ids_keep_colors():
 
 def test_uniform_noise_level1_bounds():
     cloud = flat_cloud(n=2000, value=128)
-    out = pointwise_color_noise(cloud, "uniform", 1, rng(1))
+    out = REGISTRY[15].generate(cloud, 1, rng(1))
     assert out.colors.min() >= 118 and out.colors.max() <= 138
     assert not np.array_equal(out.colors, cloud.colors)
 
 
 def test_saltpepper_level7_exact_count():
     cloud = flat_cloud(n=1000, value=128)
-    out = pointwise_color_noise(cloud, "saltpepper", 7, rng(2))
+    out = REGISTRY[12].generate(cloud, 7, rng(2))
     changed = np.any(out.colors != cloud.colors, axis=1)
     assert changed.sum() == 300  # round(0.30 * 1000)
     assert np.isin(out.colors[changed], (0, 255)).all()
@@ -109,7 +109,7 @@ def test_saltpepper_level7_exact_count():
 
 def test_color_noise_level1_selection_and_equal_channels():
     cloud = flat_cloud(n=1000, value=100)
-    out = pointwise_color_noise(cloud, "color", 1, rng(3))
+    out = REGISTRY[1].generate(cloud, 1, rng(3))
     delta = out.colors.astype(int) - 100
     changed = np.any(delta != 0, axis=1)
     # same offset applied to R, G, B of each selected point
@@ -133,7 +133,7 @@ def test_gaussian_snr_sigma_hits_target():
 
 def test_gamma_noise_positive_shift():
     cloud = flat_cloud(n=3000, value=30)
-    out = pointwise_color_noise(cloud, "gamma", 1, rng(8))
+    out = REGISTRY[14].generate(cloud, 1, rng(8))
     delta = out.colors.astype(float) - 30
     # sum of 3 exponentials with a=0.1: mean 30
     assert abs(delta.mean() - 30.0) < 2.0
@@ -142,7 +142,7 @@ def test_gamma_noise_positive_shift():
 
 def test_poisson_noise_mean():
     cloud = flat_cloud(n=3000, value=20)
-    out = pointwise_color_noise(cloud, "poisson", 1, rng(9))
+    out = REGISTRY[16].generate(cloud, 1, rng(9))
     delta = out.colors.astype(float) - 20
     assert abs(delta.mean() - 10.0) < 1.0
 
@@ -156,7 +156,7 @@ def test_correlated_noise_neighbor_correlation():
     # 1-NN pairs must correlate strongly after spatial averaging
     r = np.random.default_rng(12)
     cloud = PointCloud(r.uniform(0, 30, (10_000, 3)), np.full((10_000, 3), 128))
-    out = structured_color_noise(cloud, "correlated", 3, rng(13))
+    out = REGISTRY[8].generate(cloud, 3, rng(13))
     noise = out.colors.astype(float) - 128.0
     from pcqa.pcio import SpatialIndex
     index = SpatialIndex.from_cloud(cloud)
@@ -169,20 +169,20 @@ def test_correlated_noise_neighbor_correlation():
 def test_correlated_noise_sigma_restored():
     r = np.random.default_rng(14)
     cloud = PointCloud(r.uniform(0, 30, (20_000, 3)), np.full((20_000, 3), 128))
-    out = structured_color_noise(cloud, "correlated", 2, rng(15))
+    out = REGISTRY[8].generate(cloud, 2, rng(15))
     noise = out.colors.astype(float) - 128.0
     assert abs(noise.std() - 20.0) / 20.0 < 0.05
 
 
 def test_multiplicative_fixes_zero():
     cloud = flat_cloud(n=500, value=0)
-    out = structured_color_noise(cloud, "multiplicative", 7, rng(16))
+    out = REGISTRY[9].generate(cloud, 7, rng(16))
     np.testing.assert_array_equal(out.colors, 0)
 
 
 def test_multiplicative_scales_with_value():
     cloud = flat_cloud(n=50_000, value=200)
-    out = structured_color_noise(cloud, "multiplicative", 7, rng(17))
+    out = REGISTRY[9].generate(cloud, 7, rng(17))
     delta = out.colors.astype(float) - 200.0
     expected_sigma = 200.0 * np.sqrt(15.5e-4)
     assert abs(delta.std() - expected_sigma) / expected_sigma < 0.05
@@ -195,7 +195,7 @@ def test_high_frequency_variance_matches_injection():
     cloud = PointCloud(r.uniform(0, 30, (20_000, 3)), np.full((20_000, 3), 128))
     for level in (1, 3, 5):
         var = REGISTRY[3].param(level)
-        out = structured_color_noise(cloud, "high_frequency", level, rng(19))
+        out = REGISTRY[3].generate(cloud, level, rng(19))
         sample_var = np.var(out.colors.astype(float) / 255.0, axis=0).mean()
         assert abs(sample_var - var) / var < 0.05
 
@@ -204,7 +204,7 @@ def test_high_frequency_noise_is_high_frequency():
     # injected noise has near-zero local mean by construction
     r = np.random.default_rng(20)
     cloud = PointCloud(r.uniform(0, 20, (5000, 3)), np.full((5000, 3), 128))
-    out = structured_color_noise(cloud, "high_frequency", 5, rng(21))
+    out = REGISTRY[3].generate(cloud, 5, rng(21))
     noise = out.colors.astype(float) - 128.0
     from pcqa.pcio import SpatialIndex
     index = SpatialIndex.from_cloud(cloud)
@@ -216,7 +216,7 @@ def test_high_frequency_noise_is_high_frequency():
 def test_neighbor_families_require_9_points():
     cloud = flat_cloud(n=8)
     with pytest.raises(DistortionError, match="9 points"):
-        structured_color_noise(cloud, "correlated", 1, rng(22))
+        REGISTRY[8].generate(cloud, 1, rng(22))
 
 
 # ---------------------------------------------------------------------------
@@ -226,27 +226,27 @@ def test_neighbor_families_require_9_points():
 
 def test_quantization_bin_center():
     cloud = PointCloud(np.zeros((2, 3)), [[0, 0, 0], [255, 255, 255]])
-    out = color_transform(cloud, "quantization", 1)
+    out = REGISTRY[4].generate(cloud, 1, rng(0))
     np.testing.assert_array_equal(out.colors[0], 13)  # floor(0/27)*27 + 13
     np.testing.assert_array_equal(out.colors[1], 255)  # cropped bin center 256
 
 
 def test_contrast_fixes_endpoints():
     cloud = PointCloud(np.zeros((2, 3)), [[255, 255, 255], [0, 0, 0]])
-    out = color_transform(cloud, "contrast", 1)
+    out = REGISTRY[6].generate(cloud, 1, rng(0))
     np.testing.assert_array_equal(out.colors[0], 255)
     np.testing.assert_array_equal(out.colors[1], 0)
 
 
 def test_contrast_darkens_midtones():
     cloud = flat_cloud(n=10, value=128)
-    out = color_transform(cloud, "contrast", 7)
+    out = REGISTRY[6].generate(cloud, 7, rng(0))
     assert np.all(out.colors < 128)
 
 
 def test_saturation_level7_fully_desaturates():
     cloud = random_cloud(np.random.default_rng(23), n=300)
-    out = color_transform(cloud, "saturation", 7)
+    out = REGISTRY[7].generate(cloud, 7, rng(0))
     assert np.all(out.colors[:, 0] == out.colors[:, 1])
     assert np.all(out.colors[:, 1] == out.colors[:, 2])
 
@@ -255,7 +255,7 @@ def test_saturation_reduces_saturation_monotonically():
     cloud = random_cloud(np.random.default_rng(24), n=500)
     sats = []
     for level in (1, 4, 7):
-        out = color_transform(cloud, "saturation", level)
+        out = REGISTRY[7].generate(cloud, level, rng(0))
         sats.append(rgb_to_hsl(out.colors / 255.0)[:, 1].mean())
     assert sats[0] > sats[1] > sats[2]
 
@@ -264,7 +264,7 @@ def test_luminance_shifts_luma():
     cloud = random_cloud(np.random.default_rng(25), n=400)
     # mid-range colors so the +20 luma offset does not crop
     cloud = cloud.with_colors(np.clip(cloud.colors, 40, 200))
-    out = color_transform(cloud, "luminance", 1)
+    out = REGISTRY[22].generate(cloud, 1, rng(0))
     y_in = rgb_to_ycbcr(cloud.colors.astype(float))[:, 0]
     y_out = rgb_to_ycbcr(out.colors.astype(float))[:, 0]
     assert abs((y_out - y_in).mean() - 20.0) < 1.5
@@ -273,7 +273,7 @@ def test_luminance_shifts_luma():
 def test_dither_quantization_palette_size():
     cloud = random_cloud(np.random.default_rng(26), n=600)
     for level, k in ((1, 24), (7, 2)):
-        out = color_transform(cloud, "dither_quantization", level, rng(27))
+        out = REGISTRY[10].generate(cloud, level, rng(27))
         n_colors = len(np.unique(out.colors, axis=0))
         assert n_colors <= k
 
@@ -288,7 +288,7 @@ def test_gaussian_shift_sigma():
     r = np.random.default_rng(28)
     cloud = PointCloud(r.uniform(0, 100, (100_000, 3)), np.zeros((100_000, 3)))
     diag = bounding_box(cloud).diagonal
-    out = geometry_noise(cloud, "gaussian_shift", 1, rng(29))
+    out = REGISTRY[17].generate(cloud, 1, rng(29))
     disp = out.positions - cloud.positions
     target = 0.001 * diag
     for axis in range(3):
@@ -298,7 +298,7 @@ def test_gaussian_shift_sigma():
 def test_uniform_shift_exact_count_and_range():
     cloud = flat_cloud(n=1000, extent=100.0, seed=30)
     diag = bounding_box(cloud).diagonal
-    out = geometry_noise(cloud, "uniform_shift", 1, rng(31))
+    out = REGISTRY[18].generate(cloud, 1, rng(31))
     disp = out.positions - cloud.positions
     moved = np.any(disp != 0, axis=1)
     assert moved.sum() == 100  # round(0.10 * N)
@@ -308,7 +308,7 @@ def test_uniform_shift_exact_count_and_range():
 def test_geometry_noise_zero_extent_errors():
     cloud = PointCloud(np.zeros((5, 3)), np.zeros((5, 3)))
     with pytest.raises(DistortionError, match="zero-extent"):
-        geometry_noise(cloud, "gaussian_shift", 1, rng(32))
+        REGISTRY[17].generate(cloud, 1, rng(32))
 
 
 def test_mean_displacement_increases_with_level():
@@ -317,7 +317,7 @@ def test_mean_displacement_increases_with_level():
     for level in range(1, 8):
         vals = []
         for seed in range(5):
-            out = geometry_noise(cloud, "gaussian_shift", level, rng(seed))
+            out = REGISTRY[17].generate(cloud, level, rng(seed))
             vals.append(np.linalg.norm(out.positions - cloud.positions, axis=1).mean())
         means.append(np.mean(vals))
     assert all(b > a for a, b in zip(means, means[1:]))
@@ -354,7 +354,7 @@ def test_anchor_side_is_03_of_max_side():
 
 def test_local_missing_deletes_inside_anchors():
     cloud = grid_cloud(np.random.default_rng(40), n=800)
-    out = local_distortion(cloud, "missing", 3, rng(41))
+    out = REGISTRY[19].generate(cloud, 3, rng(41))
     centers, half = anchor_boxes(cloud, 3, rng(41))
     assert len(out) < len(cloud)
     for c in centers:
@@ -366,19 +366,19 @@ def test_local_missing_empty_anchor_is_identity():
     # all anchor cubes centered at the single selected point delete it only
     pts = np.array([[0, 0, 0], [100, 0, 0], [0, 100, 0], [0, 0, 100]], dtype=float)
     cloud = PointCloud(pts, np.zeros((4, 3)))
-    out = local_distortion(cloud, "missing", 1, rng(42))
+    out = REGISTRY[19].generate(cloud, 1, rng(42))
     assert len(out) == 3  # exactly the anchored point disappears
 
 
 def test_local_missing_fully_deleted_errors():
     cloud = PointCloud(np.zeros((5, 3)) + [[0, 0, 0]], np.zeros((5, 3)))
     with pytest.raises(DistortionError, match="fully deleted"):
-        local_distortion(cloud, "missing", 1, rng(43))
+        REGISTRY[19].generate(cloud, 1, rng(43))
 
 
 def test_local_offset_translates_anchored_points():
     cloud = grid_cloud(np.random.default_rng(44), n=600)
-    out = local_distortion(cloud, "offset", 2, rng(45))
+    out = REGISTRY[20].generate(cloud, 2, rng(45))
     disp = out.positions - cloud.positions
     moved = np.any(disp != 0, axis=1)
     assert moved.any()
@@ -389,7 +389,7 @@ def test_local_offset_translates_anchored_points():
 
 def test_local_rotation_preserves_distance_to_centroid():
     cloud = grid_cloud(np.random.default_rng(46), n=600)
-    out = local_distortion(cloud, "rotation", 7, rng(47))
+    out = REGISTRY[21].generate(cloud, 7, rng(47))
     centers, half = anchor_boxes(cloud, 7, rng(47))
     moved = np.any(out.positions != cloud.positions, axis=1)
     assert moved.any()
@@ -411,7 +411,7 @@ def test_local_rotation_angle_about_x():
                    dtype=float)
     cloud = PointCloud(pts, np.zeros((5, 3)))
     for level, angle in ((1, 20.0), (7, 50.0)):
-        out = local_distortion(cloud, "rotation", level, rng_for_spec(DistortionSpec(21, level, 48)))
+        out = REGISTRY[21].generate(cloud, level, rng_for_spec(DistortionSpec(21, level, 48)))
         moved = np.flatnonzero(np.any(out.positions != pts, axis=1))
         for i in moved:
             centers, half = anchor_boxes(cloud, level, rng_for_spec(DistortionSpec(21, level, 48)))
@@ -433,19 +433,19 @@ def test_downsample_counts():
     cloud = flat_cloud(n=1000)
     expected = (850, 700, 550, 400, 300, 200, 100)
     for level in range(1, 8):
-        out = downsample(cloud, level, rng(49))
+        out = REGISTRY[11].generate(cloud, level, rng(49))
         assert len(out) == expected[level - 1]
 
 
 def test_downsample_tiny_cloud():
     cloud = flat_cloud(n=10)
-    out = downsample(cloud, 7, rng(50))
+    out = REGISTRY[11].generate(cloud, 7, rng(50))
     assert len(out) == 1
 
 
 def test_downsample_is_subset():
     cloud = grid_cloud(np.random.default_rng(51), n=300)
-    out = downsample(cloud, 3, rng(52))
+    out = REGISTRY[11].generate(cloud, 3, rng(52))
     rows = {tuple(r) for r in cloud.positions}
     assert all(tuple(r) in rows for r in out.positions)
 
@@ -453,7 +453,7 @@ def test_downsample_is_subset():
 def test_octree_merges_one_voxel():
     pts = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
     cloud = PointCloud(pts, [[0, 0, 0], [255, 255, 255]])
-    out = octree_compress(cloud, 1)  # side 8
+    out = REGISTRY[24].generate(cloud, 1, rng(0))  # side 8
     assert len(out) == 1
     np.testing.assert_array_equal(out.positions, [[4.0, 4.0, 4.0]])
     np.testing.assert_array_equal(out.colors, [[128, 128, 128]])  # round(127.5)
@@ -463,7 +463,7 @@ def test_octree_distinct_voxel_centers_preserved():
     side = 8.0
     idx = np.array([[0, 0, 0], [1, 0, 0], [0, 2, 1], [3, 3, 3]])
     cloud = PointCloud((idx + 0.5) * side, np.zeros((4, 3)))
-    out = octree_compress(cloud, 1)
+    out = REGISTRY[24].generate(cloud, 1, rng(0))
     assert len(out) == 4
     np.testing.assert_allclose(np.sort(out.positions, axis=0),
                                np.sort(cloud.positions, axis=0))
@@ -471,7 +471,7 @@ def test_octree_distinct_voxel_centers_preserved():
 
 def test_octree_count_non_increasing_in_level():
     cloud = grid_cloud(np.random.default_rng(53), n=500, extent=100)
-    counts = [len(octree_compress(cloud, level)) for level in range(1, 8)]
+    counts = [len(REGISTRY[24].generate(cloud, level, rng(0))) for level in range(1, 8)]
     assert all(b <= a for a, b in zip(counts, counts[1:]))
 
 
@@ -561,3 +561,27 @@ def test_local_level_nesting_missing_subset():
         deleted = {tuple(p) for p in cloud.positions} - kept
         assert deleted_prev.issubset(deleted)
         deleted_prev = deleted
+
+
+# ---------------------------------------------------------------------------
+# Pinned catalogue output
+# ---------------------------------------------------------------------------
+
+# SHA-256 over every native id x level 1-7 x seeds (0, 1) x the two clouds
+# below; pins each generator's output bit for bit.
+_CATALOGUE_SHA256 = "24abec8976f718ed527127ff405396c88149e9139b16f3756826c40bf52e3547"
+
+
+def test_native_catalogue_output_is_pinned():
+    clouds = (grid_cloud(np.random.default_rng(60), n=120),
+              textured_ref(np.random.default_rng(61), n=150, extent=40))
+    h = hashlib.sha256()
+    for cloud in clouds:
+        for did in NATIVE_IDS:
+            for level in range(1, 8):
+                for seed in (0, 1):
+                    out = apply_distortion(cloud, DistortionSpec(did, level, seed))
+                    h.update(f"{did},{level},{seed},{len(out)};".encode())
+                    h.update(out.positions.tobytes())
+                    h.update(out.colors.tobytes())
+    assert h.hexdigest() == _CATALOGUE_SHA256

@@ -12,7 +12,7 @@ from pcqa import pcio
 from pcqa import pipeline as pl
 from pcqa.cli import main as cli_main
 from pcqa.distort import AdapterConfig, DistortionSpec, apply_distortion
-from pcqa.pcio import load_ply, save_ply
+from pcqa.pcio import PointCloud, load_ply, save_ply
 from pcqa.sparsenn import ModelConfig, TrainConfig, init_model, save_checkpoint
 
 from conftest import grid_cloud, textured_ref
@@ -729,3 +729,52 @@ def test_annotate_out_may_be_its_input_manifest(tmp_path, refs_dir):
     assert len(annotated.rows) == len(manifest.rows)
     assert all(r.pseudo_mos is not None for r in annotated.ok_rows())
     assert sorted(p.name for p in out.iterdir()) == ["clouds", "manifest.jsonl"]
+
+
+def test_cli_score_two_point_sample_gets_default_normals(tmp_path, refs_dir):
+    out, _ = build_dataset(tmp_path, refs_dir, distortions=(17,))
+    tiny = PointCloud(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), [[10, 20, 30], [40, 50, 60]])
+    save_ply(tiny, out / "clouds" / "ref0__d17_l1.ply")
+    assert cli_main(["score", "--manifest", str(out / "manifest.jsonl"),
+                     "--out", str(tmp_path / "scores.csv")]) == 0
+    rows = {r["metric_name"]: float(r["value"])
+            for r in csv.DictReader(open(tmp_path / "scores.csv"))
+            if r["degraded_id"] == "ref0__d17_l1"}
+    assert sorted(rows) == sorted(fr.BUILTIN_METRICS)
+    assert all(np.isfinite(v) for v in rows.values())
+
+
+def test_annotate_one_sample_holdout_reports_nan(tmp_path, refs_dir):
+    out, manifest = build_dataset(tmp_path, refs_dir, distortions=(5, 17))
+    pl.cmd_score(out / "manifest.jsonl", tmp_path / "scores.csv")
+    plant_ratings(manifest, tmp_path / "all.csv")
+    with open(tmp_path / "all.csv") as f, open(tmp_path / "subjective.csv", "w") as g:
+        g.writelines(ln for ln in f if not ln.startswith("ref1") or
+                     ln.startswith("ref1__d05_l3,"))
+    result = pl.cmd_annotate(
+        out / "manifest.jsonl", tmp_path / "scores.csv", tmp_path / "subjective.csv",
+        tmp_path / "annotated.jsonl", report_dir=tmp_path / "reports",
+        holdout_refs=("ref1",))
+    assert np.isnan(result.holdout_srocc) and np.isnan(result.holdout_plcc)
+    assert result.holdout_stats is None
+    assert result.fit_srocc > 0.8
+    assert pl.Manifest.load(tmp_path / "annotated.jsonl").rows[0].pseudo_mos is not None
+
+
+def test_cli_train_seed_is_the_training_seed(tmp_path, refs_dir):
+    out, manifest = build_dataset(tmp_path, refs_dir, distortions=(5,))
+    for row in manifest.rows:
+        row.pseudo_mos = 5.0 - 0.5 * row.level
+    manifest.save(out / "manifest.jsonl")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"model": TINY_MODEL, "train": TINY_TRAIN}))
+
+    def loss_csv(seed, name):
+        path = tmp_path / f"{name}.csv"
+        assert cli_main(["train", "--manifest", str(out / "manifest.jsonl"),
+                         "--split", "test=ref1", "--out", str(tmp_path / f"{name}.ckpt"),
+                         "--config", str(cfg_path), "--seed", str(seed),
+                         "--loss-csv", str(path)]) == 0
+        return path.read_bytes()
+    assert loss_csv(1, "a") == loss_csv(1, "b")
+    assert loss_csv(1, "a") != loss_csv(2, "c")
