@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .colors import finalize_colors, rgb_to_hsl, hsl_to_rgb, rgb_to_ycbcr, ycbcr_to_rgb
-from .pcio import PointCloud, SpatialIndex, bounding_box, load_ply, save_ply
+from .pcio import PointCloud, SpatialIndex, bounding_box, load_ply, save_ply, voxel_means
 
 __all__ = [
     "DistortionSpec",
@@ -378,12 +378,7 @@ def _downsample(cloud: PointCloud, removed: float, rng: np.random.Generator) -> 
 
 def _octree(cloud: PointCloud, side: float, rng: np.random.Generator) -> PointCloud:
     """One point per occupied voxel at its center, member colors averaged."""
-    idx = np.floor(cloud.positions / side).astype(np.int64)
-    voxels, inverse = np.unique(idx, axis=0, return_inverse=True)
-    counts = np.bincount(inverse)
-    colors = np.zeros((len(voxels), 3))
-    for c in range(3):
-        colors[:, c] = np.bincount(inverse, weights=cloud.colors[:, c]) / counts
+    voxels, colors = voxel_means(cloud.positions, side, cloud.colors)
     positions = (voxels + 0.5) * side
     return PointCloud(positions, finalize_colors(colors))
 

@@ -24,6 +24,7 @@ __all__ = [
     "save_ply",
     "atomic_write",
     "bounding_box",
+    "voxel_means",
     "estimate_normals",
     "DEFAULT_NORMAL_K",
 ]
@@ -124,6 +125,18 @@ class BoundingBox:
 def bounding_box(cloud: PointCloud) -> BoundingBox:
     """Componentwise extrema of the positions."""
     return BoundingBox(cloud.positions.min(axis=0), cloud.positions.max(axis=0))
+
+
+def voxel_means(
+    positions: np.ndarray, size: float, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied cells of a grid of side `size` (int64, sorted) and the mean
+    of the `values` rows that fall in each cell."""
+    cells = np.floor(positions / size).astype(np.int64)
+    uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    sums = np.stack([np.bincount(inverse, weights=column) for column in values.T], axis=1)
+    return uniq, sums / np.bincount(inverse)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +376,6 @@ class SpatialIndex:
             dists = dists[:, None]
             ids = ids[:, None]
         best_d = dists[:, 0].copy()
-        best_i = ids[:, 0].copy()
         tied = dists == best_d[:, None]
         # lower id wins among exact distance ties
         id_pool = np.where(tied, ids, n)

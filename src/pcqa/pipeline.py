@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -406,6 +407,12 @@ class AnnotateResult:
     screening: ann.ScreeningResult
 
 
+def _write_lines(path: str | Path, lines: list[str]) -> None:
+    """Write newline-terminated lines to `path` atomically."""
+    with atomic_write(path) as f:
+        f.write("\n".join(lines) + "\n")
+
+
 def _read_scores(path: str | Path) -> dict[tuple[str, str], float]:
     return {(s.metric, s.degraded_id): s.value for s in fr.ingest_external_scores(path)}
 
@@ -464,10 +471,12 @@ def cmd_annotate(
     fit_rows = [r for r in labeled if r.reference_id not in holdout_set]
 
     present_types = sorted({r.distortion_id for r in rows})
-    fit_types = {r.distortion_id for r in fit_rows}
-    uncovered = [d for d in present_types if d not in fit_types]
-    if uncovered:
-        raise ValidationError(f"distortion types without labeled fit samples: {uncovered}")
+    n_fit = Counter(r.distortion_id for r in fit_rows)
+    need = ann._PARAM_COUNT["logistic5"]
+    short = {d: n_fit[d] for d in present_types if n_fit[d] < need}
+    if short:
+        raise ValidationError(f"distortion types without labeled fit samples, or with "
+                              f"fewer than {need} (type: count): {short}")
 
     # per-type score vectors over the fit rows, restricted to metrics
     # scored for every sample of that type
@@ -555,8 +564,8 @@ def _write_annotate_reports(report_dir, result, scores_by_type, mos_by_type):
         name = REGISTRY[did].name
         lines.append(f"{did},{name},{metric},{s!r},{p!r}")
         txt.append(f"{did:>3} {name:<28} {metric:<12} {s:>10.6f} {p:>10.6f}")
-    (report_dir / "selection.csv").write_text("\n".join(lines) + "\n")
-    (report_dir / "selection.txt").write_text("\n".join(txt) + "\n")
+    _write_lines(report_dir / "selection.csv", lines)
+    _write_lines(report_dir / "selection.txt", txt)
 
     rep = ["pseudo-MOS fidelity (95% quantile is of absolute errors)"]
     rep.append(f"fit set     : SROCC {result.fit_srocc:.6f}  PLCC {result.fit_plcc:.6f}")
@@ -585,14 +594,14 @@ def _write_annotate_reports(report_dir, result, scores_by_type, mos_by_type):
                f"rejected {len(screening.rejected)}")
     for subject, reason in sorted(screening.rejected.items()):
         rep.append(f"  rejected {subject}: {reason}")
-    (report_dir / "annotation_report.txt").write_text("\n".join(rep) + "\n")
+    _write_lines(report_dir / "annotation_report.txt", rep)
 
     if result.fit_stats is not None:
         hist = ["bin_left,bin_right,count"]
         stats = result.fit_stats
         for i, c in enumerate(stats.hist_counts):
             hist.append(f"{stats.hist_edges[i]!r},{stats.hist_edges[i + 1]!r},{c}")
-        (report_dir / "annotation_errors.csv").write_text("\n".join(hist) + "\n")
+        _write_lines(report_dir / "annotation_errors.csv", hist)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +643,7 @@ def cmd_train(
     if loss_csv is not None:
         lines = ["step,epoch,lr,loss"]
         lines += [f"{p.step},{p.epoch},{p.lr!r},{p.loss!r}" for p in result.losses]
-        Path(loss_csv).write_text("\n".join(lines) + "\n")
+        _write_lines(loss_csv, lines)
     return model
 
 
@@ -688,7 +697,7 @@ def cmd_eval(
         types.append(row.distortion_id)
         pred_lines.append(
             f"{row.sample_id},{row.distortion_id},{row.level},{label!r},{q!r}")
-    (out_dir / "predictions.csv").write_text("\n".join(pred_lines) + "\n")
+    _write_lines(out_dir / "predictions.csv", pred_lines)
 
     overall_plcc, overall_srocc = _safe_corr(labels, preds)
     per_type = {}
@@ -697,11 +706,11 @@ def cmd_eval(
         per_type[did] = _safe_corr([labels[i] for i in sel], [preds[i] for i in sel])
     report = EvalReport(overall_plcc=overall_plcc, overall_srocc=overall_srocc,
                         per_type=per_type, n_samples=len(labels))
-    (out_dir / "eval_report.json").write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
-    (out_dir / "eval_report.txt").write_text(
-        format_overall_table([("model", overall_plcc, overall_srocc)])
-        + "\n" + format_pertype_table(per_type) + "\n")
+    _write_lines(out_dir / "eval_report.json",
+                 [json.dumps(report.to_dict(), sort_keys=True, indent=2)])
+    _write_lines(out_dir / "eval_report.txt",
+                 [format_overall_table([("model", overall_plcc, overall_srocc)]),
+                  format_pertype_table(per_type)])
     return report
 
 
@@ -786,8 +795,8 @@ def run_ablation(
         text = format_depth_table(results)
     else:
         text = format_residual_table(results)
-    (out_dir / f"ablation_{kind}.txt").write_text(text + "\n")
+    _write_lines(out_dir / f"ablation_{kind}.txt", [text])
     lines = ["config,plcc,srocc"]
     lines += [f"{k},{results[k][0]!r},{results[k][1]!r}" for k in sorted(results)]
-    (out_dir / f"ablation_{kind}.csv").write_text("\n".join(lines) + "\n")
+    _write_lines(out_dir / f"ablation_{kind}.csv", lines)
     return results

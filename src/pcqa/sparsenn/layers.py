@@ -22,27 +22,31 @@ __all__ = [
 ]
 
 
+def _scatter_matmul(w: np.ndarray, x: np.ndarray, pairs) -> np.ndarray:
+    """out[dst] += x[src] @ w[k] for each offset k and its (src, dst) rows."""
+    out = np.zeros((x.shape[0], w.shape[2]))
+    for k, (src, dst) in enumerate(pairs):
+        if len(src):
+            # rows unique per offset, fancy accumulation is safe
+            out[dst] += x[src] @ w[k]
+    return out
+
+
 def conv_forward(w: np.ndarray, feats: np.ndarray, kmap: KernelMap) -> np.ndarray:
     """f_out(u) = sum_i W_i f_in(u + i) over occupied neighbors."""
-    n = feats.shape[0]
-    out = np.zeros((n, w.shape[2]))
-    for k, (in_rows, out_rows) in enumerate(kmap.pairs):
-        if len(in_rows):
-            out[out_rows] += feats[in_rows] @ w[k]
-    return out
+    return _scatter_matmul(w, feats, kmap.pairs)
 
 
 def conv_backward(
     w: np.ndarray, feats: np.ndarray, dout: np.ndarray, kmap: KernelMap
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scatter gradients through the transposed kernel map."""
-    dfeats = np.zeros_like(feats)
+    """The input gradient is the forward loop run on the transposed kernel
+    map: each W_i transposed, each offset's (input, output) rows swapped."""
     dw = np.zeros_like(w)
     for k, (in_rows, out_rows) in enumerate(kmap.pairs):
         if len(in_rows):
             dw[k] = feats[in_rows].T @ dout[out_rows]
-            # rows unique per offset, fancy accumulation is safe
-            dfeats[in_rows] += dout[out_rows] @ w[k].T
+    dfeats = _scatter_matmul(w.transpose(0, 2, 1), dout, [(o, i) for i, o in kmap.pairs])
     return dfeats, dw
 
 
@@ -106,7 +110,6 @@ class LayerCache:
     feats_in: np.ndarray
     bn: BNCache | None
     relu_mask: np.ndarray | None = None
-    pre_activation: np.ndarray | None = None
 
 
 def layer_forward(
@@ -126,7 +129,7 @@ def layer_forward(
         z, params["gamma"], params["beta"],
         params["running_mean"], params["running_var"],
         training, momentum=momentum, eps=eps, update_stats=update_stats)
-    cache = LayerCache(feats_in=feats, bn=bn_cache, pre_activation=y)
+    cache = LayerCache(feats_in=feats, bn=bn_cache)
     if activate:
         out, mask = relu_forward(y)
         cache.relu_mask = mask

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from ..pcio import PointCloud
+from ..pcio import PointCloud, voxel_means
 
 __all__ = ["SparseTensor", "KernelMap", "KERNEL_OFFSETS", "voxelize", "build_kernel_map"]
 
@@ -67,14 +67,10 @@ class SparseTensor:
         """Row index of each query coordinate, -1 where unoccupied."""
         query = np.asarray(query, dtype=np.int64)
         inside = np.all((query >= self._mins - 1) & (query <= self._mins + self._spans - 2), axis=1)
+        keys = self._pack(query[inside])
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
         rows = np.full(len(query), -1, dtype=np.int64)
-        if inside.any():
-            keys = self._pack(query[inside])
-            pos = np.searchsorted(self._keys, keys)
-            pos = np.minimum(pos, len(self._keys) - 1)
-            hit = self._keys[pos] == keys
-            found = np.where(hit, pos, -1)
-            rows[np.flatnonzero(inside)] = found
+        rows[inside] = np.where(self._keys[pos] == keys, pos, -1)
         return rows
 
 class KernelMap:
@@ -82,9 +78,6 @@ class KernelMap:
 
     def __init__(self, pairs: list[tuple[np.ndarray, np.ndarray]]):
         self.pairs = pairs
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
     def pair_counts(self) -> list[int]:
         return [len(p[0]) for p in self.pairs]
@@ -95,17 +88,9 @@ def voxelize(cloud: PointCloud, voxel_size: float = 1.0, batch_index: int = 0) -
     features. Features are RGB / 255 - 0.5 per channel."""
     if voxel_size <= 0:
         raise ValueError("voxel size must be positive")
-    coords3 = np.floor(cloud.positions / voxel_size).astype(np.int64)
     feats = cloud.colors.astype(np.float64) / 255.0 - 0.5
-
-    uniq, inverse = np.unique(coords3, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    counts = np.bincount(inverse)
-    merged = np.zeros((len(uniq), 3))
-    for c in range(3):
-        merged[:, c] = np.bincount(inverse, weights=feats[:, c]) / counts
-    coords4 = np.concatenate(
-        [uniq, np.full((len(uniq), 1), batch_index, dtype=np.int64)], axis=1)
+    uniq, merged = voxel_means(cloud.positions, voxel_size, feats)
+    coords4 = np.pad(uniq, ((0, 0), (0, 1)), constant_values=batch_index)
     return SparseTensor(coords4, merged)
 
 
@@ -114,13 +99,8 @@ def build_kernel_map(tensor: SparseTensor, kernel_size: int = 3) -> KernelMap:
     offset i the pairs are (row of u+i, row of u) over occupied u+i."""
     if kernel_size != 3:
         raise ValueError("only 3x3x3 kernels are supported")
-    n = len(tensor)
-    out_rows_all = np.arange(n, dtype=np.int64)
-    pairs = []
-    probe = np.zeros(4, dtype=np.int64)
-    for offset in KERNEL_OFFSETS:
-        probe[:3] = offset
-        in_rows = tensor.lookup(tensor.coords + probe)
-        valid = in_rows >= 0
-        pairs.append((in_rows[valid], out_rows_all[valid]))
-    return KernelMap(pairs)
+    offsets = np.pad(KERNEL_OFFSETS, ((0, 0), (0, 1)))  # zero batch column
+    probes = tensor.coords[None, :, :] + offsets[:, None, :]
+    in_rows = tensor.lookup(probes.reshape(-1, 4)).reshape(len(offsets), -1)
+    valid = in_rows >= 0
+    return KernelMap([(rows[ok], np.flatnonzero(ok)) for rows, ok in zip(in_rows, valid)])

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import json
@@ -778,3 +779,58 @@ def test_cli_train_seed_is_the_training_seed(tmp_path, refs_dir):
         return path.read_bytes()
     assert loss_csv(1, "a") == loss_csv(1, "b")
     assert loss_csv(1, "a") != loss_csv(2, "c")
+
+
+def test_annotate_names_type_with_too_few_fit_samples(tmp_path, refs_dir, capsys):
+    out, manifest = build_dataset(tmp_path, refs_dir, distortions=(5, 17))
+    pl.cmd_score(out / "manifest.jsonl", tmp_path / "scores.csv")
+    plant_ratings(manifest, tmp_path / "all.csv")
+    unrated = tuple(f"__d17_l{level}," for level in range(4, 8))
+    with open(tmp_path / "all.csv") as f, open(tmp_path / "subjective.csv", "w") as g:
+        g.writelines(ln for ln in f if not any(tag in ln for tag in unrated))
+    annotated = tmp_path / "annotated.jsonl"
+    assert cli_main(["annotate", "--manifest", str(out / "manifest.jsonl"),
+                     "--scores", str(tmp_path / "scores.csv"),
+                     "--subjective", str(tmp_path / "subjective.csv"),
+                     "--out", str(annotated), "--holdout-refs", "ref1"]) == 1
+    err = capsys.readouterr().err
+    assert "{17: 3}" in err and "Traceback" not in err
+    assert not annotated.exists()
+
+
+def test_predictions_write_failure_keeps_previous_file(tmp_path, refs_dir, monkeypatch):
+    out, manifest = build_dataset(tmp_path, refs_dir, distortions=(5,))
+    for row in manifest.rows:
+        row.pseudo_mos = 5.0 - 0.5 * row.level
+    manifest.save(out / "manifest.jsonl")
+    split = pl.SplitSpec(train=("ref0",), test=("ref1",))
+    for seed in (0, 1):
+        save_checkpoint(init_model(ModelConfig(**TINY_MODEL), seed=seed),
+                        tmp_path / f"m{seed}.ckpt")
+    eval_dir = tmp_path / "eval"
+    pl.cmd_eval(out / "manifest.jsonl", split, tmp_path / "m0.ckpt", eval_dir)
+    path = eval_dir / "predictions.csv"
+    before = path.read_bytes()
+
+    class DiskFull:
+        def __init__(self, f):
+            self.f = f
+
+        def write(self, text):
+            self.f.write(text[:len(text) // 2])
+            self.f.flush()
+            assert any(p.name.endswith(".tmp") for p in eval_dir.iterdir())
+            raise OSError(28, "No space left on device")
+
+    atomic_write = pl.atomic_write
+
+    @contextlib.contextmanager
+    def disk_full_for_predictions(target, mode="w"):
+        with atomic_write(target, mode) as f:
+            yield DiskFull(f) if Path(target).name == "predictions.csv" else f
+    monkeypatch.setattr(pl, "atomic_write", disk_full_for_predictions)
+    with pytest.raises(OSError, match="No space"):
+        pl.cmd_eval(out / "manifest.jsonl", split, tmp_path / "m1.ckpt", eval_dir)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in eval_dir.iterdir()) == [
+        "eval_report.json", "eval_report.txt", "predictions.csv"]

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcqa.pcio import PointCloud
 from pcqa.sparsenn import (
@@ -10,7 +11,10 @@ from pcqa.sparsenn import (
     init_model, load_checkpoint, param_count, save_checkpoint, smooth_l1,
     voxelize,
 )
-from pcqa.sparsenn.layers import layer_backward, layer_forward, relu_backward, relu_forward
+from pcqa.sparsenn import layers
+from pcqa.sparsenn.layers import (
+    conv_backward, layer_backward, layer_forward, relu_backward, relu_forward,
+)
 from pcqa.sparsenn.model import (
     RESIDUAL_VARIANTS, CheckpointError, _block_backward, _block_forward,
 )
@@ -484,3 +488,110 @@ def test_checkpoint_deterministic_bytes(tmp_path):
     save_checkpoint(model, p1)
     save_checkpoint(model, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# One scatter loop: the input gradient is the forward loop on the
+# transposed kernel map, and the kernel map is one lookup over all probes
+# ---------------------------------------------------------------------------
+
+
+def per_offset_kernel_map(tensor):
+    # oracle: one lookup per kernel offset
+    n = len(tensor)
+    out_rows_all = np.arange(n, dtype=np.int64)
+    pairs = []
+    probe = np.zeros(4, dtype=np.int64)
+    for offset in KERNEL_OFFSETS:
+        probe[:3] = offset
+        in_rows = tensor.lookup(tensor.coords + probe)
+        valid = in_rows >= 0
+        pairs.append((in_rows[valid], out_rows_all[valid]))
+    return pairs
+
+
+def scatter_conv_backward(w, feats, dout, pairs):
+    # oracle: the hand-written input-gradient scatter
+    dfeats = np.zeros_like(feats)
+    dw = np.zeros_like(w)
+    for k, (in_rows, out_rows) in enumerate(pairs):
+        if len(in_rows):
+            dw[k] = feats[in_rows].T @ dout[out_rows]
+            dfeats[in_rows] += dout[out_rows] @ w[k].T
+    return dfeats, dw
+
+
+@st.composite
+def conv_cases(draw):
+    """A sparse tensor of 1-300 sites in up to 4 batches of a small box whose
+    corners are occupied, a weight and an output gradient."""
+    n = draw(st.integers(1, 300))
+    extent = draw(st.integers(1, 8))
+    batches = draw(st.lists(st.integers(-3, 9), min_size=1, max_size=4, unique=True))
+    c_in, c_out = draw(st.integers(1, 70)), draw(st.integers(1, 70))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    origin = r.integers(-1000, 1000, 3)
+    xyz = r.integers(0, extent, (n, 3))
+    xyz[0], xyz[-1] = 0, extent - 1  # sites at both edges of the extent
+    coords = np.concatenate([origin + xyz, r.choice(batches, (n, 1))], axis=1)
+    coords = np.unique(coords, axis=0)
+    r.shuffle(coords)
+    tensor = SparseTensor(coords, r.normal(size=(len(coords), c_in)))
+    w = r.normal(size=(27, c_in, c_out))
+    dout = r.normal(size=(len(coords), c_out))
+    return tensor, w, dout
+
+
+@settings(max_examples=60, deadline=None)
+@given(conv_cases())
+def test_kernel_map_equals_per_offset_lookup(case):
+    tensor, _, _ = case
+    kmap = build_kernel_map(tensor)
+    expected = per_offset_kernel_map(tensor)
+    assert len(kmap.pairs) == len(expected) == 27
+    for (in_rows, out_rows), (in_exp, out_exp) in zip(kmap.pairs, expected):
+        for got, exp in ((in_rows, in_exp), (out_rows, out_exp)):
+            assert got.dtype == exp.dtype
+            np.testing.assert_array_equal(got, exp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(conv_cases())
+def test_conv_backward_equals_scatter_oracle(case):
+    tensor, w, dout = case
+    kmap = build_kernel_map(tensor)
+    dfeats, dw = conv_backward(w, tensor.feats, dout, kmap)
+    dfeats_exp, dw_exp = scatter_conv_backward(w, tensor.feats, dout, kmap.pairs)
+    assert dfeats.dtype == dfeats_exp.dtype and dw.dtype == dw_exp.dtype
+    np.testing.assert_array_equal(dfeats, dfeats_exp)
+    np.testing.assert_array_equal(dw, dw_exp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(conv_cases())
+def test_conv_backward_is_the_adjoint_of_forward(case):
+    # <conv(x), y> = <x, conv^T(y)>, relative to the Cauchy-Schwarz scale
+    # |conv(x)| |y| so that a near-zero inner product cannot make it flaky
+    tensor, w, y = case
+    kmap = build_kernel_map(tensor)
+    fx = conv_forward(w, tensor.feats, kmap)
+    lhs = np.sum(fx * y)
+    rhs = np.sum(tensor.feats * conv_backward(w, tensor.feats, y, kmap)[0])
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(fx) * np.linalg.norm(y)
+
+
+def test_conv_backward_does_not_call_conv_forward(rng, monkeypatch):
+    # the benchmark tracer wraps conv_forward by name; backward work must
+    # not be counted as forward calls
+    t = random_tensor(rng, n=40, channels=5)
+    kmap = build_kernel_map(t)
+    w = rng.normal(size=(27, 5, 4))
+    dout = rng.normal(size=(len(t), 4))
+    expected = scatter_conv_backward(w, t.feats, dout, kmap.pairs)
+
+    def forbidden(*args):
+        raise AssertionError("conv_backward called conv_forward")
+    monkeypatch.setattr(layers, "conv_forward", forbidden)
+    dfeats, dw = layers.conv_backward(w, t.feats, dout, kmap)
+    np.testing.assert_array_equal(dfeats, expected[0])
+    np.testing.assert_array_equal(dw, expected[1])
