@@ -65,15 +65,10 @@ def hsl_to_rgb(hsl: np.ndarray) -> np.ndarray:
     x = c * (1.0 - np.abs(np.mod(hp, 2.0) - 1.0))
     z = np.zeros_like(c)
     sector = np.minimum(hp.astype(np.int64), 5)
-    r1 = np.select([sector == 0, sector == 1, sector == 2,
-                    sector == 3, sector == 4, sector == 5],
-                   [c, x, z, z, x, c])
-    g1 = np.select([sector == 0, sector == 1, sector == 2,
-                    sector == 3, sector == 4, sector == 5],
-                   [x, c, c, x, z, z])
-    b1 = np.select([sector == 0, sector == 1, sector == 2,
-                    sector == 3, sector == 4, sector == 5],
-                   [z, z, x, c, c, x])
+    sectors = [sector == k for k in range(6)]
+    r1 = np.select(sectors, [c, x, z, z, x, c])
+    g1 = np.select(sectors, [x, c, c, x, z, z])
+    b1 = np.select(sectors, [z, z, x, c, c, x])
     m = li - c / 2.0
     return np.stack([r1 + m, g1 + m, b1 + m], axis=1)
 

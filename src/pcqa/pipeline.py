@@ -91,7 +91,6 @@ class Manifest:
     label_scale: tuple[float, float]
     references: dict[str, str]  # reference id -> PLY path
     rows: list[ManifestRow] = field(default_factory=list)
-    psnr_cap: float = fr.PSNR_CAP_DB
 
     def header(self) -> dict:
         return {
@@ -99,7 +98,7 @@ class Manifest:
             "version": MANIFEST_VERSION,
             "seed": self.seed,
             "label_scale": list(self.label_scale),
-            "psnr_cap": self.psnr_cap,
+            "psnr_cap": fr.PSNR_CAP_DB,
             "references": dict(sorted(self.references.items())),
         }
 
@@ -135,7 +134,6 @@ class Manifest:
             label_scale=tuple(header["label_scale"]),
             references=header["references"],
             rows=rows,
-            psnr_cap=header.get("psnr_cap", fr.PSNR_CAP_DB),
         )
 
     def validate(self, base_dir: str | Path | None = None) -> None:
@@ -609,16 +607,16 @@ def _write_annotate_reports(report_dir, result, scores_by_type, mos_by_type):
 # ---------------------------------------------------------------------------
 
 
-def _labeled_samples(manifest: Manifest, base: Path, refs: set[str]) -> list[TrainSample]:
-    samples = []
-    for row in manifest.ok_rows():
-        if row.reference_id not in refs:
-            continue
+def _split_rows(manifest: Manifest, refs: tuple[str, ...], stage: str) -> list[ManifestRow]:
+    """The ok rows of the split's references, by sample_id; each must carry a label."""
+    rows = sorted((r for r in manifest.ok_rows() if r.reference_id in refs),
+                  key=lambda r: r.sample_id)
+    if not rows:
+        raise ValidationError(f"{stage} split is empty")
+    for row in rows:
         if row.label is None:
-            raise ValidationError(f"{row.sample_id}: no label for training/eval")
-        cloud = load_ply(base / "clouds" / row.path)
-        samples.append(TrainSample(sample_id=row.sample_id, cloud=cloud, label=float(row.label)))
-    return samples
+            raise ValidationError(f"{row.sample_id}: no label for {stage}")
+    return rows
 
 
 def cmd_train(
@@ -632,10 +630,9 @@ def cmd_train(
     manifest_path = Path(manifest_path)
     manifest = Manifest.load(manifest_path)
     manifest.validate(base_dir=manifest_path.parent / "clouds")
-    samples = _labeled_samples(manifest, manifest_path.parent, set(split.train))
-    if not samples:
-        raise ValidationError("training split is empty")
-    samples.sort(key=lambda s: s.sample_id)
+    samples = [TrainSample(sample_id=r.sample_id, label=float(r.label),
+                           cloud=load_ply(manifest_path.parent / "clouds" / r.path))
+               for r in _split_rows(manifest, split.train, "training")]
     model = init_model(model_config, seed=train_config.seed)
     log.info("training %d samples, %d parameters", len(samples), param_count(model))
     result = train(model, samples, train_config)
@@ -677,26 +674,18 @@ def cmd_eval(
     model = load_checkpoint(checkpoint_path)
     if model_config is not None and model_config != model.config:
         raise ValidationError("checkpoint/config mismatch")
-    test_rows = [r for r in manifest.ok_rows() if r.reference_id in set(split.test)]
-    if not test_rows:
-        raise ValidationError("evaluation split is empty")
-    test_rows.sort(key=lambda r: r.sample_id)
-
+    test_rows = _split_rows(manifest, split.test, "evaluation")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     labels, preds, types = [], [], []
     pred_lines = ["sample_id,distortion_id,level,label,prediction"]
     for row in test_rows:
-        label = row.label
-        if label is None:
-            raise ValidationError(f"{row.sample_id}: no label for evaluation")
-        cloud = load_ply(manifest_path.parent / "clouds" / row.path)
-        q = predict(model, cloud)
-        labels.append(float(label))
+        q = predict(model, load_ply(manifest_path.parent / "clouds" / row.path))
+        labels.append(float(row.label))
         preds.append(q)
         types.append(row.distortion_id)
         pred_lines.append(
-            f"{row.sample_id},{row.distortion_id},{row.level},{label!r},{q!r}")
+            f"{row.sample_id},{row.distortion_id},{row.level},{row.label!r},{q!r}")
     _write_lines(out_dir / "predictions.csv", pred_lines)
 
     overall_plcc, overall_srocc = _safe_corr(labels, preds)
@@ -765,6 +754,13 @@ def format_residual_table(results: dict[str, tuple[float, float]]) -> str:
     return "\n".join(out)
 
 
+# ablation kind -> (ModelConfig field it varies, its values, report table)
+_ABLATIONS = {
+    "depth": ("blocks", range(1, 6), format_depth_table),
+    "residual": ("residual", "ABCD", format_residual_table),
+}
+
+
 def run_ablation(
     manifest_path: str | Path,
     split: SplitSpec,
@@ -775,27 +771,21 @@ def run_ablation(
 ) -> dict:
     """Train/eval once per configuration in the ablation axis and emit the
     depth- or residual-shaped report (CSV + aligned text)."""
+    if kind not in _ABLATIONS:
+        raise ValidationError(f"unknown ablation kind '{kind}'")
+    field_name, values, table = _ABLATIONS[kind]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if kind == "depth":
-        variants = [(b, dataclasses.replace(base_model, blocks=b)) for b in range(1, 6)]
-    elif kind == "residual":
-        variants = [(v, dataclasses.replace(base_model, residual=v)) for v in "ABCD"]
-    else:
-        raise ValidationError(f"unknown ablation kind '{kind}'")
 
     results = {}
-    for key, cfg in variants:
+    for key in values:
+        cfg = dataclasses.replace(base_model, **{field_name: key})
         ckpt = out_dir / f"ablation_{kind}_{key}.ckpt"
         cmd_train(manifest_path, split, cfg, train_config, ckpt)
         report = cmd_eval(manifest_path, split, ckpt, out_dir / f"eval_{kind}_{key}")
         results[key] = (report.overall_plcc, report.overall_srocc)
 
-    if kind == "depth":
-        text = format_depth_table(results)
-    else:
-        text = format_residual_table(results)
-    _write_lines(out_dir / f"ablation_{kind}.txt", [text])
+    _write_lines(out_dir / f"ablation_{kind}.txt", [table(results)])
     lines = ["config,plcc,srocc"]
     lines += [f"{k},{results[k][0]!r},{results[k][1]!r}" for k in sorted(results)]
     _write_lines(out_dir / f"ablation_{kind}.csv", lines)

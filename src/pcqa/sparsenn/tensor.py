@@ -37,10 +37,9 @@ class SparseTensor:
             raise ValueError("sparse tensor must contain at least one site")
 
         self._mins = coords.min(axis=0)
-        spans = coords.max(axis=0) - self._mins + 3  # +-1 margin for offset probes
-        if np.prod(spans.astype(np.float64)) >= 2**62:
+        self._spans = coords.max(axis=0) - self._mins + 3  # +-1 margin for kernel offsets
+        if np.prod(self._spans.astype(np.float64)) >= 2**62:
             raise ValueError("coordinate extent too large to index")
-        self._spans = spans
         keys = self._pack(coords)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
@@ -63,15 +62,19 @@ class SparseTensor:
     def n_channels(self) -> int:
         return self.feats.shape[1]
 
+    def _rows(self, keys: np.ndarray) -> np.ndarray:
+        """Row of each packed key, -1 where unoccupied."""
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        return np.where(self._keys[pos] == keys, pos, -1)
+
     def lookup(self, query: np.ndarray) -> np.ndarray:
         """Row index of each query coordinate, -1 where unoccupied."""
         query = np.asarray(query, dtype=np.int64)
         inside = np.all((query >= self._mins - 1) & (query <= self._mins + self._spans - 2), axis=1)
-        keys = self._pack(query[inside])
-        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
         rows = np.full(len(query), -1, dtype=np.int64)
-        rows[inside] = np.where(self._keys[pos] == keys, pos, -1)
+        rows[inside] = self._rows(self._pack(query[inside]))
         return rows
+
 
 class KernelMap:
     """Per-offset (input row, output row) pairs, output rows ascending."""
@@ -94,13 +97,10 @@ def voxelize(cloud: PointCloud, voxel_size: float = 1.0, batch_index: int = 0) -
     return SparseTensor(coords4, merged)
 
 
-def build_kernel_map(tensor: SparseTensor, kernel_size: int = 3) -> KernelMap:
+def build_kernel_map(tensor: SparseTensor) -> KernelMap:
     """Sub-manifold kernel map: output sites equal input sites; for each
     offset i the pairs are (row of u+i, row of u) over occupied u+i."""
-    if kernel_size != 3:
-        raise ValueError("only 3x3x3 kernels are supported")
-    offsets = np.pad(KERNEL_OFFSETS, ((0, 0), (0, 1)))  # zero batch column
-    probes = tensor.coords[None, :, :] + offsets[:, None, :]
-    in_rows = tensor.lookup(probes.reshape(-1, 4)).reshape(len(offsets), -1)
-    valid = in_rows >= 0
-    return KernelMap([(rows[ok], np.flatnonzero(ok)) for rows, ok in zip(in_rows, valid)])
+    # packing is linear and every u+i lies in the padded box: key(u+i) = key(u) + delta(i)
+    deltas = tensor._pack(np.pad(KERNEL_OFFSETS, ((0, 0), (0, 1))) + tensor._mins - 1)
+    in_rows = tensor._rows(tensor._keys + deltas[:, None])
+    return KernelMap([(rows[ok], np.flatnonzero(ok)) for rows, ok in zip(in_rows, in_rows >= 0)])

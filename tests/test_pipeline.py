@@ -340,6 +340,22 @@ def test_eval_checkpoint_config_mismatch(tmp_path, refs_dir):
                     model_config=ModelConfig(blocks=2, width=6, fc_hidden=4))
 
 
+def test_cli_eval_unlabeled_row_exits_before_writing(tmp_path, refs_dir, capsys):
+    out, manifest = build_dataset(tmp_path, refs_dir, distortions=(5,))
+    for row in manifest.rows:
+        row.pseudo_mos = 5.0 - 0.5 * row.level
+    last = max((r for r in manifest.rows if r.reference_id == "ref1"), key=lambda r: r.sample_id)
+    last.pseudo_mos = None  # the last test row: rejected before any row is predicted
+    unlabeled = last.sample_id
+    manifest.save(out / "manifest.jsonl")
+    save_checkpoint(init_model(ModelConfig(**TINY_MODEL), seed=0), tmp_path / "m.ckpt")
+    _assert_cli_error(["eval", "--manifest", str(out / "manifest.jsonl"),
+                       "--split", "test=ref1", "--checkpoint", str(tmp_path / "m.ckpt"),
+                       "--out", str(tmp_path / "eval")], capsys,
+                      f"{unlabeled}: no label for evaluation")
+    assert not (tmp_path / "eval").exists()
+
+
 # ---------------------------------------------------------------------------
 # Ablation + report formatting
 # ---------------------------------------------------------------------------
@@ -354,6 +370,13 @@ def test_format_tables_shape():
     assert "2, 3-layers residual connection" in residual
     nan_table = pl.format_overall_table([("model", float("nan"), 0.4)])
     assert "NaN" in nan_table
+
+
+def test_run_ablation_unknown_kind_errors(tmp_path):
+    with pytest.raises(pl.ValidationError, match="unknown ablation kind 'width'"):
+        pl.run_ablation(tmp_path / "manifest.jsonl", pl.SplitSpec(train=("r0",), test=("r1",)),
+                        ModelConfig(**TINY_MODEL), TrainConfig(), "width", tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -492,7 +492,7 @@ def test_checkpoint_deterministic_bytes(tmp_path):
 
 # ---------------------------------------------------------------------------
 # One scatter loop: the input gradient is the forward loop on the
-# transposed kernel map, and the kernel map is one lookup over all probes
+# transposed kernel map, and the kernel map is one search of the tensor's keys
 # ---------------------------------------------------------------------------
 
 
@@ -553,6 +553,45 @@ def test_kernel_map_equals_per_offset_lookup(case):
         for got, exp in ((in_rows, in_exp), (out_rows, out_exp)):
             assert got.dtype == exp.dtype
             np.testing.assert_array_equal(got, exp)
+
+
+@st.composite
+def near_limit_tensors(draw):
+    """Sites in 2x2x2 clusters at both ends of an extent, one cluster per end
+    and batch, whose padded box holds 2^60 to 2^62 packed keys (the index
+    limit is 2^62); negative origins, 2-4 batches."""
+    batches = sorted(draw(st.lists(st.integers(-9, 9), min_size=2, max_size=4, unique=True)))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    small = r.integers(1, 2**18, 2)
+    keys = draw(st.integers(2**61, 2**62 - 2**40))
+    big = keys // (np.prod(small + 2) * (batches[-1] - batches[0] + 3)) - 2
+    extent = np.insert(small, draw(st.integers(0, 2)), big)
+    lo = -r.integers(1, 2**61, 3)
+    hi = lo + extent - 1
+    step = (extent == big).astype(np.int64)  # a neighbour along the long axis
+    clusters = []
+    for corner, inward in ((lo, 1), (hi, -1)):
+        for b in batches:
+            xyz = corner + inward * np.vstack([[0, 0, 0], step, r.integers(0, 2, (6, 3))])
+            clusters.append(np.column_stack([np.clip(xyz, lo, hi), np.full(len(xyz), b)]))
+    coords = np.unique(np.vstack(clusters), axis=0)
+    r.shuffle(coords)
+    return SparseTensor(coords, np.zeros((len(coords), 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_limit_tensors())
+def test_kernel_map_near_the_index_limit(tensor):
+    spans = tensor.coords.max(axis=0) - tensor.coords.min(axis=0) + 3
+    assert 2**60 <= np.prod(spans.astype(np.float64)) < 2**62
+    kmap = build_kernel_map(tensor)
+    expected = per_offset_kernel_map(tensor)
+    assert len(kmap.pairs) == len(expected) == 27
+    for (in_rows, out_rows), (in_exp, out_exp) in zip(kmap.pairs, expected):
+        for got, exp in ((in_rows, in_exp), (out_rows, out_exp)):
+            assert got.dtype == exp.dtype
+            np.testing.assert_array_equal(got, exp)
+    assert sum(kmap.pair_counts()) > len(tensor)  # neighbours beyond the centre
 
 
 @settings(max_examples=60, deadline=None)
