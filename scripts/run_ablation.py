@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from pcqa import pipeline as pl
+from pcqa import cli, pipeline as pl
 from pcqa.sparsenn import ModelConfig, TrainConfig
 
 
@@ -47,4 +47,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli.run_guarded(main))

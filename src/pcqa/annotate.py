@@ -88,10 +88,12 @@ class Rating:
     stimulus_id: str
     subject_id: str
     score: float
+    scale: tuple[float, float] = field(default=(MOS_MIN, MOS_MAX), repr=False, compare=False)
 
     def __post_init__(self):
-        if not MOS_MIN <= self.score <= MOS_MAX:
-            raise ValueError(f"score {self.score} outside [{MOS_MIN}, {MOS_MAX}]")
+        lo, hi = self.scale
+        if not lo <= self.score <= hi:
+            raise ValueError(f"score {self.score} outside [{lo}, {hi}]")
 
 
 @dataclass
@@ -101,7 +103,8 @@ class RatingMatrix:
     ratings: list[Rating] = field(default_factory=list)
 
     @classmethod
-    def from_csv(cls, path: str | Path) -> "RatingMatrix":
+    def from_csv(cls, path: str | Path,
+                 scale: tuple[float, float] = (MOS_MIN, MOS_MAX)) -> "RatingMatrix":
         required = {"stimulus_id", "subject_id", "score"}
         out = []
         with open(path, newline="") as f:
@@ -110,7 +113,7 @@ class RatingMatrix:
                 missing = sorted(required - set(reader.fieldnames or ()))
                 raise ValueError(f"rating CSV missing columns: {', '.join(missing)}")
             for row in reader:
-                out.append(Rating(row["stimulus_id"], row["subject_id"], float(row["score"])))
+                out.append(Rating(row["stimulus_id"], row["subject_id"], float(row["score"]), scale))
         return cls(out)
 
     def by_subject(self) -> dict[str, np.ndarray]:

@@ -166,18 +166,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run_guarded(func) -> int:
+    """Exit code of func(); a bad input or a failed run prints one line
+    instead of a traceback."""
     try:
-        return args.func(args)
+        return func()
     except (pl.ValidationError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (AdapterError, RuntimeError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+
+
+def main(argv: list[str] | None = None) -> int:
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+    args = build_parser().parse_args(argv)
+    return run_guarded(lambda: args.func(args))
 
 
 if __name__ == "__main__":

@@ -444,7 +444,7 @@ def cmd_annotate(
     if not Path(subjective_csv).exists():
         raise ValidationError(f"subjective score file not found: {subjective_csv}")
     scores = _read_scores(scores_csv)
-    ratings = ann.RatingMatrix.from_csv(subjective_csv)
+    ratings = ann.RatingMatrix.from_csv(subjective_csv, manifest.label_scale)
 
     screening = ann.screen_subjects(ratings)
     if not screening.kept:

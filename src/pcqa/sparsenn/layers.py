@@ -26,7 +26,12 @@ def _scatter_matmul(w: np.ndarray, x: np.ndarray, pairs) -> np.ndarray:
     """out[dst] += x[src] @ w[k] for each offset k and its (src, dst) rows."""
     out = np.zeros((x.shape[0], w.shape[2]))
     for k, (src, dst) in enumerate(pairs):
-        if len(src):
+        if len(src) == len(x):
+            # an offset paired at every site maps the site set into itself, and
+            # a nonzero shift cannot (the site farthest along it has no
+            # neighbour there): this is the centre, src = dst = arange(N)
+            out += x @ w[k]
+        elif len(src):
             # rows unique per offset, fancy accumulation is safe
             out[dst] += x[src] @ w[k]
     return out
@@ -44,7 +49,9 @@ def conv_backward(
     map: each W_i transposed, each offset's (input, output) rows swapped."""
     dw = np.zeros_like(w)
     for k, (in_rows, out_rows) in enumerate(kmap.pairs):
-        if len(in_rows):
+        if len(in_rows) == len(feats):
+            dw[k] = feats.T @ dout  # the centre, as in _scatter_matmul
+        elif len(in_rows):
             dw[k] = feats[in_rows].T @ dout[out_rows]
     dfeats = _scatter_matmul(w.transpose(0, 2, 1), dout, [(o, i) for i, o in kmap.pairs])
     return dfeats, dw
@@ -80,9 +87,12 @@ def bn_forward(
             running_var *= momentum
             running_var += (1.0 - momentum) * var
         return gamma * xhat + beta, BNCache(xhat=xhat, inv_std=inv_std)
-    inv_std = 1.0 / np.sqrt(running_var + eps)
-    xhat = (x - running_mean) * inv_std
-    return gamma * xhat + beta, None
+    # gamma * (x - mean) * inv_std + beta, the same operations in one buffer
+    y = x - running_mean
+    y *= 1.0 / np.sqrt(running_var + eps)
+    y *= gamma
+    y += beta
+    return y, None
 
 
 def bn_backward(

@@ -137,8 +137,8 @@ class ModelCache:
 
 def _block_forward(
     model: Model, b: int, x: np.ndarray, kmap: KernelMap,
-    training: bool, update_stats: bool,
-) -> tuple[np.ndarray, BlockCache]:
+    training: bool, update_stats: bool, keep_cache: bool = True,
+) -> tuple[np.ndarray, BlockCache | None]:
     cfg = model.config
     source, join = _shortcut(cfg.residual, b)
     kw = dict(training=training, momentum=cfg.bn_momentum, eps=cfg.bn_eps,
@@ -149,8 +149,9 @@ def _block_forward(
         if l == join:
             h, mask = relu_forward(h + acts[source])
         acts.append(h)
-        caches.append(c)
-    return acts[-1], BlockCache(caches, mask)
+        if keep_cache:
+            caches.append(c)
+    return acts[-1], BlockCache(caches, mask) if keep_cache else None
 
 
 def _block_backward(
@@ -193,7 +194,7 @@ def forward(
     pool_args: list[np.ndarray | None] = []
     pooled: list[np.ndarray] = []
     for b in range(cfg.blocks):
-        x, bc = _block_forward(model, b, x, kmap, training, update_stats)
+        x, bc = _block_forward(model, b, x, kmap, training, update_stats, return_cache)
         vec, arg = global_pool(x, cfg.pooling)
         block_caches.append(bc)
         pool_args.append(arg)

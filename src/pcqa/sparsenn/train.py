@@ -9,6 +9,7 @@ config seed, so same-seed runs produce identical loss curves.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,7 +101,9 @@ class TrainResult:
 
 def train(model: Model, samples: list[TrainSample], config: TrainConfig) -> TrainResult:
     """Per sample: augment -> voxelize -> forward -> smooth-L1 -> backward,
-    accumulate; one SGD step every `accum` samples; shuffle per epoch."""
+    accumulate; one SGD step every `accum` samples; shuffle per epoch.
+    A non-finite loss or accumulated gradient raises ValueError naming the
+    step and its samples."""
     if not samples:
         raise ValueError("training split is empty")
     lo, hi = config.label_scale
@@ -113,7 +116,7 @@ def train(model: Model, samples: list[TrainSample], config: TrainConfig) -> Trai
     lr = config.lr
     losses: list[LossPoint] = []
     grad_sum: dict[str, np.ndarray] = {}
-    pending = 0
+    window: list[str] = []  # samples accumulated since the last SGD step
     step = 0
     done = False
     for epoch in range(config.epochs):
@@ -124,19 +127,26 @@ def train(model: Model, samples: list[TrainSample], config: TrainConfig) -> Trai
             tensor = voxelize(aug, model.config.voxel_size)
             q, cache = forward(model, tensor, training=True, return_cache=True)
             loss, dq = smooth_l1(q, sample.label)
+            if not math.isfinite(loss):
+                raise ValueError(f"training diverged at step {step + 1}: "
+                                 f"loss {loss} on sample {sample.sample_id}")
             grads = backward(model, cache, dq)
             if not grad_sum:
                 grad_sum = grads
             else:
                 for name, g in grads.items():
                     grad_sum[name] += g
-            pending += 1
+            window.append(sample.sample_id)
             step += 1
             losses.append(LossPoint(step=step, epoch=epoch, lr=lr, loss=loss))
-            if pending == config.accum:
+            if len(window) == config.accum:
+                bad = [name for name, g in grad_sum.items() if not np.isfinite(g).all()]
+                if bad:
+                    raise ValueError(f"training diverged at step {step}: non-finite gradient "
+                                     f"of {bad[0]} over samples {', '.join(window)}")
                 sgd_step(model.params, grad_sum, lr, config.accum)
                 grad_sum = {}
-                pending = 0
+                window = []
             if config.max_steps is not None and step >= config.max_steps:
                 done = True
                 break

@@ -599,3 +599,14 @@ def test_rmse_objective_matches_array_form(kind, seed, raw):
         want = float(np.sqrt(np.mean((pred - targets) ** 2)))
     want = want if math.isfinite(want) else float("inf")
     assert _bits(got) == _bits(want)
+
+
+def test_rating_scale_defaults_to_1_5_and_follows_from_csv(tmp_path):
+    path = tmp_path / "ratings.csv"
+    path.write_text("stimulus_id,subject_id,score\ns,x,7.5\n")
+    with pytest.raises(ValueError, match=r"outside \[1.0, 5.0\]"):
+        ann.RatingMatrix.from_csv(path)
+    [rating] = ann.RatingMatrix.from_csv(path, (1.0, 10.0)).ratings
+    assert (rating.stimulus_id, rating.subject_id, rating.score) == ("s", "x", 7.5)
+    with pytest.raises(ValueError, match=r"outside \[0.0, 1.0\]"):
+        ann.RatingMatrix.from_csv(path, (0.0, 1.0))

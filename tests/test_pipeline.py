@@ -857,3 +857,46 @@ def test_predictions_write_failure_keeps_previous_file(tmp_path, refs_dir, monke
     assert path.read_bytes() == before
     assert sorted(p.name for p in eval_dir.iterdir()) == [
         "eval_report.json", "eval_report.txt", "predictions.csv"]
+
+
+def test_annotate_takes_ratings_on_the_manifest_scale(tmp_path, refs_dir, capsys):
+    cfg = pl.Config(seed=3, distortions=(5, 17), label_scale=(1.0, 10.0))
+    manifest = pl.cmd_build(refs_dir, tmp_path / "ds", cfg)
+    path = tmp_path / "ds" / "manifest.jsonl"
+    pl.cmd_score(path, tmp_path / "scores.csv")
+    plant_ratings(manifest, tmp_path / "five.csv")
+    with open(tmp_path / "five.csv") as f, open(tmp_path / "ten.csv", "w") as g:
+        g.write(next(f))
+        for line in f:  # the same ratings mapped onto [1, 10]
+            stim, subj, score = line.rstrip("\n").split(",")
+            g.write(f"{stim},{subj},{1 + (float(score) - 1) * 9 / 4:.4f}\n")
+    annotated = tmp_path / "annotated.jsonl"
+    argv = ["annotate", "--manifest", str(path), "--scores", str(tmp_path / "scores.csv"),
+            "--out", str(annotated), "--holdout-refs", "ref1"]
+    assert cli_main(argv + ["--subjective", str(tmp_path / "ten.csv")]) == 0, \
+        capsys.readouterr().err
+    mos = [r.mos for r in pl.Manifest.load(annotated).ok_rows() if r.mos is not None]
+    assert max(mos) > 5.0 and min(mos) >= 1.0
+
+    with open(tmp_path / "ten.csv", "a") as g:  # one score past the manifest's scale
+        g.write(f"{manifest.ok_rows()[0].sample_id},zextra,10.5\n")
+    assert cli_main(argv + ["--subjective", str(tmp_path / "ten.csv")]) == 1
+    assert "outside [1.0, 10.0]" in capsys.readouterr().err
+
+
+def test_cli_train_divergence_exits_1_naming_the_step(tmp_path, refs_dir, capsys):
+    out, manifest = build_dataset(tmp_path, refs_dir, distortions=(5,))
+    for row in manifest.rows:
+        row.pseudo_mos = 5.0 - 0.5 * row.level
+    manifest.save(out / "manifest.jsonl")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"model": TINY_MODEL, "train": {**TINY_TRAIN, "lr": 1e300}}))
+    ckpt = tmp_path / "m.ckpt"
+    with np.errstate(all="ignore"):
+        assert cli_main(["train", "--manifest", str(out / "manifest.jsonl"),
+                         "--split", "test=ref1", "--out", str(ckpt),
+                         "--config", str(cfg_path), "--loss-csv", str(tmp_path / "l.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "error: training diverged at step 3: loss nan on sample ref0__d05_l" in err
+    assert "Traceback" not in err
+    assert not ckpt.exists() and not (tmp_path / "l.csv").exists()

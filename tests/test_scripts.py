@@ -34,3 +34,15 @@ def test_demo_pipeline_then_residual_ablation(tmp_path):
     assert rows[0] == "config,plcc,srocc"
     assert [r.split(",")[0] for r in rows[1:]] == list("ABCD")
     assert "A: Without residual connection" in (out / "ablation_residual.txt").read_text()
+
+
+def test_run_ablation_bad_split_exits_1_without_traceback(tmp_path):
+    from pcqa import pipeline as pl
+    manifest = tmp_path / "manifest.jsonl"
+    pl.Manifest(seed=0, label_scale=(1.0, 5.0), references={"ref0": "ref0.ply"}).save(manifest)
+    done = run_script("run_ablation.py", "--manifest", str(manifest), "--split", "test=refX",
+                      "--kind", "residual", "--out", str(tmp_path / "ablation"))
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and "refX" in done.stderr
+    assert not (tmp_path / "ablation").exists()

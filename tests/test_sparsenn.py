@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pcqa.pcio import PointCloud
 from pcqa.sparsenn import (
@@ -634,3 +636,75 @@ def test_conv_backward_does_not_call_conv_forward(rng, monkeypatch):
     dfeats, dw = layers.conv_backward(w, t.feats, dout, kmap)
     np.testing.assert_array_equal(dfeats, expected[0])
     np.testing.assert_array_equal(dw, expected[1])
+
+
+# ---------------------------------------------------------------------------
+# Lean inference: no caches, the centre tap as a plain matmul, running-stats
+# batch norm in one buffer; none of it may change an output bit
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("blocks", [1, 4])
+@pytest.mark.parametrize("pooling", ["avg", "max"])
+@pytest.mark.parametrize("variant", RESIDUAL_VARIANTS)
+def test_forward_without_cache_is_bit_equal(variant, pooling, blocks):
+    r = np.random.default_rng(blocks)
+    model = init_model(ModelConfig(blocks=blocks, width=8, fc_hidden=4, residual=variant,
+                                   pooling=pooling), seed=7)
+    for name, stat in model.state.items():
+        stat += r.uniform(0.1, 0.5, stat.shape)  # running stats away from (0, 1)
+    for t in (random_tensor(r, n=80, extent=6), voxelize(shell_cloud(r, n=200))):
+        for training in (False, True):
+            q_lean, none = forward(model, t, training=training, update_stats=False)
+            q_full, cache = forward(model, t, training=training, update_stats=False,
+                                    return_cache=True)
+            assert none is None and cache is not None
+            assert repr(q_lean) == repr(q_full)
+
+
+def running_stats_bn_oracle(x, gamma, beta, running_mean, running_var, eps):
+    # the inference batch norm written with one temporary per operation
+    inv_std = 1.0 / np.sqrt(running_var + eps)
+    xhat = (x - running_mean) * inv_std
+    return gamma * xhat + beta
+
+
+@st.composite
+def bn_cases(draw):
+    n, c = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+    value = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    x = draw(hnp.arrays(np.float64, (n, c), elements=value))
+    gamma, beta, mean = (draw(hnp.arrays(np.float64, c, elements=value)) for _ in range(3))
+    var = draw(hnp.arrays(np.float64, c, elements=st.floats(0.0, 1e300)))
+    eps = draw(st.sampled_from([1e-5, 0.0, 1e-300])) if draw(st.booleans()) else 1e-5
+    return x, gamma, beta, mean, var, eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(bn_cases())
+def test_running_stats_bn_equals_oracle_bit_for_bit(case):
+    x, gamma, beta, mean, var, eps = case
+    with np.errstate(all="ignore"):
+        y, cache = layers.bn_forward(x, gamma, beta, mean, var, training=False, eps=eps)
+        expected = running_stats_bn_oracle(x, gamma, beta, mean, var, eps)
+    assert cache is None
+    assert y.dtype == expected.dtype and y.shape == expected.shape
+    assert y.tobytes() == expected.tobytes()
+
+
+def test_inference_forward_holds_no_layer_inputs():
+    # about 10k sparse sites at about 1.04 kernel-map pairs per site, as in
+    # eval; keeping every layer's input alive peaks at about 16 activations
+    r = np.random.default_rng(0)
+    coords = np.unique(r.integers(0, 200, (10_500, 3)), axis=0)[:10_000]
+    t = tensor_from(coords, r.normal(size=(len(coords), 3)))
+    model = init_model(ModelConfig(), seed=0)
+    kmap = build_kernel_map(t)
+    activation = len(t) * model.config.width * 8
+    tracemalloc.start()
+    try:
+        forward(model, t, kmap=kmap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * activation, peak / activation

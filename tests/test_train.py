@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -180,3 +182,42 @@ def test_rotation_robustness_probe(capsys):
     rotated = augment(cloud, np.random.default_rng(0), rot_cfg)
     drift = abs(predict(model, rotated) - base)
     print(f"rotation robustness probe: drift {drift:.4f} at 90 degrees")
+
+
+# ---------------------------------------------------------------------------
+# Divergence
+# ---------------------------------------------------------------------------
+
+
+def test_non_finite_loss_names_step_and_sample():
+    samples = small_samples(count=4, labels=[1.5, 2.5, float("nan"), 4.5])
+    cfg = TrainConfig(accum=2, epochs=1, **NO_AUG)
+    model = init_model(ModelConfig(blocks=1, width=4, fc_hidden=4), seed=0)
+    with pytest.raises(ValueError, match=r"diverged at step [1-4]: loss nan on sample s2$"):
+        train(model, samples, cfg)
+
+
+def test_exploding_lr_fails_at_the_first_non_finite_loss():
+    cfg = TrainConfig(lr=1e300, accum=2, epochs=3, **NO_AUG)
+    model = init_model(ModelConfig(blocks=1, width=4, fc_hidden=4), seed=0)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="diverged at step 3: loss nan"):
+        train(model, small_samples(count=4), cfg)
+
+
+def test_non_finite_gradient_stops_before_the_sgd_step(monkeypatch):
+    module = sys.modules["pcqa.sparsenn.train"]
+    backward, calls = module.backward, []
+
+    def planted(model, cache, dq):  # the third sample's gradient overflows
+        grads = backward(model, cache, dq)
+        calls.append(dq)
+        if len(calls) == 3:
+            grads["fc2.b"][0] = np.inf
+        return grads
+    monkeypatch.setattr(module, "backward", planted)
+    cfg = TrainConfig(accum=2, epochs=1, **NO_AUG)
+    model = init_model(ModelConfig(blocks=1, width=4, fc_hidden=4), seed=0)
+    with pytest.raises(ValueError, match=r"diverged at step 4: non-finite gradient of fc2\.b "
+                                         r"over samples s\d, s\d$"):
+        train(model, small_samples(count=4), cfg)
+    assert np.isfinite(model.params["fc2.b"]).all()  # only the first SGD step ran
