@@ -21,9 +21,9 @@ from .pcio import DEFAULT_NORMAL_K, PointCloud, SpatialIndex, bounding_box, esti
 
 __all__ = [
     "M_P2PO", "M_P2PL", "H_P2PO", "H_P2PL", "PSNR_YUV", "H_PSNR_YUV",
-    "BUILTIN_METRICS", "GEOMETRY_METRICS", "PSNR_CAP_DB",
+    "BUILTIN_METRICS", "GEOMETRY_METRICS", "PLANE_METRICS", "PSNR_CAP_DB",
     "MetricScore", "metric_order_key", "metric_applicable",
-    "p2point", "p2plane", "psnr_from_geometry", "psnr_yuv",
+    "with_normals", "p2point", "p2plane", "psnr_from_geometry", "psnr_yuv",
     "compute_metric", "score_pair", "ingest_external_scores",
 ]
 
@@ -36,6 +36,7 @@ H_PSNR_YUV = "H-PSNRyuv"
 
 BUILTIN_METRICS = (M_P2PO, M_P2PL, H_P2PO, H_P2PL, PSNR_YUV, H_PSNR_YUV)
 GEOMETRY_METRICS = frozenset({M_P2PO, M_P2PL, H_P2PO, H_P2PL})
+PLANE_METRICS = frozenset({M_P2PL, H_P2PL})  # the metrics that need normals
 
 PSNR_CAP_DB = 100.0
 _CAP_RATIO = 1e-10  # errors below peak^2 * ratio saturate at the cap
@@ -81,19 +82,22 @@ _METRICS = {
 _POOLINGS = {"mse": np.mean, "hausdorff": np.max}
 
 
-def _with_normals(cloud: PointCloud) -> PointCloud:
+def with_normals(cloud: PointCloud, index: SpatialIndex | None = None) -> PointCloud:
+    """The cloud with p2plane normals: its own if it has them, else estimated
+    (over `index`, the cloud's own tree, when given)."""
     if cloud.normals is not None:
         return cloud
     if len(cloud) < 3:  # too few points for a plane fit: the degenerate-case normal
         return cloud.with_normals(np.tile((0.0, 0.0, 1.0), (len(cloud), 1)))
-    return estimate_normals(cloud, k=min(DEFAULT_NORMAL_K, len(cloud)))[0]
+    return estimate_normals(cloud, k=min(DEFAULT_NORMAL_K, len(cloud)), index=index)[0]
 
 
-def _errors_oneway(reference: PointCloud, degraded: PointCloud, kinds: set[str],
-                   ycc: list) -> dict[str, np.ndarray]:
+def _errors_oneway(index: SpatialIndex, reference: PointCloud, degraded: PointCloud,
+                   kinds: set[str], ycc: list) -> dict[str, np.ndarray]:
     """Each kind's per-point errors of `degraded` against its nearest
-    `reference` points, all from one nearest-neighbour query."""
-    ids, dists = SpatialIndex.from_cloud(reference).nearest(degraded.positions)
+    `reference` points, all from one nearest-neighbour query on `index`,
+    the reference's tree."""
+    ids, dists = index.nearest(degraded.positions)
     errors = {}
     if "point" in kinds:
         errors["point"] = dists**2
@@ -109,18 +113,21 @@ def _errors_oneway(reference: PointCloud, degraded: PointCloud, kinds: set[str],
 def _pair_errors(reference: PointCloud, degraded: PointCloud, kinds: set[str],
                  symmetric: bool) -> list[dict[str, np.ndarray]]:
     """Per-point errors of degraded vs reference and, when symmetric, of
-    reference vs degraded. Each cloud's normals are estimated (if it has
-    none) and its colours converted to YCbCr at most once."""
+    reference vs degraded. Each cloud gets one tree, shared by its normal
+    estimation (if it has no normals) and its nearest-neighbour query, and
+    its colours are converted to YCbCr at most once."""
+    ref_index = SpatialIndex.from_cloud(reference)
+    deg_index = SpatialIndex.from_cloud(degraded) if symmetric else None
     if "plane" in kinds:
-        reference = _with_normals(reference)
+        reference = with_normals(reference, ref_index)
         if symmetric:
-            degraded = _with_normals(degraded)
+            degraded = with_normals(degraded, deg_index)
     ycc = [rgb_to_ycbcr(c.colors.astype(np.float64)) if "yuv" in kinds else None
            for c in (reference, degraded)]
-    fwd = _errors_oneway(reference, degraded, kinds, ycc)
+    fwd = _errors_oneway(ref_index, reference, degraded, kinds, ycc)
     if not symmetric:
         return [fwd]
-    return [fwd, _errors_oneway(degraded, reference, kinds, ycc[::-1])]
+    return [fwd, _errors_oneway(deg_index, degraded, reference, kinds, ycc[::-1])]
 
 
 def _pool(directions: list[dict[str, np.ndarray]], kind: str, pooling: str) -> np.ndarray:

@@ -411,9 +411,12 @@ def k_nearest(index: SpatialIndex, query: np.ndarray, k: int) -> np.ndarray:
 
 
 def estimate_normals(
-    cloud: PointCloud, k: int = DEFAULT_NORMAL_K
+    cloud: PointCloud, k: int = DEFAULT_NORMAL_K, index: SpatialIndex | None = None
 ) -> tuple[PointCloud, np.ndarray]:
     """PCA plane-fit normals from each point's k-neighborhood (self included).
+
+    `index`, if given, must be the cloud's own SpatialIndex; it saves
+    building a second tree over the same positions.
 
     The normal is the eigenvector of the smallest covariance eigenvalue,
     oriented away from the neighborhood centroid. Degenerate neighborhoods
@@ -423,7 +426,10 @@ def estimate_normals(
     n = len(cloud)
     if not 3 <= k <= n:
         raise ValueError(f"k={k} out of range [3, {n}]")
-    index = SpatialIndex.from_cloud(cloud)
+    if index is None:
+        index = SpatialIndex.from_cloud(cloud)
+    elif len(index) != n:
+        raise ValueError(f"index over {len(index)} points does not belong to a {n}-point cloud")
     nbr_ids = index.neighborhoods(cloud.positions, k)  # (N, k)
     nbrs = cloud.positions[nbr_ids]  # (N, k, 3)
     centroids = nbrs.mean(axis=1)  # (N, 3)

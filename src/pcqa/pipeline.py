@@ -272,7 +272,13 @@ def _map(worker, tasks: list, jobs: int) -> list:
 
 
 @functools.cache
-def _load_ref(path: str) -> PointCloud:
+def _load_ref(path: str, normals: bool) -> PointCloud:
+    """A reference cloud, read once per worker process; with `normals`, with
+    its p2plane normals, estimated once per worker. Build must get the plain
+    cloud: distortions would carry the normals along. Pass `normals`
+    positionally: the cache keys `f(p, x)` and `f(p, normals=x)` apart."""
+    if normals:
+        return fr.with_normals(_load_ref(path, False))
     return load_ply(path)
 
 
@@ -283,7 +289,7 @@ def _build_worker(args: tuple) -> dict:
         "distortion_id": did, "level": level, "seed": seed,
     }
     try:
-        cloud = _load_ref(ref_path)
+        cloud = _load_ref(ref_path, False)
         spec = DistortionSpec(distortion_id=did, level=level, seed=seed)
         out = apply_distortion(cloud, spec, adapters=adapters)
         save_ply(out, out_path, mode="binary_le")
@@ -346,7 +352,8 @@ def cmd_build(
 
 def _score_worker(args: tuple) -> list[tuple[str, str, str, float]]:
     ref_path, ref_id, degraded_path, degraded_id, metrics = args
-    scores = fr.score_pair(_load_ref(ref_path), load_ply(degraded_path), metrics)
+    reference = _load_ref(ref_path, not fr.PLANE_METRICS.isdisjoint(metrics))
+    scores = fr.score_pair(reference, load_ply(degraded_path), metrics)
     return [(metric, ref_id, degraded_id, value) for metric, value in scores.items()]
 
 

@@ -101,7 +101,8 @@ class TrainResult:
 
 def train(model: Model, samples: list[TrainSample], config: TrainConfig) -> TrainResult:
     """Per sample: augment -> voxelize -> forward -> smooth-L1 -> backward,
-    accumulate; one SGD step every `accum` samples; shuffle per epoch.
+    accumulate; one SGD step every `accum` samples, and one over the
+    samples left when training ends; shuffle per epoch.
     A non-finite loss or accumulated gradient raises ValueError naming the
     step and its samples."""
     if not samples:
@@ -140,11 +141,7 @@ def train(model: Model, samples: list[TrainSample], config: TrainConfig) -> Trai
             step += 1
             losses.append(LossPoint(step=step, epoch=epoch, lr=lr, loss=loss))
             if len(window) == config.accum:
-                bad = [name for name, g in grad_sum.items() if not np.isfinite(g).all()]
-                if bad:
-                    raise ValueError(f"training diverged at step {step}: non-finite gradient "
-                                     f"of {bad[0]} over samples {', '.join(window)}")
-                sgd_step(model.params, grad_sum, lr, config.accum)
+                _apply_window(model.params, grad_sum, window, lr, step)
                 grad_sum = {}
                 window = []
             if config.max_steps is not None and step >= config.max_steps:
@@ -153,7 +150,20 @@ def train(model: Model, samples: list[TrainSample], config: TrainConfig) -> Trai
         lr *= config.lr_decay
         if done:
             break
+    if window:  # the samples after the last full window, at the lr of the last one
+        _apply_window(model.params, grad_sum, window, losses[-1].lr, step)
     return TrainResult(model=model, losses=losses, final_lr=lr)
+
+
+def _apply_window(params: dict[str, np.ndarray], grad_sum: dict[str, np.ndarray],
+                  window: list[str], lr: float, step: int) -> None:
+    """One SGD step with the gradients summed over the `window` samples; a
+    non-finite gradient raises ValueError naming the step and the samples."""
+    bad = [name for name, g in grad_sum.items() if not np.isfinite(g).all()]
+    if bad:
+        raise ValueError(f"training diverged at step {step}: non-finite gradient "
+                         f"of {bad[0]} over samples {', '.join(window)}")
+    sgd_step(params, grad_sum, lr, len(window))
 
 
 def predict(model: Model, cloud: PointCloud) -> float:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pcqa.pcio import (
     PointCloud, PlyError, SpatialIndex, atomic_write, bounding_box, estimate_normals,
@@ -309,6 +309,29 @@ def test_normals_k_out_of_range(rng):
         estimate_normals(cloud, k=11)
     with pytest.raises(ValueError):
         estimate_normals(cloud, k=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 80), st.integers(0, 10_000), st.booleans())
+def test_normals_over_the_clouds_own_index_are_byte_equal(n, seed, on_grid):
+    r = np.random.default_rng(seed)
+    if on_grid:  # distinct integer points: many equal neighbour distances
+        cloud = grid_cloud(r, n=n, extent=6)
+    else:
+        cloud = random_cloud(r, n=n)
+    assume(len(cloud) >= 3)
+    k = int(r.integers(3, min(len(cloud), 16) + 1))
+    plain, plain_degenerate = estimate_normals(cloud, k)
+    shared, shared_degenerate = estimate_normals(cloud, k, index=SpatialIndex.from_cloud(cloud))
+    assert shared.normals.tobytes() == plain.normals.tobytes()
+    assert shared_degenerate.tobytes() == plain_degenerate.tobytes()
+
+
+def test_normals_reject_an_index_of_another_cloud(rng):
+    cloud = random_cloud(rng, n=20)
+    other = SpatialIndex.from_cloud(random_cloud(rng, n=21))
+    with pytest.raises(ValueError, match="21 points .* 20-point cloud"):
+        estimate_normals(cloud, k=8, index=other)
 
 
 def test_atomic_write_failure_mid_write_keeps_previous_file(tmp_path):

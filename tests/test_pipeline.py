@@ -656,10 +656,11 @@ def test_score_rereads_a_changed_reference(tmp_path, refs_dir):
     assert rows[("PSNRyuv", "ref0__d05_l1")] == repr(want["PSNRyuv"])
 
 
-@pytest.mark.parametrize("did, builds, normals", [(17, 4, 2), (5, 2, 0)])
+@pytest.mark.parametrize("did, builds, normals", [(17, 3, 2), (5, 2, 0)])
 def test_score_worker_one_nn_pass_per_direction(tmp_path, monkeypatch, did, builds, normals):
-    # 2 trees for the two nearest-neighbour queries, plus one inside each
-    # normal estimation when a p2plane metric applies
+    # one tree per cloud, shared by its normal estimation and its
+    # nearest-neighbour query, plus the tree of the reference's own normal
+    # estimation, made once per worker, when a p2plane metric applies
     ref = textured_ref(np.random.default_rng(9), n=300, extent=40)
     save_ply(ref, tmp_path / "ref.ply")
     save_ply(apply_distortion(ref, DistortionSpec(did, 4, 1)), tmp_path / "deg.ply")
@@ -681,6 +682,86 @@ def test_score_worker_one_nn_pass_per_direction(tmp_path, monkeypatch, did, buil
         (str(tmp_path / "ref.ply"), "ref", str(tmp_path / "deg.ply"), "deg", metrics))
     assert [r[0] for r in rows] == list(metrics)
     assert counts == {"builds": builds, "queries": 2, "normals": normals}
+
+
+def _count_score_work(monkeypatch):
+    """Live counts of tree builds, nearest-neighbour queries and normal
+    estimations, from an empty reference cache."""
+    pl._load_ref.cache_clear()
+    counts = {"builds": 0, "queries": 0, "normals": 0}
+
+    def counted(key, f):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return f(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(pcio.SpatialIndex, "__init__",
+                        counted("builds", pcio.SpatialIndex.__init__))
+    monkeypatch.setattr(pcio.SpatialIndex, "nearest",
+                        counted("queries", pcio.SpatialIndex.nearest))
+    monkeypatch.setattr(fr, "estimate_normals", counted("normals", fr.estimate_normals))
+    return counts
+
+
+def _score_task(ref_path, deg_path, did):
+    metrics = tuple(m for m in fr.BUILTIN_METRICS if fr.metric_applicable(m, did))
+    return (str(ref_path), "ref", str(deg_path), Path(deg_path).stem, metrics)
+
+
+def test_score_worker_estimates_reference_normals_once(tmp_path, monkeypatch):
+    ref = textured_ref(np.random.default_rng(9), n=300, extent=40)
+    save_ply(ref, tmp_path / "ref.ply")
+    for did, level in ((17, 2), (17, 5), (5, 3)):
+        save_ply(apply_distortion(ref, DistortionSpec(did, level, 1)),
+                 tmp_path / f"d{did}_l{level}.ply")
+    counts = _count_score_work(monkeypatch)
+    per_task = []
+    for name, did in (("d17_l2", 17), ("d17_l5", 17), ("d5_l3", 5)):
+        before = dict(counts)
+        pl._score_worker(_score_task(tmp_path / "ref.ply", tmp_path / f"{name}.ply", did))
+        per_task.append({k: counts[k] - before[k] for k in counts})
+    # the reference's normals come from the worker's cache after the first
+    # d17 sample; the colour-only d05 sample estimates no normals at all
+    assert per_task == [{"builds": 3, "queries": 2, "normals": 2},
+                        {"builds": 2, "queries": 2, "normals": 1},
+                        {"builds": 2, "queries": 2, "normals": 0}]
+
+
+def _score_rows(path):
+    return {(r["metric_name"], r["degraded_id"]): r["value"] for r in csv.DictReader(open(path))}
+
+
+def test_score_is_fresh_score_pair_at_any_jobs(tmp_path, refs_dir):
+    out, manifest = build_dataset(tmp_path, refs_dir, distortions=(5, 17))
+    pl.cmd_score(out / "manifest.jsonl", tmp_path / "j1.csv", jobs=1)
+    pl.cmd_score(out / "manifest.jsonl", tmp_path / "j2.csv", jobs=2)
+    assert (tmp_path / "j1.csv").read_bytes() == (tmp_path / "j2.csv").read_bytes()
+    rows = _score_rows(tmp_path / "j1.csv")
+    expected = {}
+    for row in manifest.ok_rows():
+        metrics = tuple(m for m in fr.BUILTIN_METRICS
+                        if fr.metric_applicable(m, row.distortion_id))
+        scores = fr.score_pair(load_ply(refs_dir / f"{row.reference_id}.ply"),
+                               load_ply(out / "clouds" / row.path), metrics)
+        expected.update({(m, row.sample_id): repr(v) for m, v in scores.items()})
+    assert rows == expected
+    assert any(m == fr.M_P2PL for m, _ in rows)
+
+
+def test_score_rereads_a_moved_reference_for_p2plane(tmp_path, refs_dir):
+    out, _ = build_dataset(tmp_path, refs_dir, distortions=(17,))
+    pl.cmd_score(out / "manifest.jsonl", tmp_path / "before.csv")
+    ref = load_ply(refs_dir / "ref0.ply")
+    save_ply(ref.with_positions(ref.positions * [1.0, 1.0, 1.5] + 0.5), refs_dir / "ref0.ply")
+    pl.cmd_score(out / "manifest.jsonl", tmp_path / "after.csv")
+    before, after = _score_rows(tmp_path / "before.csv"), _score_rows(tmp_path / "after.csv")
+    for level in (1, 7):
+        sample = f"ref0__d17_l{level}"
+        want = fr.score_pair(load_ply(refs_dir / "ref0.ply"),
+                             load_ply(out / "clouds" / f"{sample}.ply"), (fr.M_P2PL, fr.H_P2PL))
+        for metric in (fr.M_P2PL, fr.H_P2PL):
+            assert after[(metric, sample)] == repr(want[metric])
+            assert after[(metric, sample)] != before[(metric, sample)]
 
 
 def test_manifest_save_failure_keeps_previous_file(tmp_path, refs_dir, monkeypatch):

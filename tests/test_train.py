@@ -160,6 +160,54 @@ def test_max_steps_cuts_training():
     assert len(result.losses) == 10
 
 
+def _count_steps(monkeypatch):
+    """Backward passes and (lr, k) of every SGD step of the training loop."""
+    module = sys.modules["pcqa.sparsenn.train"]
+    backward, sgd = module.backward, module.sgd_step
+    passes, steps = [], []
+
+    def counted_backward(model, cache, dq):
+        passes.append(dq)
+        return backward(model, cache, dq)
+
+    def counted_sgd(params, grad_sum, lr, k):
+        steps.append((lr, k))
+        return sgd(params, grad_sum, lr, k)
+    monkeypatch.setattr(module, "backward", counted_backward)
+    monkeypatch.setattr(module, "sgd_step", counted_sgd)
+    return passes, steps
+
+
+def test_last_partial_window_is_applied(monkeypatch):
+    passes, steps = _count_steps(monkeypatch)
+    cfg = TrainConfig(lr=0.01, lr_decay=0.5, accum=4, epochs=3, **NO_AUG)
+    model = init_model(ModelConfig(blocks=1, width=4, fc_hidden=4), seed=0)
+    result = train(model, small_samples(count=5), cfg)
+    assert len(passes) == 15
+    # windows at samples 4, 8 and 12 (epochs 0, 1, 2), then samples 13-15 of epoch 2
+    assert steps == [(0.01, 4), (0.005, 4), (0.0025, 4), (0.0025, 3)]
+    assert result.losses[-1].lr == 0.0025
+
+
+def test_max_steps_mid_window_applies_the_window(monkeypatch):
+    passes, steps = _count_steps(monkeypatch)
+    cfg = TrainConfig(lr=0.01, lr_decay=0.5, accum=4, epochs=100, max_steps=6, **NO_AUG)
+    model = init_model(ModelConfig(blocks=1, width=4, fc_hidden=4), seed=0)
+    train(model, small_samples(count=5), cfg)
+    assert len(passes) == 6
+    # the last window holds sample 5 of epoch 0 and sample 6, trained in epoch 1
+    assert steps == [(0.01, 4), (0.005, 2)]
+
+
+def test_full_windows_take_no_extra_step(monkeypatch):
+    passes, steps = _count_steps(monkeypatch)
+    cfg = TrainConfig(accum=2, epochs=2, **NO_AUG)
+    model = init_model(ModelConfig(blocks=1, width=4, fc_hidden=4), seed=0)
+    train(model, small_samples(count=4), cfg)
+    assert len(passes) == 8
+    assert [k for _, k in steps] == [2, 2, 2, 2]
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
@@ -221,3 +269,22 @@ def test_non_finite_gradient_stops_before_the_sgd_step(monkeypatch):
                                          r"over samples s\d, s\d$"):
         train(model, small_samples(count=4), cfg)
     assert np.isfinite(model.params["fc2.b"]).all()  # only the first SGD step ran
+
+
+def test_non_finite_gradient_in_the_last_partial_window_stops_training(monkeypatch):
+    module = sys.modules["pcqa.sparsenn.train"]
+    backward, calls = module.backward, []
+
+    def planted(model, cache, dq):  # the last sample's gradient overflows
+        grads = backward(model, cache, dq)
+        calls.append(dq)
+        if len(calls) == 3:
+            grads["fc2.b"][0] = np.inf
+        return grads
+    monkeypatch.setattr(module, "backward", planted)
+    cfg = TrainConfig(accum=2, epochs=1, **NO_AUG)
+    model = init_model(ModelConfig(blocks=1, width=4, fc_hidden=4), seed=0)
+    with pytest.raises(ValueError, match=r"diverged at step 3: non-finite gradient of fc2\.b "
+                                         r"over samples s\d$"):
+        train(model, small_samples(count=3), cfg)
+    assert np.isfinite(model.params["fc2.b"]).all()
