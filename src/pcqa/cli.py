@@ -93,14 +93,18 @@ def _cmd_eval(args) -> int:
 
 def _cmd_report(args) -> int:
     if args.kind in ("overall", "per-type"):
-        data = json.loads((Path(args.source) / "eval_report.json").read_text())
-        if args.kind == "overall":
-            o = data["overall"]
-            print(pl.format_overall_table([("model", o["plcc"], o["srocc"])]))
-        else:
-            per_type = {int(k): (v["plcc"], v["srocc"])
-                        for k, v in data["per_type"].items()}
-            print(pl.format_pertype_table(per_type))
+        path = Path(args.source) / "eval_report.json"
+        try:
+            data = json.loads(path.read_text())
+            if args.kind == "overall":
+                o = data["overall"]
+                table = pl.format_overall_table([("model", o["plcc"], o["srocc"])])
+            else:
+                table = pl.format_pertype_table({int(k): (v["plcc"], v["srocc"])
+                                                 for k, v in data["per_type"].items()})
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise pl.ValidationError(f"{path}: malformed eval report ({exc!r})") from None
+        print(table)
         return EXIT_OK
     if args.kind in ("depth", "residual"):
         text = (Path(args.source) / f"ablation_{args.kind}.txt").read_text()

@@ -298,8 +298,7 @@ def save_ply(
     np_coord = "<f4" if coord_dtype == "float" else "<f8"
     pos = cloud.positions.astype(np_coord)
     col = cloud.colors
-    path = Path(path)
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(header.encode("ascii"))
         if mode == "binary_le":
             rec = np.empty(len(cloud), dtype=np.dtype(

@@ -212,6 +212,11 @@ class Config:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Config":
+        if not isinstance(d, dict):
+            raise ValidationError(f"bad config: expected a JSON object, got {type(d).__name__}")
+        if not isinstance(d.get("adapters", {}), dict):
+            raise ValidationError("bad config: adapters must be a JSON object of distortion "
+                                  f"id -> adapter, got {type(d['adapters']).__name__}")
         cfg = cls()
         if "seed" in d:
             cfg.seed = int(d["seed"])

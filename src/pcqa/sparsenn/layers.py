@@ -72,20 +72,19 @@ def bn_forward(
     training: bool,
     momentum: float = 0.9,
     eps: float = 1e-5,
-    update_stats: bool = True,
 ) -> tuple[np.ndarray, BNCache | None]:
-    """Batch norm over all rows; batch statistics in training, running
-    statistics at inference. Running stats update in place."""
+    """Batch norm over all rows. Training normalizes by the batch statistics,
+    updates the running statistics in place and returns the backward cache;
+    inference normalizes by the running statistics and returns no cache."""
     if training:
         mean = x.mean(axis=0)
         var = x.var(axis=0)
         inv_std = 1.0 / np.sqrt(var + eps)
         xhat = (x - mean) * inv_std
-        if update_stats:
-            running_mean *= momentum
-            running_mean += (1.0 - momentum) * mean
-            running_var *= momentum
-            running_var += (1.0 - momentum) * var
+        running_mean *= momentum
+        running_mean += (1.0 - momentum) * mean
+        running_var *= momentum
+        running_var += (1.0 - momentum) * var
         return gamma * xhat + beta, BNCache(xhat=xhat, inv_std=inv_std)
     # gamma * (x - mean) * inv_std + beta, the same operations in one buffer
     y = x - running_mean
@@ -118,8 +117,8 @@ def relu_backward(dy: np.ndarray, mask: np.ndarray) -> np.ndarray:
 @dataclass
 class LayerCache:
     feats_in: np.ndarray
-    bn: BNCache | None
-    relu_mask: np.ndarray | None = None
+    bn: BNCache
+    relu_mask: np.ndarray | None
 
 
 def layer_forward(
@@ -130,21 +129,19 @@ def layer_forward(
     momentum: float,
     eps: float,
     activate: bool = True,
-    update_stats: bool = True,
-) -> tuple[np.ndarray, LayerCache]:
+) -> tuple[np.ndarray, LayerCache | None]:
     """conv -> batch norm -> (optional) ReLU. `params` holds keys
-    w/gamma/beta/running_mean/running_var."""
+    w/gamma/beta/running_mean/running_var. The cache for layer_backward
+    exists in training only; inference returns None."""
     z = conv_forward(params["w"], feats, kmap)
     y, bn_cache = bn_forward(
         z, params["gamma"], params["beta"],
         params["running_mean"], params["running_var"],
-        training, momentum=momentum, eps=eps, update_stats=update_stats)
-    cache = LayerCache(feats_in=feats, bn=bn_cache)
+        training, momentum=momentum, eps=eps)
+    mask = None
     if activate:
-        out, mask = relu_forward(y)
-        cache.relu_mask = mask
-        return out, cache
-    return y, cache
+        y, mask = relu_forward(y)
+    return y, LayerCache(feats, bn_cache, mask) if training else None
 
 
 def layer_backward(

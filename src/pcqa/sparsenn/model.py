@@ -54,10 +54,12 @@ class ModelConfig:
     voxel_size: float = 1.0
 
     def __post_init__(self):
+        for name in ("blocks", "width", "in_channels", "fc_hidden"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"model {name} must be a positive int, got {value!r}")
         if self.residual not in RESIDUAL_VARIANTS:
             raise ValueError(f"residual variant must be one of {RESIDUAL_VARIANTS}")
-        if self.blocks < 1:
-            raise ValueError("need at least one block")
         if self.pooling not in ("avg", "max"):
             raise ValueError("pooling must be 'avg' or 'max'")
 
@@ -83,25 +85,41 @@ class Model:
         }
 
 
+@dataclass(frozen=True)
+class _Array:
+    shape: tuple[int, ...]
+    std: float = 0.0  # nonzero: drawn from N(0, std^2); zero: filled with `fill`
+    fill: float = 0.0
+    state: bool = False  # a batch-norm running statistic, not trainable
+
+
+def _layout(config: ModelConfig) -> dict[str, _Array]:
+    """Every array of a model with this config, in init_model's draw order."""
+    w, layout = config.width, {}
+    for b in range(config.blocks):
+        for l in range(3):
+            cin = config.in_channels if (b == 0 and l == 0) else w
+            layout[f"conv{b}.{l}.w"] = _Array((27, cin, w), std=np.sqrt(2.0 / (27 * cin)))
+            layout[f"conv{b}.{l}.gamma"] = _Array((w,), fill=1.0)
+            layout[f"conv{b}.{l}.beta"] = _Array((w,))
+            layout[f"conv{b}.{l}.running_mean"] = _Array((w,), state=True)
+            layout[f"conv{b}.{l}.running_var"] = _Array((w,), fill=1.0, state=True)
+    s_len, hidden = config.feature_length, config.fc_hidden
+    layout["fc1.w"] = _Array((s_len, hidden), std=np.sqrt(2.0 / s_len))
+    layout["fc1.b"] = _Array((hidden,))
+    layout["fc2.w"] = _Array((hidden, 1), std=np.sqrt(1.0 / hidden))
+    layout["fc2.b"] = _Array((1,))
+    return layout
+
+
 def init_model(config: ModelConfig, seed: int = 0) -> Model:
     """He-style initialization from a counter-based stream."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     params: dict[str, np.ndarray] = {}
     state: dict[str, np.ndarray] = {}
-    w = config.width
-    for b in range(config.blocks):
-        for l in range(3):
-            cin = config.in_channels if (b == 0 and l == 0) else w
-            params[f"conv{b}.{l}.w"] = rng.normal(0.0, np.sqrt(2.0 / (27 * cin)), (27, cin, w))
-            params[f"conv{b}.{l}.gamma"] = np.ones(w)
-            params[f"conv{b}.{l}.beta"] = np.zeros(w)
-            state[f"conv{b}.{l}.running_mean"] = np.zeros(w)
-            state[f"conv{b}.{l}.running_var"] = np.ones(w)
-    s_len = config.feature_length
-    params["fc1.w"] = rng.normal(0.0, np.sqrt(2.0 / s_len), (s_len, config.fc_hidden))
-    params["fc1.b"] = np.zeros(config.fc_hidden)
-    params["fc2.w"] = rng.normal(0.0, np.sqrt(1.0 / config.fc_hidden), (config.fc_hidden, 1))
-    params["fc2.b"] = np.zeros(1)
+    for name, a in _layout(config).items():
+        arr = rng.normal(0.0, a.std, a.shape) if a.std else np.full(a.shape, a.fill)
+        (state if a.state else params)[name] = arr
     return Model(config=config, params=params, state=state)
 
 
@@ -136,22 +154,19 @@ class ModelCache:
 
 
 def _block_forward(
-    model: Model, b: int, x: np.ndarray, kmap: KernelMap,
-    training: bool, update_stats: bool, keep_cache: bool = True,
+    model: Model, b: int, x: np.ndarray, kmap: KernelMap, training: bool,
 ) -> tuple[np.ndarray, BlockCache | None]:
     cfg = model.config
     source, join = _shortcut(cfg.residual, b)
-    kw = dict(training=training, momentum=cfg.bn_momentum, eps=cfg.bn_eps,
-              update_stats=update_stats)
     acts, caches, mask = [x], [], None
     for l in range(3):
-        h, c = layer_forward(model.layer_view(b, l), acts[-1], kmap, activate=l != join, **kw)
+        h, c = layer_forward(model.layer_view(b, l), acts[-1], kmap, training,
+                             cfg.bn_momentum, cfg.bn_eps, activate=l != join)
         if l == join:
             h, mask = relu_forward(h + acts[source])
         acts.append(h)
-        if keep_cache:
-            caches.append(c)
-    return acts[-1], BlockCache(caches, mask) if keep_cache else None
+        caches.append(c)
+    return acts[-1], BlockCache(caches, mask) if training else None
 
 
 def _block_backward(
@@ -174,12 +189,13 @@ def forward(
     model: Model,
     tensor: SparseTensor,
     training: bool = False,
-    update_stats: bool = True,
-    return_cache: bool = False,
     kmap: KernelMap | None = None,
 ) -> tuple[float, ModelCache | None]:
     """Predicted quality score for one sparse tensor; unbounded scalar.
 
+    Training normalizes by batch statistics, updates the running statistics
+    in place and returns the ModelCache that `backward` needs; inference
+    normalizes by the running statistics, keeps nothing and returns None.
     A prebuilt kernel map may be passed when evaluating repeatedly on the
     same coordinate set (the map depends only on the coordinates).
     """
@@ -194,14 +210,14 @@ def forward(
     pool_args: list[np.ndarray | None] = []
     pooled: list[np.ndarray] = []
     for b in range(cfg.blocks):
-        x, bc = _block_forward(model, b, x, kmap, training, update_stats, return_cache)
+        x, bc = _block_forward(model, b, x, kmap, training)
         vec, arg = global_pool(x, cfg.pooling)
         block_caches.append(bc)
         pool_args.append(arg)
         pooled.append(vec)
     s = np.concatenate(pooled)
     q, fc_cache = fc_forward(model.params, s)
-    if not return_cache:
+    if not training:
         return q, None
     return q, ModelCache(kmap=kmap, n_rows=len(tensor), blocks=block_caches,
                          pool_args=pool_args, fc=fc_cache)
@@ -260,24 +276,24 @@ def load_checkpoint(path: str | Path) -> Model:
             arrays = [(str(name), tuple(shape)) for name, shape in header["arrays"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"bad checkpoint header: {exc!r}") from None
-        fresh = init_model(config, seed=0)
-        expected = {**fresh.params, **fresh.state}
+        layout = _layout(config)
         loaded: dict[str, np.ndarray] = {}
         for name, shape in arrays:
-            if name not in expected:
+            if name not in layout:
                 raise CheckpointError(f"unexpected array '{name}' in checkpoint")
-            want = expected[name].shape
+            want = layout[name].shape
             if shape != want:
                 raise CheckpointError(f"array '{name}' has shape {shape}, expected {want}")
-            raw = f.read(expected[name].size * 8)
-            if len(raw) != expected[name].size * 8:
+            size = 8 * int(np.prod(want))
+            raw = f.read(size)
+            if len(raw) != size:
                 raise CheckpointError("truncated checkpoint blob")
             loaded[name] = np.frombuffer(raw, dtype="<f8").reshape(want).copy()
         if f.read(1):
             raise CheckpointError("trailing bytes after the last checkpoint blob")
-    missing = set(expected) - set(loaded)
+    missing = set(layout) - set(loaded)
     if missing:
         raise CheckpointError(f"checkpoint missing arrays: {sorted(missing)[:3]}")
     return Model(config=config,
-                 params={n: a for n, a in loaded.items() if n in fresh.params},
-                 state={n: a for n, a in loaded.items() if n in fresh.state})
+                 params={n: a for n, a in loaded.items() if not layout[n].state},
+                 state={n: a for n, a in loaded.items() if layout[n].state})

@@ -86,15 +86,14 @@ class KernelMap:
         return [len(p[0]) for p in self.pairs]
 
 
-def voxelize(cloud: PointCloud, voxel_size: float = 1.0, batch_index: int = 0) -> SparseTensor:
+def voxelize(cloud: PointCloud, voxel_size: float = 1.0) -> SparseTensor:
     """Quantize positions to a voxel grid; duplicate sites merge with mean
-    features. Features are RGB / 255 - 0.5 per channel."""
+    features. Features are RGB / 255 - 0.5 per channel; the batch column is 0."""
     if voxel_size <= 0:
         raise ValueError("voxel size must be positive")
     feats = cloud.colors.astype(np.float64) / 255.0 - 0.5
     uniq, merged = voxel_means(cloud.positions, voxel_size, feats)
-    coords4 = np.pad(uniq, ((0, 0), (0, 1)), constant_values=batch_index)
-    return SparseTensor(coords4, merged)
+    return SparseTensor(np.pad(uniq, ((0, 0), (0, 1))), merged)
 
 
 def build_kernel_map(tensor: SparseTensor) -> KernelMap:

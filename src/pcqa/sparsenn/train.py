@@ -126,7 +126,7 @@ def train(model: Model, samples: list[TrainSample], config: TrainConfig) -> Trai
             sample = samples[idx]
             aug = augment(sample.cloud, rng, config)
             tensor = voxelize(aug, model.config.voxel_size)
-            q, cache = forward(model, tensor, training=True, return_cache=True)
+            q, cache = forward(model, tensor, training=True)
             loss, dq = smooth_l1(q, sample.label)
             if not math.isfinite(loss):
                 raise ValueError(f"training diverged at step {step + 1}: "

@@ -345,7 +345,7 @@ def test_criterion_7_sparse_engine():
         cfg = ModelConfig(blocks=2, width=3, fc_hidden=3)
         m = init_model(cfg, seed=900 + seed)
         label = 3.1
-        q, cache = forward(m, tt, training=True, return_cache=True, update_stats=False)
+        q, cache = forward(m, tt, training=True)
         _, dq = smooth_l1(q, label)
         grads = backward(m, cache, dq)
         for name in sorted(m.params):
@@ -356,10 +356,10 @@ def test_criterion_7_sparse_engine():
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                qp, _ = forward(m, tt, training=True, update_stats=False, kmap=kmap)
+                qp, _ = forward(m, tt, training=True, kmap=kmap)
                 lp = smooth_l1(qp, label)[0]
                 arr[idx] = orig - h
-                qm, _ = forward(m, tt, training=True, update_stats=False, kmap=kmap)
+                qm, _ = forward(m, tt, training=True, kmap=kmap)
                 lm = smooth_l1(qm, label)[0]
                 arr[idx] = orig
                 fd = (lp - lm) / (2 * h)

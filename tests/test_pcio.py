@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from pcqa import pcio
 from pcqa.pcio import (
     PointCloud, PlyError, SpatialIndex, atomic_write, bounding_box, estimate_normals,
     k_nearest, load_ply, save_ply,
@@ -348,3 +349,36 @@ def test_atomic_write_failure_mid_write_keeps_previous_file(tmp_path):
         f.write("new\n")
     assert path.read_text() == "new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]
+
+
+@pytest.mark.parametrize("mode", ["ascii", "binary_le"])
+def test_save_ply_failure_mid_write_keeps_previous_file(tmp_path, rng, monkeypatch, mode):
+    path = tmp_path / "cloud.ply"
+    save_ply(grid_cloud(rng, n=50), path, mode=mode)
+    before = path.read_bytes()
+    real_open = open
+
+    class FailsAfterHeader:
+        """A file whose second write, the one after the PLY header, fails."""
+
+        def __init__(self, f):
+            self.f, self.writes = f, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 2:
+                raise OSError("disk full")
+            return self.f.write(data)
+
+    monkeypatch.setattr(pcio, "open", lambda *a, **k: FailsAfterHeader(real_open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_ply(grid_cloud(rng, n=80), path, mode=mode)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cloud.ply"]

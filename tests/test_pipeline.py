@@ -508,7 +508,12 @@ def test_cli_manifest_unsupported_version_exit_code(tmp_path, capsys, version):
     ({"model": {"depth": 3}}, "depth"),
     ({"train": {"momentum": 0.9}}, "momentum"),
     ({"adapters": {"25": {"args": ["{in}", "{out}"]}}}, "command"),
-], ids=["unknown-model-key", "unknown-train-key", "adapter-without-command"])
+    ({"model": {"width": "64"}}, "model width must be a positive int, got '64'"),
+    ({"model": {"blocks": 2.0}}, "model blocks must be a positive int"),
+    ({"adapters": [{"command": "x"}]}, "adapters must be a JSON object"),
+    ([{"seed": 1}], "expected a JSON object"),
+], ids=["unknown-model-key", "unknown-train-key", "adapter-without-command",
+        "string-width", "float-blocks", "adapters-not-an-object", "config-not-an-object"])
 def test_cli_malformed_config_exit_code(tmp_path, refs_dir, capsys, config, match):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -557,6 +562,31 @@ def test_adapters_from_env(tmp_path, refs_dir, monkeypatch):
     manifest = pl.Manifest.load(out / "manifest.jsonl")
     assert all(r.status == "ok" for r in manifest.rows)
     assert all(r.provenance["tool"] == "cp" for r in manifest.rows)
+
+
+def test_adapters_from_env_must_be_an_object(tmp_path, refs_dir, monkeypatch, capsys):
+    adapters = tmp_path / "adapters.json"
+    adapters.write_text(json.dumps([{"command": "x"}]))
+    with pytest.raises(pl.ValidationError, match="adapters must be a JSON object"):
+        pl.load_adapters(adapters)
+    monkeypatch.setenv("PCQA_ADAPTERS", str(adapters))
+    _assert_cli_error(["build", "--refs", str(refs_dir), "--out", str(tmp_path / "ds"),
+                       "--subset", "25"], capsys, "adapters must be a JSON object")
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("kind, report", [
+    ("overall", {"per_type": {}}),
+    ("overall", {"overall": {"plcc": 0.5}}),
+    ("per-type", {"overall": {"plcc": 0.5, "srocc": 0.5}}),
+    ("per-type", {"per_type": [0.5]}),
+    ("overall", ["not", "a", "report"]),
+], ids=["no-overall", "overall-without-srocc", "no-per-type", "per-type-list", "list"])
+def test_cli_report_malformed_eval_report_exit_code(tmp_path, capsys, kind, report):
+    path = tmp_path / "eval_report.json"
+    path.write_text(json.dumps(report))
+    _assert_cli_error(["report", "--kind", kind, "--source", str(tmp_path)],
+                      capsys, f"{path}: malformed eval report")
 
 
 def test_eval_constant_prediction_nan_flagged(tmp_path, refs_dir):

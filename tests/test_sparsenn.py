@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 
@@ -180,7 +181,7 @@ def test_submanifold_property_coords_unchanged(rng):
     model = init_model(ModelConfig(blocks=1, width=8, fc_hidden=4), seed=1)
     # every layer writes exactly onto the input coordinate set: the engine
     # never allocates new rows, so forward implies output sites == input sites
-    q, cache = forward(model, t, training=False, return_cache=True)
+    q, cache = forward(model, t, training=True)
     assert cache.n_rows == len(t)
 
 
@@ -337,10 +338,10 @@ def _fd_check(seed, residual="D", pooling="avg", h=1e-5, tol=1e-4):
     label = 3.1
 
     def loss_of():
-        q, _ = forward(model, t, training=True, update_stats=False, kmap=kmap)
+        q, _ = forward(model, t, training=True, kmap=kmap)
         return smooth_l1(q, label)[0]
 
-    q, cache = forward(model, t, training=True, return_cache=True, update_stats=False)
+    q, cache = forward(model, t, training=True)
     _, dq = smooth_l1(q, label)
     grads = backward(model, cache, dq)
     worst = 0.0
@@ -385,7 +386,7 @@ def _paper_block(model, b, x, kmap, dout):
     3-wide, so B and C fall back to D there. Returns (out, dx, grads)."""
     cfg = model.config
     variant = "D" if cfg.residual in ("B", "C") and b == 0 else cfg.residual
-    kw = dict(training=True, momentum=cfg.bn_momentum, eps=cfg.bn_eps, update_stats=False)
+    kw = dict(training=True, momentum=cfg.bn_momentum, eps=cfg.bn_eps)
     p1, p2, p3 = (model.layer_view(b, l) for l in range(3))
     h1, c1 = layer_forward(p1, x, kmap, activate=True, **kw)
     if variant == "A":
@@ -428,7 +429,7 @@ def test_block_wiring_matches_paper_table(variant, b):
     model = init_model(ModelConfig(blocks=2, width=5, fc_hidden=3, residual=variant), seed=2)
     x = t.feats if b == 0 else rng_l.normal(size=(len(t), 5))
     dout = rng_l.normal(size=(len(t), 5))
-    out, cache = _block_forward(model, b, x, kmap, training=True, update_stats=False)
+    out, cache = _block_forward(model, b, x, kmap, training=True)
     dx, grads = _block_backward(model, b, dout, cache, kmap)
     want_out, want_dx, want_grads = _paper_block(model, b, x, kmap, dout)
     np.testing.assert_array_equal(out, want_out)
@@ -441,7 +442,7 @@ def test_block_wiring_matches_paper_table(variant, b):
 def test_zero_loss_zero_gradients(rng):
     t = random_tensor(rng, n=20)
     model = init_model(ModelConfig(blocks=1, width=4, fc_hidden=4), seed=0)
-    q, cache = forward(model, t, training=True, return_cache=True, update_stats=False)
+    q, cache = forward(model, t, training=True)
     grads = backward(model, cache, 0.0)  # dq at x = 0
     assert all(np.all(g == 0) for g in grads.values())
 
@@ -450,7 +451,7 @@ def test_unused_offset_zero_gradient():
     # isolated point: only the center offset has pairs
     t = tensor_from([[0, 0, 0]], [[0.3, -0.2, 0.1]])
     model = init_model(ModelConfig(blocks=1, width=4, fc_hidden=4), seed=1)
-    q, cache = forward(model, t, training=True, return_cache=True, update_stats=False)
+    q, cache = forward(model, t, training=True)
     grads = backward(model, cache, 1.0)
     w_grad = grads["conv0.0.w"]
     for k in range(27):
@@ -458,17 +459,44 @@ def test_unused_offset_zero_gradient():
             assert np.all(w_grad[k] == 0.0)
 
 
+@pytest.mark.parametrize("field", ["blocks", "width", "in_channels", "fc_hidden"])
+@pytest.mark.parametrize("value", ["64", 2.0, True, 0])
+def test_model_config_sizes_are_positive_ints(field, value):
+    with pytest.raises(ValueError, match=f"model {field} must be a positive int"):
+        ModelConfig(**{field: value})
+
+
+def test_training_is_the_only_mode_switch(rng):
+    t = random_tensor(rng, n=30)
+    kmap = build_kernel_map(t)
+    model = init_model(ModelConfig(blocks=2, width=4, fc_hidden=4), seed=5)
+    before = {name: stat.copy() for name, stat in model.state.items()}
+    # inference keeps nothing and leaves the running statistics alone
+    assert forward(model, t, kmap=kmap)[1] is None
+    assert layer_forward(model.layer_view(0, 0), t.feats, kmap, False, 0.9, 1e-5)[1] is None
+    for name, stat in model.state.items():
+        np.testing.assert_array_equal(stat, before[name])
+    # training returns the backward cache and moves every running statistic
+    q, cache = forward(model, t, training=True, kmap=kmap)
+    assert len(cache.blocks) == 2 and all(len(bc.layers) == 3 for bc in cache.blocks)
+    assert all(not np.array_equal(stat, before[name]) for name, stat in model.state.items())
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
 
 
-def test_checkpoint_roundtrip(tmp_path, rng):
+def test_checkpoint_roundtrip(tmp_path, rng, monkeypatch):
     model = init_model(ModelConfig(blocks=2, width=6, fc_hidden=4), seed=7)
     t = random_tensor(rng, n=20)
     forward(model, t, training=True)  # move the running stats
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
+
+    def no_draws(*args):
+        raise AssertionError("load_checkpoint drew random numbers")
+    monkeypatch.setattr(np.random, "Philox", no_draws)
     back = load_checkpoint(path)
     assert back.config == model.config
     for name in model.params:
@@ -644,22 +672,51 @@ def test_conv_backward_does_not_call_conv_forward(rng, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def _forward_digest(variant, pooling, blocks):
+    """SHA-256 over two seeded tensors of the inference score, the training
+    score, then the running statistics that training forward left."""
+    r = np.random.default_rng(70)
+    tensors = (random_tensor(r, n=80, extent=6), voxelize(shell_cloud(r, n=200)))
+    h = hashlib.sha256()
+    for t in tensors:
+        model = init_model(ModelConfig(blocks=blocks, width=8, fc_hidden=4,
+                                       residual=variant, pooling=pooling), seed=7)
+        for stat in model.state.values():
+            stat += r.uniform(0.1, 0.5, stat.shape)  # away from (0, 1)
+        h.update(repr(forward(model, t)[0]).encode())
+        h.update(repr(forward(model, t, training=True)[0]).encode())
+        for name in sorted(model.state):
+            h.update(model.state[name].tobytes())
+    return h.hexdigest()
+
+
+_FORWARD_SHA256 = {  # computed before the cache options were removed
+    ("A", "avg", 1): "cadb0b01aecb0201e35553b309519540b4acc0e76faa13a4b13c70b0ba5e820c",
+    ("A", "avg", 4): "396b1f3acd2d11ed460491fd205b54d239897ec458c8decafe431522a0a0247b",
+    ("A", "max", 1): "533656afa73fdbf5d06940f425a62fb8677df09fd7fc8f420f952f72f3293665",
+    ("A", "max", 4): "6d6bf7ba8044c942160c0504ad19d89941fe2b959dd228f4791aabb9ba473ce1",
+    ("B", "avg", 1): "bc44488c292a7bd50c6d1df59956822545054a9d860a5488f40740e0b40f22fd",
+    ("B", "avg", 4): "abfc24e2ff2faabcbc5fdadbccc5aa5a49891c57bad35669387030ae67c01f6b",
+    ("B", "max", 1): "11a04deaa77ec46ddc7b2db15713f5303a79147c7d5aebb61d26a9b6408431ab",
+    ("B", "max", 4): "dafe0ed8cd81c05411fe8557ab815371ba3c2573d0c60706d9b10cb56f8b79c9",
+    ("C", "avg", 1): "bc44488c292a7bd50c6d1df59956822545054a9d860a5488f40740e0b40f22fd",
+    ("C", "avg", 4): "51089bc74fc0575fa420e725507e40357cc5a3e10deaf3a23358d7997204803b",
+    ("C", "max", 1): "11a04deaa77ec46ddc7b2db15713f5303a79147c7d5aebb61d26a9b6408431ab",
+    ("C", "max", 4): "8aac501645860b250e6067b1362f54d5b3fc6d9e3de29aba965ab8da27010d74",
+    ("D", "avg", 1): "bc44488c292a7bd50c6d1df59956822545054a9d860a5488f40740e0b40f22fd",
+    ("D", "avg", 4): "9e10a62eceda8590806588afecc401ba3b24983ec93da5be11e6b596a9f34c46",
+    ("D", "max", 1): "11a04deaa77ec46ddc7b2db15713f5303a79147c7d5aebb61d26a9b6408431ab",
+    ("D", "max", 4): "caa4e8e325cd0b998f824027480926bab0b959efe38ec2a6272ab48e10be2056",
+}
+
+
 @pytest.mark.parametrize("blocks", [1, 4])
 @pytest.mark.parametrize("pooling", ["avg", "max"])
 @pytest.mark.parametrize("variant", RESIDUAL_VARIANTS)
 def test_forward_without_cache_is_bit_equal(variant, pooling, blocks):
-    r = np.random.default_rng(blocks)
-    model = init_model(ModelConfig(blocks=blocks, width=8, fc_hidden=4, residual=variant,
-                                   pooling=pooling), seed=7)
-    for name, stat in model.state.items():
-        stat += r.uniform(0.1, 0.5, stat.shape)  # running stats away from (0, 1)
-    for t in (random_tensor(r, n=80, extent=6), voxelize(shell_cloud(r, n=200))):
-        for training in (False, True):
-            q_lean, none = forward(model, t, training=training, update_stats=False)
-            q_full, cache = forward(model, t, training=training, update_stats=False,
-                                    return_cache=True)
-            assert none is None and cache is not None
-            assert repr(q_lean) == repr(q_full)
+    # inference keeps no cache; it, training and the running-statistic
+    # updates stay bit-equal to the engine that still had cache options
+    assert _forward_digest(variant, pooling, blocks) == _FORWARD_SHA256[variant, pooling, blocks]
 
 
 def running_stats_bn_oracle(x, gamma, beta, running_mean, running_var, eps):
