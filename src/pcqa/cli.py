@@ -25,18 +25,20 @@ EXIT_RUNTIME = 2
 
 
 def _load_config(args) -> pl.Config:
+    """The --config file (or the defaults) with the command line's overrides,
+    each checked as if the file had set it."""
     cfg = pl.Config.from_file(args.config) if args.config else pl.Config()
     if getattr(args, "subset", None):
-        cfg.distortions = tuple(int(s) for s in args.subset.split(","))
+        cfg = dataclasses.replace(cfg, distortions=[int(s) for s in args.subset.split(",")])
     if not cfg.adapters and os.environ.get("PCQA_ADAPTERS"):
-        cfg.adapters = pl.load_adapters(os.environ["PCQA_ADAPTERS"])
+        cfg = dataclasses.replace(cfg, adapters=pl.load_adapters(os.environ["PCQA_ADAPTERS"]))
     return cfg
 
 
 def _cmd_build(args) -> int:
     cfg = _load_config(args)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     manifest = pl.cmd_build(args.refs, args.out, cfg, jobs=args.jobs)
     n_failed = sum(1 for r in manifest.rows if r.status == "failed")
     print(f"built {len(manifest.rows) - n_failed}/{len(manifest.rows)} samples "

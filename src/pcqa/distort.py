@@ -27,6 +27,7 @@ import numpy as np
 
 from .colors import finalize_colors, rgb_to_hsl, hsl_to_rgb, rgb_to_ycbcr, ycbcr_to_rgb
 from .pcio import PointCloud, SpatialIndex, bounding_box, load_ply, save_ply, voxel_means
+from .schema import check
 
 __all__ = [
     "DistortionSpec",
@@ -513,13 +514,11 @@ class AdapterConfig:
     """
 
     command: str
-    args: tuple[str, ...]
+    args: tuple[str, ...] = ()
     serialize: bool = False
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AdapterConfig":
-        return cls(command=str(d["command"]), args=tuple(str(a) for a in d.get("args", ())),
-                   serialize=bool(d.get("serialize", False)))
+    def __post_init__(self):
+        check(self, "adapter")
 
 
 def _format_param(p) -> str:

@@ -18,6 +18,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Annotated, Literal
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .distort import (
     DistortionSpec, apply_distortion,
 )
 from .pcio import PointCloud, atomic_write, load_ply, save_ply
+from .schema import ValidationError, build, check
 from .sparsenn import (
     Model, ModelConfig, TrainConfig, TrainSample,
     init_model, load_checkpoint, param_count, predict, save_checkpoint, train,
@@ -47,9 +49,9 @@ log = logging.getLogger(__name__)
 MANIFEST_KIND = "pcqa-manifest"
 MANIFEST_VERSION = 1
 
-
-class ValidationError(ValueError):
-    """Bad inputs or contract violations; maps to CLI exit code 1."""
+DistortionId = Annotated[int, (REGISTRY.__contains__, "a REGISTRY id, not an unknown distortion")]
+LabelScale = Annotated[tuple[float, float],
+                       (lambda s: s[0] < s[1], "a [min, max] pair, min < max")]
 
 
 # ---------------------------------------------------------------------------
@@ -61,16 +63,19 @@ class ValidationError(ValueError):
 class ManifestRow:
     sample_id: str
     reference_id: str
-    distortion_id: int
-    level: int
+    distortion_id: DistortionId
+    level: Annotated[int, (lambda l: 1 <= l <= 7, "an int in 1-7")]
     seed: int
     path: str | None = None
-    status: str = "ok"  # ok | failed
+    status: Literal["ok", "failed"] = "ok"
     error: str | None = None
     pseudo_mos: float | None = None
     mos: float | None = None
     source_metric: str | None = None
     provenance: dict | None = None
+
+    def __post_init__(self):
+        check(self, "manifest row")
 
     def to_json(self) -> str:
         d = {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
@@ -80,17 +85,16 @@ class ManifestRow:
     def label(self) -> float | None:
         return self.pseudo_mos if self.pseudo_mos is not None else self.mos
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ManifestRow":
-        return cls(**d)
-
 
 @dataclass
 class Manifest:
     seed: int
-    label_scale: tuple[float, float]
+    label_scale: LabelScale
     references: dict[str, str]  # reference id -> PLY path
     rows: list[ManifestRow] = field(default_factory=list)
+
+    def __post_init__(self):
+        check(self, "manifest")
 
     def header(self) -> dict:
         return {
@@ -112,29 +116,29 @@ class Manifest:
         lines = Path(path).read_text().splitlines()
         if not lines:
             raise ValidationError(f"empty manifest {path}")
-        header = json.loads(lines[0])
-        if not isinstance(header, dict) or header.get("kind") != MANIFEST_KIND:
+        try:
+            header = json.loads(lines[0])
+        except ValueError:
+            header = None
+        if not isinstance(header, dict) or header.pop("kind", None) != MANIFEST_KIND:
             raise ValidationError(f"{path} is not a dataset manifest")
-        if header.get("version") != MANIFEST_VERSION:
+        version = header.pop("version", None)
+        if version != MANIFEST_VERSION:
             raise ValidationError(f"{path}:1: unsupported manifest version "
-                                  f"{header.get('version')!r} (expected {MANIFEST_VERSION})")
-        missing = [k for k in ("seed", "label_scale", "references") if k not in header]
-        if missing:
-            raise ValidationError(f"{path}:1: manifest header lacks {missing}")
+                                  f"{version!r} (expected {MANIFEST_VERSION})")
+        header.pop("psnr_cap", None)  # recorded for the reader, not a Manifest field
         rows = []
         for i, ln in enumerate(lines[1:], start=2):
             if not ln.strip():
                 continue
             try:
-                rows.append(ManifestRow.from_dict(json.loads(ln)))
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{path}:{i}: bad manifest row: {exc}") from None
-        return cls(
-            seed=header["seed"],
-            label_scale=tuple(header["label_scale"]),
-            references=header["references"],
-            rows=rows,
-        )
+                rows.append(build(ManifestRow, json.loads(ln), "manifest row"))
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{i}: {exc}") from None
+        try:
+            return build(cls, {**header, "rows": rows}, "manifest")
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:1: {exc}") from None
 
     def validate(self, base_dir: str | Path | None = None) -> None:
         base = Path(base_dir) if base_dir else Path(".")
@@ -199,11 +203,14 @@ class SplitSpec:
 @dataclass
 class Config:
     seed: int = 0
-    distortions: tuple[int, ...] = NATIVE_IDS
-    label_scale: tuple[float, float] = (1.0, 5.0)
+    distortions: tuple[DistortionId, ...] = NATIVE_IDS
+    label_scale: LabelScale = (1.0, 5.0)
     adapters: dict[int, AdapterConfig] = field(default_factory=dict)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
+
+    def __post_init__(self):
+        check(self, "config")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Config":
@@ -212,41 +219,10 @@ class Config:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Config":
+        """The config a JSON object describes; unknown keys are rejected at every level."""
         if not isinstance(d, dict):
             raise ValidationError(f"bad config: expected a JSON object, got {type(d).__name__}")
-        if not isinstance(d.get("adapters", {}), dict):
-            raise ValidationError("bad config: adapters must be a JSON object of distortion "
-                                  f"id -> adapter, got {type(d['adapters']).__name__}")
-        cfg = cls()
-        if "seed" in d:
-            cfg.seed = int(d["seed"])
-        if "distortions" in d:
-            cfg.distortions = tuple(int(i) for i in d["distortions"])
-            unknown = [i for i in cfg.distortions if i not in REGISTRY]
-            if unknown:
-                raise ValidationError(f"unknown distortion ids {unknown}")
-        if "label_scale" in d:
-            lo, hi = d["label_scale"]
-            if not lo < hi:
-                raise ValidationError("label scale must satisfy min < max")
-            cfg.label_scale = (float(lo), float(hi))
-        try:
-            if "adapters" in d:
-                cfg.adapters = {
-                    int(k): AdapterConfig.from_dict(v) for k, v in d["adapters"].items()}
-            if "model" in d:
-                cfg.model = ModelConfig(**d["model"])
-            if "train" in d:
-                t = dict(d["train"])
-                for key in ("scale_range", "rotation_range", "label_scale"):
-                    if key in t:
-                        t[key] = tuple(t[key])
-                cfg.train = TrainConfig(**t)
-        except KeyError as exc:
-            raise ValidationError(f"bad config: adapter lacks {exc}") from None
-        except TypeError as exc:
-            raise ValidationError(f"bad config: {exc}") from None
-        return cfg
+        return build(cls, d, "config")
 
 
 def load_adapters(path: str | Path) -> dict[int, AdapterConfig]:
@@ -339,7 +315,7 @@ def cmd_build(
                 out_path = str(clouds_dir / f"{sample_id}.ply")
                 tasks.append((str(ref_path), ref_id, did, level, seed, out_path, config.adapters))
 
-    rows = [ManifestRow.from_dict(r) for r in _map(_build_worker, tasks, jobs)]
+    rows = [ManifestRow(**r) for r in _map(_build_worker, tasks, jobs)]
     failures = [r for r in rows if r.status == "failed"]
     if failures:
         log.warning("%d/%d build jobs failed; first: %s (%s)",

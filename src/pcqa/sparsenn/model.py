@@ -14,10 +14,12 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Annotated, Literal, get_args
 
 import numpy as np
 
 from ..pcio import atomic_write
+from ..schema import Positive, PositiveInt, check
 from .layers import (
     LayerCache, FCCache, fc_backward, fc_forward, global_pool,
     global_pool_backward, layer_backward, layer_forward,
@@ -31,7 +33,8 @@ __all__ = [
     "save_checkpoint", "load_checkpoint", "CheckpointError",
 ]
 
-RESIDUAL_VARIANTS = ("A", "B", "C", "D")
+Residual = Literal["A", "B", "C", "D"]
+RESIDUAL_VARIANTS = get_args(Residual)
 
 _MAGIC = b"PCQANET\x01"
 _VERSION = 1
@@ -43,25 +46,18 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    blocks: int = 4
-    width: int = 64
-    in_channels: int = 3
-    fc_hidden: int = 32
-    residual: str = "D"
-    pooling: str = "avg"  # avg | max
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.9
-    voxel_size: float = 1.0
+    blocks: PositiveInt = 4
+    width: PositiveInt = 64
+    in_channels: PositiveInt = 3
+    fc_hidden: PositiveInt = 32
+    residual: Residual = "D"
+    pooling: Literal["avg", "max"] = "avg"
+    bn_eps: Positive = 1e-5
+    bn_momentum: Annotated[float, (lambda m: 0 <= m < 1, "a number in [0, 1)")] = 0.9
+    voxel_size: Positive = 1.0
 
     def __post_init__(self):
-        for name in ("blocks", "width", "in_channels", "fc_hidden"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"model {name} must be a positive int, got {value!r}")
-        if self.residual not in RESIDUAL_VARIANTS:
-            raise ValueError(f"residual variant must be one of {RESIDUAL_VARIANTS}")
-        if self.pooling not in ("avg", "max"):
-            raise ValueError("pooling must be 'avg' or 'max'")
+        check(self, "model")
 
     @property
     def feature_length(self) -> int:
@@ -276,6 +272,10 @@ def load_checkpoint(path: str | Path) -> Model:
             arrays = [(str(name), tuple(shape)) for name, shape in header["arrays"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"bad checkpoint header: {exc!r}") from None
+        # every block stores arrays: a corrupt block count must not size the layout
+        if config.blocks > len(arrays):
+            raise CheckpointError(f"checkpoint config has {config.blocks} blocks but the "
+                                  f"header lists {len(arrays)} arrays")
         layout = _layout(config)
         loaded: dict[str, np.ndarray] = {}
         for name, shape in arrays:

@@ -67,14 +67,6 @@ class SparseTensor:
         pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
         return np.where(self._keys[pos] == keys, pos, -1)
 
-    def lookup(self, query: np.ndarray) -> np.ndarray:
-        """Row index of each query coordinate, -1 where unoccupied."""
-        query = np.asarray(query, dtype=np.int64)
-        inside = np.all((query >= self._mins - 1) & (query <= self._mins + self._spans - 2), axis=1)
-        rows = np.full(len(query), -1, dtype=np.int64)
-        rows[inside] = self._rows(self._pack(query[inside]))
-        return rows
-
 
 class KernelMap:
     """Per-offset (input row, output row) pairs, output rows ascending."""

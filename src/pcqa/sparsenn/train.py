@@ -8,13 +8,14 @@ config seed, so same-seed runs produce identical loss curves.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
 from ..pcio import PointCloud
+from ..schema import Positive, PositiveInt, check
 from .model import Model, backward, forward
 from .tensor import voxelize
 
@@ -23,28 +24,21 @@ __all__ = [
     "smooth_l1", "augment", "sgd_step", "train", "predict",
 ]
 
-log = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lr: float = 1e-3
-    lr_decay: float = 0.99  # multiplied in at each epoch end
-    accum: int = 8  # gradient accumulation length
+    lr: Positive = 1e-3
+    # multiplied in at each epoch end
+    lr_decay: Annotated[float, (lambda d: 0 < d <= 1, "a number in (0, 1]")] = 0.99
+    accum: PositiveInt = 8  # gradient accumulation length
     epochs: int = 1
     max_steps: int | None = None
     scale_range: tuple[float, float] = (0.8, 1.2)
     rotation_range: tuple[float, float] = (0.0, 360.0)  # degrees, [lo, hi)
     seed: int = 0
-    label_scale: tuple[float, float] = (1.0, 5.0)
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ValueError("lr_decay must lie in (0, 1]")
-        if self.accum < 1:
-            raise ValueError("accumulation length must be >= 1")
+        check(self, "train")
 
 
 @dataclass(frozen=True)
@@ -107,11 +101,6 @@ def train(model: Model, samples: list[TrainSample], config: TrainConfig) -> Trai
     step and its samples."""
     if not samples:
         raise ValueError("training split is empty")
-    lo, hi = config.label_scale
-    outside = [s.sample_id for s in samples if not lo <= s.label <= hi]
-    if outside:
-        log.warning("%d training labels outside declared scale [%g, %g]",
-                    len(outside), lo, hi)
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
     lr = config.lr

@@ -608,7 +608,6 @@ def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({
         "seed": 5, "distortions": [1, 2], "label_scale": [1, 10],
-        "metrics": ["PSNRyuv"],
         "adapters": {"25": {"command": "cp", "args": ["{in}", "{out}"]}},
         "model": {"blocks": 2, "width": 16},
         "train": {"lr": 0.01, "scale_range": [0.9, 1.1]}}))

@@ -1,0 +1,311 @@
+"""The one schema: every config, adapter map, checkpoint header and manifest
+row is checked against its dataclass annotations, and a bad value exits 1
+with one line naming the field (or `file:line`), never a traceback."""
+
+import copy
+import dataclasses
+import json
+import math
+import os
+import struct
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pcqa import pipeline as pl
+from pcqa import schema
+from pcqa.cli import main as cli_main
+from pcqa.pcio import save_ply
+from pcqa.sparsenn import RESIDUAL_VARIANTS, ModelConfig, TrainConfig, init_model, save_checkpoint
+
+from conftest import grid_cloud
+
+CHEAP_ID = "5"  # a colour-only distortion: fast, keeps every point
+
+VALID_CONFIG = {
+    "seed": 7, "distortions": [1, 2], "label_scale": [1, 5],
+    "adapters": {"25": {"command": "cp", "args": ["{in}", "{out}"], "serialize": False}},
+    "model": {"blocks": 1, "width": 4, "in_channels": 3, "fc_hidden": 4, "residual": "D",
+              "pooling": "avg", "bn_eps": 1e-5, "bn_momentum": 0.9, "voxel_size": 1.0},
+    "train": {"lr": 0.01, "lr_decay": 0.99, "accum": 2, "epochs": 1, "max_steps": 4,
+              "scale_range": [0.9, 1.1], "rotation_range": [0, 360], "seed": 0},
+}
+VALID_ROW = {"sample_id": "s0", "reference_id": "ref0", "distortion_id": 5, "level": 1,
+             "seed": 0, "path": "s0.ply", "status": "ok", "pseudo_mos": 3.0}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A reference, a one-row labelled dataset on it and a tiny checkpoint."""
+    root = tmp_path_factory.mktemp("schema")
+    cloud = grid_cloud(np.random.default_rng(3), n=60, extent=12)
+    (root / "refs").mkdir()
+    save_ply(cloud, root / "refs" / "ref0.ply")
+    (root / "ds" / "clouds").mkdir(parents=True)
+    save_ply(cloud, root / "ds" / "clouds" / "s0.ply")
+    header = pl.Manifest(seed=0, label_scale=(1.0, 5.0),
+                         references={"ref0": str(root / "refs" / "ref0.ply")}).header()
+    _write_manifest(root / "ds" / "manifest.jsonl", [header, VALID_ROW])
+    save_checkpoint(init_model(ModelConfig(blocks=1, width=4, fc_hidden=4), seed=0),
+                    root / "m.ckpt")
+    return root, header
+
+
+def _write_manifest(path: Path, lines: list) -> Path:
+    path.write_text("".join(json.dumps(d) + "\n" for d in lines))
+    return path
+
+
+def _with_header(raw: bytes, header: dict) -> bytes:
+    """The checkpoint `raw` with its JSON header replaced by `header`."""
+    magic, (version, n) = raw[:8], struct.unpack("<II", raw[8:16])
+    new = json.dumps(header).encode()
+    return magic + struct.pack("<II", version, len(new)) + new + raw[16 + n:]
+
+
+def _checkpoint_header(raw: bytes) -> dict:
+    n = struct.unpack("<I", raw[12:16])[0]
+    return json.loads(raw[16:16 + n])
+
+
+def _assert_one_line_error(argv, capsys, *parts):
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    line = err.strip().splitlines()[-1]
+    assert line.startswith("error: ") and all(p in line for p in parts), err
+
+
+# ---------------------------------------------------------------------------
+# Every reproduced gap, through the CLI
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"model": {"voxel_size": "1"}}, "model voxel_size must be a positive number, got '1'"),
+    ({"seed": 1.7}, "config seed must be an int, got 1.7"),
+    ({"seed": True}, "config seed must be an int, got True"),
+    ({"bogus": 1}, "config has unknown key 'bogus'"),
+    ({"label_scale": 5}, "config label_scale must be a [min, max] pair, min < max, got 5"),
+    ({"label_scale": [5, 1]}, "config label_scale must be a [min, max] pair"),
+    ({"distortions": 5}, "config distortions must be a list, got 5"),
+    ({"distortions": [99]}, "config distortions must be a REGISTRY id"),
+    ({"adapters": {"25": {"command": "cp", "args": "ab"}}},
+     "adapter args must be a list, got 'ab'"),
+    ({"adapters": {"25": {"command": 5}}}, "adapter command must be a string, got 5"),
+    ({"train": {"accum": 2.5}}, "train accum must be a positive int, got 2.5"),
+    ({"train": {"epochs": "3"}}, "train epochs must be an int, got '3'"),
+    ({"train": {"label_scale": [1, 10]}}, "config train has unknown key 'label_scale'"),
+    ({"train": {"lr_decay": 0}}, "train lr_decay must be a number in (0, 1], got 0"),
+    ({"train": {"scale_range": [1, math.inf]}}, "train scale_range must be a finite number"),
+    ({"model": {"bn_momentum": 7}}, "model bn_momentum must be a number in [0, 1), got 7"),
+    ({"model": {"residual": "E"}}, "model residual must be one of 'A', 'B', 'C', 'D', got 'E'"),
+], ids=["string-voxel-size", "float-seed", "bool-seed", "unknown-top-level-key",
+        "scalar-label-scale", "reversed-label-scale", "scalar-distortions", "unknown-distortion",
+        "string-adapter-args", "int-adapter-command", "float-accum", "string-epochs",
+        "train-label-scale", "zero-lr-decay", "infinite-scale-range", "momentum-7",
+        "unknown-residual"])
+def test_cli_bad_config_value_exits_1_naming_the_field(tmp_path, inputs, capsys, config,
+                                                       message):
+    root, _ = inputs
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    _assert_one_line_error(["build", "--refs", str(root / "refs"), "--out", str(tmp_path / "ds"),
+                            "--config", str(path)], capsys, message)
+    assert not (tmp_path / "ds").exists()
+
+
+def test_cli_build_subset_goes_through_the_config_check(tmp_path, inputs, capsys):
+    root, _ = inputs
+    _assert_one_line_error(["build", "--refs", str(root / "refs"), "--out", str(tmp_path / "ds"),
+                            "--subset", "99"], capsys, "config distortions", "got 99")
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"distortion_id": 99}, "manifest row distortion_id must be a REGISTRY id"),
+    ({"distortion_id": "5"}, "manifest row distortion_id must be a REGISTRY id"),
+    ({"pseudo_mos": "3"}, "manifest row pseudo_mos must be a finite number, got '3'"),
+    ({"path": 7}, "manifest row path must be a string, got 7"),
+    ({"level": "x"}, "manifest row level must be an int in 1-7, got 'x'"),
+    ({"level": 8}, "manifest row level must be an int in 1-7, got 8"),
+    ({"status": "done"}, "manifest row status must be one of 'ok', 'failed', got 'done'"),
+], ids=["unknown-distortion", "string-distortion", "string-label", "int-path", "string-level",
+        "level-8", "unknown-status"])
+def test_cli_score_bad_manifest_row_exits_1_naming_the_line(tmp_path, inputs, capsys, edit,
+                                                            message):
+    _, header = inputs
+    path = _write_manifest(tmp_path / "m.jsonl", [header, {**VALID_ROW, **edit}])
+    _assert_one_line_error(["score", "--manifest", str(path), "--out", str(tmp_path / "s.csv")],
+                           capsys, f"{path}:2: {message}")
+
+
+@pytest.mark.parametrize("command", ["score", "annotate", "train", "eval"])
+def test_cli_every_manifest_reader_names_an_unknown_distortion(tmp_path, inputs, capsys,
+                                                               command):
+    _, header = inputs
+    path = _write_manifest(tmp_path / "m.jsonl", [header, {**VALID_ROW, "distortion_id": 99}])
+    out = str(tmp_path / "out")
+    argv = {
+        "score": ["--out", out],
+        "annotate": ["--scores", out, "--subjective", out, "--out", out],
+        "train": ["--split", "test=ref0", "--out", out],
+        "eval": ["--split", "test=ref0", "--checkpoint", out, "--out", out],
+    }[command]
+    _assert_one_line_error([command, "--manifest", str(path), *argv], capsys,
+                           f"{path}:2: manifest row distortion_id", "got 99")
+    assert not Path(out).exists()
+
+
+def test_cli_non_json_manifest_header_names_the_file(tmp_path, capsys):
+    path = tmp_path / "m.jsonl"
+    path.write_text("not json\n")
+    _assert_one_line_error(["score", "--manifest", str(path), "--out", str(tmp_path / "s.csv")],
+                           capsys, f"{path} is not a dataset manifest")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h.update(label_scale=[1]), "manifest label_scale must be a [min, max] pair"),
+    (lambda h: h.update(references=["ref0"]), "manifest references must be a JSON object"),
+    (lambda h: h.update(extra=1), "manifest has unknown key 'extra'"),
+], ids=["one-item-scale", "list-references", "unknown-key"])
+def test_cli_bad_manifest_header_exits_1_naming_line_1(tmp_path, inputs, capsys, edit, message):
+    _, header = inputs
+    header = copy.deepcopy(header)
+    edit(header)
+    path = _write_manifest(tmp_path / "m.jsonl", [header, VALID_ROW])
+    _assert_one_line_error(["score", "--manifest", str(path), "--out", str(tmp_path / "s.csv")],
+                           capsys, f"{path}:1: {message}")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: c.update(width="4"), "model width must be a positive int, got '4'"),
+    (lambda c: c.update(voxel_size=-1.0), "model voxel_size must be a positive number"),
+    (lambda c: c.update(blocks=10**12), "checkpoint config has 1000000000000 blocks"),
+], ids=["string-width", "negative-voxel-size", "blocks-beyond-the-header"])
+def test_cli_eval_bad_checkpoint_config_exits_1(tmp_path, inputs, capsys, edit, message):
+    root, _ = inputs
+    raw = (root / "m.ckpt").read_bytes()
+    ckpt_header = _checkpoint_header(raw)
+    edit(ckpt_header["config"])
+    ckpt = tmp_path / "m.ckpt"
+    ckpt.write_bytes(_with_header(raw, ckpt_header))
+    _assert_one_line_error(["eval", "--manifest", str(root / "ds" / "manifest.jsonl"),
+                            "--split", "test=ref0", "--checkpoint", str(ckpt),
+                            "--out", str(tmp_path / "eval")], capsys, message)
+
+
+# ---------------------------------------------------------------------------
+# The schema itself
+# ---------------------------------------------------------------------------
+
+
+def test_one_validation_error_class():
+    assert pl.ValidationError is schema.ValidationError
+    assert RESIDUAL_VARIANTS == ("A", "B", "C", "D")
+
+
+def test_json_values_become_the_annotated_types():
+    cfg = pl.Config.from_dict(VALID_CONFIG)
+    assert cfg.distortions == (1, 2) and cfg.label_scale == (1.0, 5.0)
+    assert type(cfg.label_scale[0]) is float
+    assert list(cfg.adapters) == [25] and cfg.adapters[25].args == ("{in}", "{out}")
+    assert cfg.model == ModelConfig(blocks=1, width=4, fc_hidden=4)
+    assert cfg.train.rotation_range == (0.0, 360.0) and cfg.train.max_steps == 4
+    assert len(dataclasses.fields(TrainConfig)) == 8
+
+
+def test_python_callers_get_the_same_checks():
+    with pytest.raises(pl.ValidationError, match="config distortions must be a REGISTRY id"):
+        pl.Config(distortions=(5, 99))
+    with pytest.raises(pl.ValidationError, match="manifest row level must be an int in 1-7"):
+        pl.ManifestRow("s0", "ref0", 5, 0, 0)
+    with pytest.raises(pl.ValidationError, match="train lr must be a positive number"):
+        TrainConfig(lr=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Property: one corrupted field never escapes as an exception
+# ---------------------------------------------------------------------------
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 9), st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1, 0, 0.5, 1e308, -1e308, 10**30]))
+
+
+def _slots(doc, path=()):
+    """The path of every value inside a JSON document, depth first."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _slots(value, path + (key,))
+
+
+@st.composite
+def corrupted(draw, doc):
+    """`doc` with one value replaced by junk, deleted, or given an unknown sibling."""
+    doc = copy.deepcopy(doc)
+    *parents, key = draw(st.sampled_from(list(_slots(doc))))
+    parent = doc
+    for p in parents:
+        parent = parent[p]
+    action = draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "replace":
+        parent[key] = draw(JUNK)
+    elif action == "delete":
+        del parent[key]
+    elif isinstance(parent, dict):
+        parent["bogus"] = draw(JUNK)
+    else:
+        parent.append(draw(JUNK))
+    return doc
+
+
+def _valid(target: str, root: Path, header: dict):
+    """The valid document that `target` corrupts."""
+    return {"config": VALID_CONFIG, "adapters": VALID_CONFIG["adapters"],
+            "checkpoint": _checkpoint_header((root / "m.ckpt").read_bytes()),
+            "manifest": [header, VALID_ROW]}[target]
+
+
+def _run_corrupted(target: str, doc, root: Path, work: Path) -> int:
+    """Exit code of the command that reads `doc`: `build` for a config or an
+    adapter map, `score` for a manifest, `eval` for a checkpoint header."""
+    out = str(work / "out")
+    build = ["build", "--refs", str(root / "refs"), "--out", out, "--subset", CHEAP_ID]
+    if target == "config":
+        (work / "c.json").write_text(json.dumps(doc))
+        return cli_main([*build, "--config", str(work / "c.json")])
+    if target == "adapters":
+        (work / "a.json").write_text(json.dumps(doc))
+        with mock.patch.dict(os.environ, {"PCQA_ADAPTERS": str(work / "a.json")}):
+            return cli_main(build)
+    if target == "manifest":
+        path = _write_manifest(root / "ds" / "corrupted.jsonl", doc)  # next to clouds/s0.ply
+        return cli_main(["score", "--manifest", str(path), "--out", out])
+    ckpt = work / "m.ckpt"
+    ckpt.write_bytes(_with_header((root / "m.ckpt").read_bytes(), doc))
+    return cli_main(["eval", "--manifest", str(root / "ds" / "manifest.jsonl"),
+                     "--split", "test=ref0", "--checkpoint", str(ckpt), "--out", out])
+
+
+@pytest.mark.parametrize("target", ["config", "adapters", "checkpoint", "manifest"])
+def test_one_corrupted_field_exits_0_1_or_2(inputs, target):
+    root, header = inputs
+
+    @settings(max_examples=25, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(corrupted(_valid(target, root, header)))
+    def run(bad):
+        with tempfile.TemporaryDirectory() as work:
+            assert _run_corrupted(target, bad, root, Path(work)) in (0, 1, 2)
+
+    run()

@@ -527,14 +527,19 @@ def test_checkpoint_deterministic_bytes(tmp_path):
 
 
 def per_offset_kernel_map(tensor):
-    # oracle: one lookup per kernel offset
+    # oracle: one lookup per kernel offset of the probe coordinates, with a
+    # box test, in the tensor's packed keys
     n = len(tensor)
     out_rows_all = np.arange(n, dtype=np.int64)
+    lo, hi = tensor._mins - 1, tensor._mins + tensor._spans - 2
     pairs = []
     probe = np.zeros(4, dtype=np.int64)
     for offset in KERNEL_OFFSETS:
         probe[:3] = offset
-        in_rows = tensor.lookup(tensor.coords + probe)
+        query = tensor.coords + probe
+        inside = np.all((query >= lo) & (query <= hi), axis=1)
+        in_rows = np.full(n, -1, dtype=np.int64)
+        in_rows[inside] = tensor._rows(tensor._pack(query[inside]))
         valid = in_rows >= 0
         pairs.append((in_rows[valid], out_rows_all[valid]))
     return pairs

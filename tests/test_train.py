@@ -136,15 +136,6 @@ def test_predict_deterministic():
     assert predict(model, cloud) == predict(model, cloud)
 
 
-def test_out_of_scale_labels_warn(caplog):
-    samples = small_samples(count=2, labels=[0.2, 9.0])
-    cfg = TrainConfig(epochs=1, label_scale=(1.0, 5.0), **NO_AUG)
-    model = init_model(ModelConfig(blocks=1, width=4, fc_hidden=4), seed=6)
-    with caplog.at_level("WARNING"):
-        train(model, samples, cfg)
-    assert "outside declared scale" in caplog.text
-
-
 def test_empty_split_errors():
     cfg = TrainConfig()
     model = init_model(ModelConfig(blocks=1, width=4, fc_hidden=4), seed=7)
