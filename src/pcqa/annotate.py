@@ -113,6 +113,9 @@ class RatingMatrix:
                 missing = sorted(required - set(reader.fieldnames or ()))
                 raise ValueError(f"rating CSV missing columns: {', '.join(missing)}")
             for row in reader:
+                if None in row.values():  # DictReader pads a short row with None
+                    raise ValueError(f"{path}:{reader.line_num}: row has fewer fields "
+                                     f"than the header")
                 out.append(Rating(row["stimulus_id"], row["subject_id"], float(row["score"]), scale))
         return cls(out)
 

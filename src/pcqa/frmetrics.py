@@ -215,6 +215,8 @@ def ingest_external_scores(path: str | Path) -> list[MetricScore]:
             missing = sorted(required - set(reader.fieldnames or ()))
             raise ValueError(f"score CSV missing columns: {', '.join(missing)}")
         for row in reader:
+            if None in row.values():  # DictReader pads a short row with None
+                raise ValueError(f"{path}:{reader.line_num}: row has fewer fields than the header")
             try:
                 value = float(row["value"])
             except ValueError as exc:

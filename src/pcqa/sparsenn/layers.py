@@ -2,6 +2,7 @@
 
 Everything operates on float64 arrays; backward passes return exact
 reverse-mode gradients validated against finite differences in the tests.
+Batch norm is training-only: inference folds it into the conv weights.
 """
 
 from __future__ import annotations
@@ -63,35 +64,18 @@ class BNCache:
     inv_std: np.ndarray
 
 
-def bn_forward(
-    x: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    training: bool,
-    momentum: float = 0.9,
-    eps: float = 1e-5,
-) -> tuple[np.ndarray, BNCache | None]:
-    """Batch norm over all rows. Training normalizes by the batch statistics,
-    updates the running statistics in place and returns the backward cache;
-    inference normalizes by the running statistics and returns no cache."""
-    if training:
-        mean = x.mean(axis=0)
-        var = x.var(axis=0)
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x - mean) * inv_std
-        running_mean *= momentum
-        running_mean += (1.0 - momentum) * mean
-        running_var *= momentum
-        running_var += (1.0 - momentum) * var
-        return gamma * xhat + beta, BNCache(xhat=xhat, inv_std=inv_std)
-    # gamma * (x - mean) * inv_std + beta, the same operations in one buffer
-    y = x - running_mean
-    y *= 1.0 / np.sqrt(running_var + eps)
-    y *= gamma
-    y += beta
-    return y, None
+def bn_forward(x: np.ndarray, params: dict, momentum: float,
+               eps: float) -> tuple[np.ndarray, BNCache]:
+    """Training-only batch norm by the batch statistics; moves the running ones in params."""
+    mean = x.mean(axis=0)
+    var = x.var(axis=0)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv_std
+    params["running_mean"] *= momentum
+    params["running_mean"] += (1.0 - momentum) * mean
+    params["running_var"] *= momentum
+    params["running_var"] += (1.0 - momentum) * var
+    return params["gamma"] * xhat + params["beta"], BNCache(xhat=xhat, inv_std=inv_std)
 
 
 def bn_backward(
@@ -131,17 +115,20 @@ def layer_forward(
     activate: bool = True,
 ) -> tuple[np.ndarray, LayerCache | None]:
     """conv -> batch norm -> (optional) ReLU. `params` holds keys
-    w/gamma/beta/running_mean/running_var. The cache for layer_backward
-    exists in training only; inference returns None."""
-    z = conv_forward(params["w"], feats, kmap)
-    y, bn_cache = bn_forward(
-        z, params["gamma"], params["beta"],
-        params["running_mean"], params["running_var"],
-        training, momentum=momentum, eps=eps)
-    mask = None
-    if activate:
-        y, mask = relu_forward(y)
-    return y, LayerCache(feats, bn_cache, mask) if training else None
+    w/gamma/beta/running_mean/running_var. Training returns the cache for
+    layer_backward. Inference returns None and folds the running-statistics
+    batch norm into the conv (Jacob et al., CVPR 2018): w * scale, then
+    + beta - mean * scale, with scale = gamma / sqrt(var + eps)."""
+    if not training:
+        scale = params["gamma"] / np.sqrt(params["running_var"] + eps)
+        y = conv_forward(params["w"] * scale, feats, kmap)
+        y += params["beta"] - params["running_mean"] * scale
+        if activate:
+            np.maximum(y, 0.0, out=y)
+        return y, None
+    y, bn_cache = bn_forward(conv_forward(params["w"], feats, kmap), params, momentum, eps)
+    y, mask = relu_forward(y) if activate else (y, None)
+    return y, LayerCache(feats, bn_cache, mask)
 
 
 def layer_backward(

@@ -19,7 +19,7 @@ from typing import Annotated, Literal, get_args
 import numpy as np
 
 from ..pcio import atomic_write
-from ..schema import Positive, PositiveInt, check
+from ..schema import Positive, PositiveInt, ValidationError, check
 from .layers import (
     LayerCache, FCCache, fc_backward, fc_forward, global_pool,
     global_pool_backward, layer_backward, layer_forward,
@@ -38,6 +38,7 @@ RESIDUAL_VARIANTS = get_args(Residual)
 
 _MAGIC = b"PCQANET\x01"
 _VERSION = 1
+MAX_PARAMS = 10**8  # the default has 1.2M; bounds what a config makes init_model allocate
 
 
 class CheckpointError(ValueError):
@@ -58,6 +59,14 @@ class ModelConfig:
 
     def __post_init__(self):
         check(self, "model")
+        if self.param_count > MAX_PARAMS:
+            raise ValidationError(f"model has {self.param_count:,} parameters, over {MAX_PARAMS:,}")
+
+    @property
+    def param_count(self) -> int:  # _layout's trainable arrays, in closed form
+        w, convs = self.width, 3 * self.blocks
+        return (27 * w * (self.in_channels + (convs - 1) * w) + 2 * w * convs
+                + (self.feature_length + 2) * self.fc_hidden + 1)
 
     @property
     def feature_length(self) -> int:
@@ -159,7 +168,8 @@ def _block_forward(
         h, c = layer_forward(model.layer_view(b, l), acts[-1], kmap, training,
                              cfg.bn_momentum, cfg.bn_eps, activate=l != join)
         if l == join:
-            h, mask = relu_forward(h + acts[source])
+            h += acts[source]  # h is this layer's fresh output
+            h, mask = relu_forward(h) if training else (np.maximum(h, 0.0, out=h), None)
         acts.append(h)
         caches.append(c)
     return acts[-1], BlockCache(caches, mask) if training else None
@@ -191,7 +201,7 @@ def forward(
 
     Training normalizes by batch statistics, updates the running statistics
     in place and returns the ModelCache that `backward` needs; inference
-    normalizes by the running statistics, keeps nothing and returns None.
+    folds the running statistics into the convs, keeps nothing, returns None.
     A prebuilt kernel map may be passed when evaluating repeatedly on the
     same coordinate set (the map depends only on the coordinates).
     """
@@ -268,14 +278,17 @@ def load_checkpoint(path: str | Path) -> Model:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         try:
             header = json.loads(f.read(header_len).decode("utf-8"))
-            config = ModelConfig(**header["config"])
             arrays = [(str(name), tuple(shape)) for name, shape in header["arrays"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            # every block stores arrays: name a corrupt count before it sizes anything
+            blocks = header["config"].get("blocks")
+            if type(blocks) is int and blocks > len(arrays):
+                raise CheckpointError(f"checkpoint config has {blocks} blocks but the "
+                                      f"header lists {len(arrays)} arrays")
+            config = ModelConfig(**header["config"])
+        except CheckpointError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"bad checkpoint header: {exc!r}") from None
-        # every block stores arrays: a corrupt block count must not size the layout
-        if config.blocks > len(arrays):
-            raise CheckpointError(f"checkpoint config has {config.blocks} blocks but the "
-                                  f"header lists {len(arrays)} arrays")
         layout = _layout(config)
         loaded: dict[str, np.ndarray] = {}
         for name, shape in arrays:

@@ -156,7 +156,7 @@ def _apply_window(params: dict[str, np.ndarray], grad_sum: dict[str, np.ndarray]
 
 
 def predict(model: Model, cloud: PointCloud) -> float:
-    """Inference-mode score: voxelize without augmentation, running-stat BN."""
+    """Inference-mode score: voxelize without augmentation, BN folded into the convs."""
     tensor = voxelize(cloud, model.config.voxel_size)
     q, _ = forward(model, tensor, training=False)
     return q

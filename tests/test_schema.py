@@ -3,12 +3,14 @@ row is checked against its dataclass annotations, and a bad value exits 1
 with one line naming the field (or `file:line`), never a traceback."""
 
 import copy
+import csv
 import dataclasses
 import json
 import math
 import os
 import struct
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -37,6 +39,17 @@ VALID_CONFIG = {
 }
 VALID_ROW = {"sample_id": "s0", "reference_id": "ref0", "distortion_id": 5, "level": 1,
              "seed": 0, "path": "s0.ply", "status": "ok", "pseudo_mos": 3.0}
+# six labelled samples of one type that `annotate` fits: a score CSV of one
+# metric and a rating CSV of three subjects whose kurtosis passes screening
+LABELLED = [f"s{i}" for i in range(6)]
+VALID_SCORES = [["metric_name", "reference_id", "degraded_id", "value"]] + [
+    ["PSNRyuv", "ref0", s, str(40 - 4 * i)] for i, s in enumerate(LABELLED)]
+VALID_RATINGS = [["stimulus_id", "subject_id", "score"]] + [
+    [s, subject, str(v)]
+    for subject, scores in (("u0", (5, 3.7, 2.3, 2.6, 1.9, 1.5)),
+                            ("u1", (5, 4, 3.2, 3.3, 2.6, 1.4)),
+                            ("u2", (5, 3.3, 2.5, 2.7, 2, 1.6)))
+    for s, v in zip(LABELLED, scores)]
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +64,9 @@ def inputs(tmp_path_factory):
     header = pl.Manifest(seed=0, label_scale=(1.0, 5.0),
                          references={"ref0": str(root / "refs" / "ref0.ply")}).header()
     _write_manifest(root / "ds" / "manifest.jsonl", [header, VALID_ROW])
+    _write_manifest(root / "ds" / "labelled.jsonl", [header] + [
+        {**VALID_ROW, "sample_id": sid, "level": i + 1, "pseudo_mos": None}
+        for i, sid in enumerate(LABELLED)])
     save_checkpoint(init_model(ModelConfig(blocks=1, width=4, fc_hidden=4), seed=0),
                     root / "m.ckpt")
     return root, header
@@ -58,6 +74,14 @@ def inputs(tmp_path_factory):
 
 def _write_manifest(path: Path, lines: list) -> Path:
     path.write_text("".join(json.dumps(d) + "\n" for d in lines))
+    return path
+
+
+def _write_csv(path: Path, rows: list) -> Path:
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        for row in rows:
+            writer.writerow(row if isinstance(row, list) else [row])
     return path
 
 
@@ -183,6 +207,20 @@ def test_cli_bad_manifest_header_exits_1_naming_line_1(tmp_path, inputs, capsys,
                            capsys, f"{path}:1: {message}")
 
 
+@pytest.mark.parametrize("model", [{"blocks": 10**6}, {"width": 30_000}], ids=["blocks", "width"])
+def test_cli_train_oversized_model_exits_1_at_once(tmp_path, inputs, capsys, model):
+    root, _ = inputs
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"model": model}))
+    t0 = time.perf_counter()
+    _assert_one_line_error(["train", "--manifest", str(root / "ds" / "manifest.jsonl"),
+                            "--split", "test=ref0", "--config", str(path),
+                            "--out", str(tmp_path / "m.ckpt")],
+                           capsys, "parameters, over 100,000,000")
+    assert time.perf_counter() - t0 < 1.0
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda c: c.update(width="4"), "model width must be a positive int, got '4'"),
     (lambda c: c.update(voxel_size=-1.0), "model voxel_size must be a positive number"),
@@ -198,6 +236,21 @@ def test_cli_eval_bad_checkpoint_config_exits_1(tmp_path, inputs, capsys, edit, 
     _assert_one_line_error(["eval", "--manifest", str(root / "ds" / "manifest.jsonl"),
                             "--split", "test=ref0", "--checkpoint", str(ckpt),
                             "--out", str(tmp_path / "eval")], capsys, message)
+
+
+@pytest.mark.parametrize("target", ["scores", "ratings"])
+def test_cli_annotate_short_csv_row_exits_1_naming_the_line(tmp_path, inputs, capsys, target):
+    root, _ = inputs
+    valid = {"scores": VALID_SCORES, "ratings": VALID_RATINGS}[target]
+    assert _run_corrupted(target, valid, root, tmp_path) == 0
+    rows = copy.deepcopy(valid)
+    del rows[2][-1]
+    assert _run_corrupted(target, rows, root, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    name = {"scores": "s.csv", "ratings": "r.csv"}[target]
+    assert err.strip().splitlines()[-1] == (
+        f"error: {tmp_path / name}:3: row has fewer fields than the header")
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +326,14 @@ def _valid(target: str, root: Path, header: dict):
     """The valid document that `target` corrupts."""
     return {"config": VALID_CONFIG, "adapters": VALID_CONFIG["adapters"],
             "checkpoint": _checkpoint_header((root / "m.ckpt").read_bytes()),
-            "manifest": [header, VALID_ROW]}[target]
+            "manifest": [header, VALID_ROW], "scores": VALID_SCORES,
+            "ratings": VALID_RATINGS}[target]
 
 
 def _run_corrupted(target: str, doc, root: Path, work: Path) -> int:
     """Exit code of the command that reads `doc`: `build` for a config or an
-    adapter map, `score` for a manifest, `eval` for a checkpoint header."""
+    adapter map, `score` for a manifest, `eval` for a checkpoint header,
+    `annotate` for a score or rating CSV (a list of rows)."""
     out = str(work / "out")
     build = ["build", "--refs", str(root / "refs"), "--out", out, "--subset", CHEAP_ID]
     if target == "config":
@@ -291,13 +346,20 @@ def _run_corrupted(target: str, doc, root: Path, work: Path) -> int:
     if target == "manifest":
         path = _write_manifest(root / "ds" / "corrupted.jsonl", doc)  # next to clouds/s0.ply
         return cli_main(["score", "--manifest", str(path), "--out", out])
+    if target in ("scores", "ratings"):
+        csvs = {"scores": VALID_SCORES, "ratings": VALID_RATINGS, target: doc}
+        return cli_main(["annotate", "--manifest", str(root / "ds" / "labelled.jsonl"),
+                         "--scores", str(_write_csv(work / "s.csv", csvs["scores"])),
+                         "--subjective", str(_write_csv(work / "r.csv", csvs["ratings"])),
+                         "--out", out])
     ckpt = work / "m.ckpt"
     ckpt.write_bytes(_with_header((root / "m.ckpt").read_bytes(), doc))
     return cli_main(["eval", "--manifest", str(root / "ds" / "manifest.jsonl"),
                      "--split", "test=ref0", "--checkpoint", str(ckpt), "--out", out])
 
 
-@pytest.mark.parametrize("target", ["config", "adapters", "checkpoint", "manifest"])
+@pytest.mark.parametrize("target", ["config", "adapters", "checkpoint", "manifest", "scores",
+                                    "ratings"])
 def test_one_corrupted_field_exits_0_1_or_2(inputs, target):
     root, header = inputs
 

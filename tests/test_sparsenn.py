@@ -19,7 +19,7 @@ from pcqa.sparsenn.layers import (
     conv_backward, layer_backward, layer_forward, relu_backward, relu_forward,
 )
 from pcqa.sparsenn.model import (
-    RESIDUAL_VARIANTS, CheckpointError, _block_backward, _block_forward,
+    MAX_PARAMS, RESIDUAL_VARIANTS, CheckpointError, _block_backward, _block_forward,
 )
 
 from conftest import grid_cloud, shell_cloud
@@ -466,6 +466,24 @@ def test_model_config_sizes_are_positive_ints(field, value):
         ModelConfig(**{field: value})
 
 
+@pytest.mark.parametrize("config", [
+    ModelConfig(), ModelConfig(blocks=1, width=4, fc_hidden=4),
+    ModelConfig(blocks=3, width=7, in_channels=5, fc_hidden=9), ModelConfig(blocks=5, width=8),
+], ids=["default", "tiny", "odd-sizes", "five-blocks"])
+def test_param_count_closed_form_matches_the_arrays(config):
+    assert config.param_count == param_count(init_model(config))
+
+
+def test_model_size_ceiling_is_checked_in_closed_form():
+    # the ablation depths stay valid; the ceiling is checked in closed form,
+    # so a config of 10**6 blocks is rejected at once
+    for blocks in range(1, 6):
+        assert ModelConfig(blocks=blocks).param_count < MAX_PARAMS
+    for big in ({"blocks": 10**6}, {"width": 20_000}, {"fc_hidden": 10**6}):
+        with pytest.raises(ValueError, match=f"parameters, over {MAX_PARAMS:,}"):
+            ModelConfig(**big)
+
+
 def test_training_is_the_only_mode_switch(rng):
     t = random_tensor(rng, n=30)
     kmap = build_kernel_map(t)
@@ -672,46 +690,66 @@ def test_conv_backward_does_not_call_conv_forward(rng, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Lean inference: no caches, the centre tap as a plain matmul, running-stats
-# batch norm in one buffer; none of it may change an output bit
+# Lean inference: no caches, the centre tap as a plain matmul, batch norm
+# folded into the conv weights; training keeps every output bit
 # ---------------------------------------------------------------------------
 
 
-def _forward_digest(variant, pooling, blocks):
-    """SHA-256 over two seeded tensors of the inference score, the training
-    score, then the running statistics that training forward left."""
+def _forward_digests(variant, pooling, blocks):
+    """Two SHA-256 digests over two seeded tensors: one of the inference
+    score, one of the training score and the running statistics that
+    training forward left."""
     r = np.random.default_rng(70)
     tensors = (random_tensor(r, n=80, extent=6), voxelize(shell_cloud(r, n=200)))
-    h = hashlib.sha256()
+    inference, training = hashlib.sha256(), hashlib.sha256()
     for t in tensors:
         model = init_model(ModelConfig(blocks=blocks, width=8, fc_hidden=4,
                                        residual=variant, pooling=pooling), seed=7)
         for stat in model.state.values():
             stat += r.uniform(0.1, 0.5, stat.shape)  # away from (0, 1)
-        h.update(repr(forward(model, t)[0]).encode())
-        h.update(repr(forward(model, t, training=True)[0]).encode())
+        inference.update(repr(forward(model, t)[0]).encode())
+        training.update(repr(forward(model, t, training=True)[0]).encode())
         for name in sorted(model.state):
-            h.update(model.state[name].tobytes())
-    return h.hexdigest()
+            training.update(model.state[name].tobytes())
+    return inference.hexdigest(), training.hexdigest()
 
 
-_FORWARD_SHA256 = {  # computed before the cache options were removed
-    ("A", "avg", 1): "cadb0b01aecb0201e35553b309519540b4acc0e76faa13a4b13c70b0ba5e820c",
-    ("A", "avg", 4): "396b1f3acd2d11ed460491fd205b54d239897ec458c8decafe431522a0a0247b",
-    ("A", "max", 1): "533656afa73fdbf5d06940f425a62fb8677df09fd7fc8f420f952f72f3293665",
-    ("A", "max", 4): "6d6bf7ba8044c942160c0504ad19d89941fe2b959dd228f4791aabb9ba473ce1",
-    ("B", "avg", 1): "bc44488c292a7bd50c6d1df59956822545054a9d860a5488f40740e0b40f22fd",
-    ("B", "avg", 4): "abfc24e2ff2faabcbc5fdadbccc5aa5a49891c57bad35669387030ae67c01f6b",
-    ("B", "max", 1): "11a04deaa77ec46ddc7b2db15713f5303a79147c7d5aebb61d26a9b6408431ab",
-    ("B", "max", 4): "dafe0ed8cd81c05411fe8557ab815371ba3c2573d0c60706d9b10cb56f8b79c9",
-    ("C", "avg", 1): "bc44488c292a7bd50c6d1df59956822545054a9d860a5488f40740e0b40f22fd",
-    ("C", "avg", 4): "51089bc74fc0575fa420e725507e40357cc5a3e10deaf3a23358d7997204803b",
-    ("C", "max", 1): "11a04deaa77ec46ddc7b2db15713f5303a79147c7d5aebb61d26a9b6408431ab",
-    ("C", "max", 4): "8aac501645860b250e6067b1362f54d5b3fc6d9e3de29aba965ab8da27010d74",
-    ("D", "avg", 1): "bc44488c292a7bd50c6d1df59956822545054a9d860a5488f40740e0b40f22fd",
-    ("D", "avg", 4): "9e10a62eceda8590806588afecc401ba3b24983ec93da5be11e6b596a9f34c46",
-    ("D", "max", 1): "11a04deaa77ec46ddc7b2db15713f5303a79147c7d5aebb61d26a9b6408431ab",
-    ("D", "max", 4): "caa4e8e325cd0b998f824027480926bab0b959efe38ec2a6272ab48e10be2056",
+# (inference, training): the training digests were computed before inference
+# folded batch norm into the conv and must not move; the inference digests
+# pin the folded output
+_FORWARD_SHA256 = {
+    ("A", "avg", 1): ("9364cae53af31fa78b477bfda728b34e8265f2ebd50cb2e0af3f070c2780c31d",
+                      "b39d6102ff32d1dc348aa526543bb9e242abe9be3dc14279e2f48484644b59d7"),
+    ("A", "avg", 4): ("85f3d2657c9d0f7029f035d8b8ede9b1f04f73411955fcdefeef1f8e96b23133",
+                      "ed6300b215fd8bbd03ad4fe8f2b1277b9b5c15bf07f0022cceac08ba390b067a"),
+    ("A", "max", 1): ("49cab7d8d889021cae142410c79d1c752c8d646e3b9256f693eaca2d0d8f5e01",
+                      "e3368c245b5bcb397033d5f126d025eccfb423b1ae5097ffcbcdb92bd4c48fb4"),
+    ("A", "max", 4): ("00f17f1d1b0b14a80d0186437fb051dbe51981b132d8a602b3d21cb46c3536d4",
+                      "fb515e4c87bc0ca1d5e4b925e248799ec44d83ef62c82c20e130f51affbdd16b"),
+    ("B", "avg", 1): ("6e5e7fc4d16fc4feb44793e9dbf9d8ea59e8bac5e62275974966f2b79b25dcc5",
+                      "e8ed093b6e910f880d2e0821fc8d38268df6f8486512aa996364b3480bb4be7f"),
+    ("B", "avg", 4): ("8f7f8e8b95441a300bbaef9e0bf68f82311a54e2feb8f2893c436ecd3434904d",
+                      "7ae89345732eaf642ac38fd4965bf554fa00cb3d01603379c9c5ac62e9c9b681"),
+    ("B", "max", 1): ("80999f738ecdbbde5eddff3f11e7994581bed8f6b84a59e3067695fd0908282b",
+                      "727eb2e4837df2e653d53a6da5640cf4c0129a814b1f687e734c7e9136528482"),
+    ("B", "max", 4): ("3082438f542eded6910d66ed7c48b9e7b1b3647fdd648f21492c97c8f98c5a0e",
+                      "eb146460dda1da03f08d723b08bb3022b03b7033369da01163bfa51776023381"),
+    ("C", "avg", 1): ("6e5e7fc4d16fc4feb44793e9dbf9d8ea59e8bac5e62275974966f2b79b25dcc5",
+                      "e8ed093b6e910f880d2e0821fc8d38268df6f8486512aa996364b3480bb4be7f"),
+    ("C", "avg", 4): ("9042c6edd41e977ceb6d1b5daa82aed874094a1fab47ff7553117023eb494873",
+                      "0dda840cc846f950528fd748eaefc43b0af9df6df9ef41e5c2f91b0fe1b253f5"),
+    ("C", "max", 1): ("80999f738ecdbbde5eddff3f11e7994581bed8f6b84a59e3067695fd0908282b",
+                      "727eb2e4837df2e653d53a6da5640cf4c0129a814b1f687e734c7e9136528482"),
+    ("C", "max", 4): ("3bd122f0f5ec4ba33099e7c3cd035734d77179973038048109ab376bda3e4359",
+                      "c76a48f4fc50a3b6da26dd1e0756fdc1c8b480a54d702a8ff2457b691d01985e"),
+    ("D", "avg", 1): ("6e5e7fc4d16fc4feb44793e9dbf9d8ea59e8bac5e62275974966f2b79b25dcc5",
+                      "e8ed093b6e910f880d2e0821fc8d38268df6f8486512aa996364b3480bb4be7f"),
+    ("D", "avg", 4): ("da334fc2d183bcb1e5dcbda667186044989694fac8b1e827486103c11b280be7",
+                      "db8ccc2679cb875466a635c1fc6d2516e176720c63e6a15c98f5e9181b108197"),
+    ("D", "max", 1): ("80999f738ecdbbde5eddff3f11e7994581bed8f6b84a59e3067695fd0908282b",
+                      "727eb2e4837df2e653d53a6da5640cf4c0129a814b1f687e734c7e9136528482"),
+    ("D", "max", 4): ("29547db20018c434dd940d122c811e17102331e15fcf1306bb1fa1907f8bb410",
+                      "06fc0a9421363d6720fe4ecdcc59e2d61ba35b80d08b493460e1f16f7463c39f"),
 }
 
 
@@ -719,9 +757,10 @@ _FORWARD_SHA256 = {  # computed before the cache options were removed
 @pytest.mark.parametrize("pooling", ["avg", "max"])
 @pytest.mark.parametrize("variant", RESIDUAL_VARIANTS)
 def test_forward_without_cache_is_bit_equal(variant, pooling, blocks):
-    # inference keeps no cache; it, training and the running-statistic
-    # updates stay bit-equal to the engine that still had cache options
-    assert _forward_digest(variant, pooling, blocks) == _FORWARD_SHA256[variant, pooling, blocks]
+    # inference keeps no cache and its folded output is pinned; training and
+    # the running-statistic updates stay bit-equal to the unfolded engine
+    # that still had cache options
+    assert _forward_digests(variant, pooling, blocks) == _FORWARD_SHA256[variant, pooling, blocks]
 
 
 def running_stats_bn_oracle(x, gamma, beta, running_mean, running_var, eps):
@@ -732,26 +771,38 @@ def running_stats_bn_oracle(x, gamma, beta, running_mean, running_var, eps):
 
 
 @st.composite
-def bn_cases(draw):
-    n, c = draw(st.integers(1, 30)), draw(st.integers(1, 12))
-    value = st.floats(allow_nan=False, allow_infinity=False, width=64)
-    x = draw(hnp.arrays(np.float64, (n, c), elements=value))
-    gamma, beta, mean = (draw(hnp.arrays(np.float64, c, elements=value)) for _ in range(3))
-    var = draw(hnp.arrays(np.float64, c, elements=st.floats(0.0, 1e300)))
-    eps = draw(st.sampled_from([1e-5, 0.0, 1e-300])) if draw(st.booleans()) else 1e-5
-    return x, gamma, beta, mean, var, eps
+def folded_layer_cases(draw):
+    cin, cout = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    coords = sorted(draw(st.sets(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=20)))
+    value = st.floats(-1e3, 1e3, allow_subnormal=False)
+    x = draw(hnp.arrays(np.float64, (len(coords), cin), elements=value))
+    params = {"w": draw(hnp.arrays(np.float64, (27, cin, cout), elements=value))}
+    for name in ("gamma", "beta", "running_mean"):
+        params[name] = draw(hnp.arrays(np.float64, cout, elements=value))
+    params["running_var"] = draw(hnp.arrays(np.float64, cout, elements=st.floats(0.0, 1e6)))
+    eps = draw(st.sampled_from([1e-5, 1e-300]))
+    return tensor_from(coords, x), params, eps, draw(st.booleans())
 
 
 @settings(max_examples=200, deadline=None)
-@given(bn_cases())
-def test_running_stats_bn_equals_oracle_bit_for_bit(case):
-    x, gamma, beta, mean, var, eps = case
-    with np.errstate(all="ignore"):
-        y, cache = layers.bn_forward(x, gamma, beta, mean, var, training=False, eps=eps)
-        expected = running_stats_bn_oracle(x, gamma, beta, mean, var, eps)
-    assert cache is None
-    assert y.dtype == expected.dtype and y.shape == expected.shape
-    assert y.tobytes() == expected.tobytes()
+@given(folded_layer_cases())
+def test_folded_inference_layer_matches_bn_oracle(case):
+    t, params, eps, activate = case
+    kmap = build_kernel_map(t)
+    y, cache = layer_forward(params, t.feats, kmap, False, 0.9, eps, activate=activate)
+    expected = running_stats_bn_oracle(conv_forward(params["w"], t.feats, kmap), params["gamma"],
+                                       params["beta"], params["running_mean"],
+                                       params["running_var"], eps)
+    if activate:
+        expected = np.maximum(expected, 0.0)
+    assert cache is None and y.shape == expected.shape
+    # the fold reorders the rounding of w * x * scale - mean * scale + beta:
+    # bound the error relative to the magnitude of those terms, plus an
+    # absolute floor for products that underflow
+    scale = np.abs(params["gamma"]) / np.sqrt(params["running_var"] + eps)
+    magnitude = (conv_forward(np.abs(params["w"]), np.abs(t.feats), kmap) * scale
+                 + np.abs(params["running_mean"]) * scale + np.abs(params["beta"]))
+    assert np.all(np.abs(y - expected) <= 1e-12 * magnitude + 1e-300)
 
 
 def test_inference_forward_holds_no_layer_inputs():
@@ -769,4 +820,4 @@ def test_inference_forward_holds_no_layer_inputs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * activation, peak / activation
+    assert peak < 6 * activation, peak / activation
