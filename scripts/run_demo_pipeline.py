@@ -22,7 +22,8 @@ from pcqa.pcio import PointCloud, save_ply
 from pcqa.sparsenn import ModelConfig, TrainConfig
 
 
-def make_reference(rng: np.random.Generator, n=1400, extent=120) -> PointCloud:
+def make_reference(rng: np.random.Generator, n: int = 1400, extent: int = 120) -> PointCloud:
+    """Blobby surface with smooth color gradients; rich enough for FR metrics."""
     base = rng.normal(size=(n * 2, 3))
     base /= np.linalg.norm(base, axis=1, keepdims=True)
     r = extent / 2 * (0.8 + 0.2 * rng.random(len(base)))[:, None]

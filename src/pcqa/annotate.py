@@ -113,10 +113,13 @@ class RatingMatrix:
                 missing = sorted(required - set(reader.fieldnames or ()))
                 raise ValueError(f"rating CSV missing columns: {', '.join(missing)}")
             for row in reader:
+                where = f"{path}:{reader.line_num}"
                 if None in row.values():  # DictReader pads a short row with None
-                    raise ValueError(f"{path}:{reader.line_num}: row has fewer fields "
-                                     f"than the header")
-                out.append(Rating(row["stimulus_id"], row["subject_id"], float(row["score"]), scale))
+                    raise ValueError(f"{where}: row has fewer fields than the header")
+                try:
+                    out.append(Rating(row["stimulus_id"], row["subject_id"], float(row["score"]), scale))
+                except ValueError as exc:  # a blank, non-numeric or out-of-scale score
+                    raise ValueError(f"{where}: {exc}") from None
         return cls(out)
 
     def by_subject(self) -> dict[str, np.ndarray]:

@@ -215,17 +215,21 @@ def ingest_external_scores(path: str | Path) -> list[MetricScore]:
             missing = sorted(required - set(reader.fieldnames or ()))
             raise ValueError(f"score CSV missing columns: {', '.join(missing)}")
         for row in reader:
+            where = f"{path}:{reader.line_num}"
             if None in row.values():  # DictReader pads a short row with None
-                raise ValueError(f"{path}:{reader.line_num}: row has fewer fields than the header")
+                raise ValueError(f"{where}: row has fewer fields than the header")
             try:
                 value = float(row["value"])
-            except ValueError as exc:
-                raise ValueError(f"non-numeric value {row['value']!r}") from exc
+            except ValueError:
+                raise ValueError(f"{where}: non-numeric value {row['value']!r}") from None
             key = (row["metric_name"], row["degraded_id"])
             if key in seen:
-                raise ValueError(f"duplicate score for (metric, degraded) key {key}")
+                raise ValueError(f"{where}: duplicate score for (metric, degraded) key {key}")
             seen.add(key)
-            scores.append(MetricScore(
-                metric=row["metric_name"], value=value,
-                reference_id=row["reference_id"], degraded_id=row["degraded_id"]))
+            try:
+                scores.append(MetricScore(
+                    metric=row["metric_name"], value=value,
+                    reference_id=row["reference_id"], degraded_id=row["degraded_id"]))
+            except ValueError as exc:  # a non-finite value, or an empty name or id
+                raise ValueError(f"{where}: {exc}") from None
     return scores

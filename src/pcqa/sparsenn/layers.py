@@ -1,7 +1,8 @@
 """Forward/backward primitives: sparse convolution, batch norm, ReLU, FC.
 
-Everything operates on float64 arrays; backward passes return exact
-reverse-mode gradients validated against finite differences in the tests.
+Everything operates on float64 arrays. Backward passes return the input
+gradient and add the exact reverse-mode parameter gradients into arrays the
+caller owns; the tests validate them against finite differences.
 Batch norm is training-only: inference folds it into the conv weights.
 """
 
@@ -23,39 +24,36 @@ __all__ = [
 ]
 
 
-def _scatter_matmul(w: np.ndarray, x: np.ndarray, pairs) -> np.ndarray:
-    """out[dst] += x[src] @ w[k] for each offset k and its (src, dst) rows."""
-    out = np.zeros((x.shape[0], w.shape[2]))
-    for k, (src, dst) in enumerate(pairs):
-        if len(src) == len(x):
+def conv_forward(w: np.ndarray, feats: np.ndarray, kmap: KernelMap) -> np.ndarray:
+    """f_out(u) = sum_i W_i f_in(u + i) over occupied neighbors."""
+    out = np.zeros((feats.shape[0], w.shape[2]))
+    for k, (in_rows, out_rows) in enumerate(kmap.pairs):
+        if len(in_rows) == len(feats):
             # an offset paired at every site maps the site set into itself, and
             # a nonzero shift cannot (the site farthest along it has no
-            # neighbour there): this is the centre, src = dst = arange(N)
-            out += x @ w[k]
-        elif len(src):
+            # neighbour there): this is the centre, in_rows = out_rows = arange(N)
+            out += feats @ w[k]
+        elif len(in_rows):
             # rows unique per offset, fancy accumulation is safe
-            out[dst] += x[src] @ w[k]
+            out[out_rows] += feats[in_rows] @ w[k]
     return out
 
 
-def conv_forward(w: np.ndarray, feats: np.ndarray, kmap: KernelMap) -> np.ndarray:
-    """f_out(u) = sum_i W_i f_in(u + i) over occupied neighbors."""
-    return _scatter_matmul(w, feats, kmap.pairs)
-
-
-def conv_backward(
-    w: np.ndarray, feats: np.ndarray, dout: np.ndarray, kmap: KernelMap
-) -> tuple[np.ndarray, np.ndarray]:
-    """The input gradient is the forward loop run on the transposed kernel
-    map: each W_i transposed, each offset's (input, output) rows swapped."""
-    dw = np.zeros_like(w)
+def conv_backward(w: np.ndarray, feats: np.ndarray, dout: np.ndarray, dw: np.ndarray,
+                  kmap: KernelMap) -> np.ndarray:
+    """Adds the weight gradient into the caller's `dw` and returns the input
+    gradient: the forward loop on the transposed kernel map, each W_i
+    transposed and each offset's (input, output) rows swapped."""
+    dfeats = np.zeros_like(feats)
     for k, (in_rows, out_rows) in enumerate(kmap.pairs):
-        if len(in_rows) == len(feats):
-            dw[k] = feats.T @ dout  # the centre, as in _scatter_matmul
+        if len(in_rows) == len(feats):  # the centre, as in conv_forward
+            dw[k] += feats.T @ dout
+            dfeats += dout @ w[k].T
         elif len(in_rows):
-            dw[k] = feats[in_rows].T @ dout[out_rows]
-    dfeats = _scatter_matmul(w.transpose(0, 2, 1), dout, [(o, i) for i, o in kmap.pairs])
-    return dfeats, dw
+            g = dout[out_rows]
+            dw[k] += feats[in_rows].T @ g
+            dfeats[in_rows] += g @ w[k].T
+    return dfeats
 
 
 @dataclass
@@ -135,15 +133,19 @@ def layer_backward(
     params: dict,
     dout: np.ndarray,
     cache: LayerCache,
+    grads: dict,
     kmap: KernelMap,
-) -> tuple[np.ndarray, dict]:
-    """Reverse of layer_forward. When the layer deferred its activation
-    (residual join), the caller must pass gradients w.r.t. pre-activation."""
+) -> np.ndarray:
+    """Reverse of layer_forward: adds the w/gamma/beta gradients into the
+    matching arrays of `grads` and returns the input gradient. When the layer
+    deferred its activation (residual join), the caller must pass gradients
+    w.r.t. pre-activation."""
     if cache.relu_mask is not None:
         dout = relu_backward(dout, cache.relu_mask)
     dz, dgamma, dbeta = bn_backward(dout, params["gamma"], cache.bn)
-    dfeats, dw = conv_backward(params["w"], cache.feats_in, dz, kmap)
-    return dfeats, {"w": dw, "gamma": dgamma, "beta": dbeta}
+    grads["gamma"] += dgamma
+    grads["beta"] += dbeta
+    return conv_backward(params["w"], cache.feats_in, dz, grads["w"], kmap)
 
 
 def global_pool(feats: np.ndarray, mode: str = "avg") -> tuple[np.ndarray, np.ndarray | None]:
@@ -181,14 +183,11 @@ def fc_forward(params: dict, s: np.ndarray) -> tuple[float, FCCache]:
     return q, FCCache(s=s, h_pre=h_pre, h=h)
 
 
-def fc_backward(params: dict, dq: float, cache: FCCache) -> tuple[np.ndarray, dict]:
-    dh = params["fc2.w"][:, 0] * dq
-    dh_pre = dh * (cache.h_pre > 0)
-    grads = {
-        "fc2.w": cache.h[:, None] * dq,
-        "fc2.b": np.array([dq]),
-        "fc1.w": np.outer(cache.s, dh_pre),
-        "fc1.b": dh_pre,
-    }
-    ds = params["fc1.w"] @ dh_pre
-    return ds, grads
+def fc_backward(params: dict, dq: float, cache: FCCache, grads: dict) -> np.ndarray:
+    """Adds the head's gradients into `grads`; returns the gradient w.r.t. s."""
+    dh_pre = params["fc2.w"][:, 0] * dq * (cache.h_pre > 0)
+    grads["fc2.w"] += cache.h[:, None] * dq
+    grads["fc2.b"] += dq
+    grads["fc1.w"] += np.outer(cache.s, dh_pre)
+    grads["fc1.b"] += dh_pre
+    return params["fc1.w"] @ dh_pre

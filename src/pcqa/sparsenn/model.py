@@ -39,6 +39,7 @@ RESIDUAL_VARIANTS = get_args(Residual)
 _MAGIC = b"PCQANET\x01"
 _VERSION = 1
 MAX_PARAMS = 10**8  # the default has 1.2M; bounds what a config makes init_model allocate
+MAX_ARRAYS = 10**4  # the default has 64; bounds the arrays _layout lists (15 per block)
 
 
 class CheckpointError(ValueError):
@@ -61,6 +62,8 @@ class ModelConfig:
         check(self, "model")
         if self.param_count > MAX_PARAMS:
             raise ValidationError(f"model has {self.param_count:,} parameters, over {MAX_PARAMS:,}")
+        if 15 * self.blocks + 4 > MAX_ARRAYS:  # _layout's arrays, in closed form
+            raise ValidationError(f"model has {15 * self.blocks + 4:,} arrays, over {MAX_ARRAYS:,}")
 
     @property
     def param_count(self) -> int:  # _layout's trainable arrays, in closed form
@@ -176,19 +179,18 @@ def _block_forward(
 
 
 def _block_backward(
-    model: Model, b: int, dout: np.ndarray, cache: BlockCache, kmap: KernelMap,
-) -> tuple[np.ndarray, dict]:
+    model: Model, b: int, dout: np.ndarray, cache: BlockCache, grads: dict, kmap: KernelMap,
+) -> np.ndarray:
     source, join = _shortcut(model.config.residual, b)
-    grads: dict[str, np.ndarray] = {}
     d = dout
     for l in (2, 1, 0):
         if l == join:
             d = dpre = relu_backward(d, cache.join_mask)
-        d, g = layer_backward(model.layer_view(b, l), d, cache.layers[l], kmap)
+        layer_grads = {name: grads[f"conv{b}.{l}.{name}"] for name in ("w", "gamma", "beta")}
+        d = layer_backward(model.layer_view(b, l), d, cache.layers[l], layer_grads, kmap)
         if l == source:
             d = d + dpre
-        grads.update({f"conv{b}.{l}.{name}": arr for name, arr in g.items()})
-    return d, grads
+    return d
 
 
 def forward(
@@ -229,10 +231,14 @@ def forward(
                          pool_args=pool_args, fc=fc_cache)
 
 
-def backward(model: Model, cache: ModelCache, dq: float) -> dict[str, np.ndarray]:
-    """Gradients of dq * q w.r.t. every trainable parameter."""
+def backward(model: Model, cache: ModelCache, dq: float,
+             grads: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    """Adds the gradients of dq * q w.r.t. every trainable parameter into
+    `grads` (zeros of the parameters' shapes when None) and returns it."""
     cfg = model.config
-    ds, grads = fc_backward(model.params, dq, cache.fc)
+    if grads is None:
+        grads = {name: np.zeros_like(p) for name, p in model.params.items()}
+    ds = fc_backward(model.params, dq, cache.fc, grads)
     w = cfg.width
     d_next: np.ndarray | None = None
     for b in range(cfg.blocks - 1, -1, -1):
@@ -240,8 +246,7 @@ def backward(model: Model, cache: ModelCache, dq: float) -> dict[str, np.ndarray
         dout = global_pool_backward(dvec, cache.n_rows, cfg.pooling, cache.pool_args[b])
         if d_next is not None:
             dout = dout + d_next
-        d_next, bgrads = _block_backward(model, b, dout, cache.blocks[b], cache.kmap)
-        grads.update(bgrads)
+        d_next = _block_backward(model, b, dout, cache.blocks[b], grads, cache.kmap)
     return grads
 
 

@@ -120,12 +120,7 @@ def train(model: Model, samples: list[TrainSample], config: TrainConfig) -> Trai
             if not math.isfinite(loss):
                 raise ValueError(f"training diverged at step {step + 1}: "
                                  f"loss {loss} on sample {sample.sample_id}")
-            grads = backward(model, cache, dq)
-            if not grad_sum:
-                grad_sum = grads
-            else:
-                for name, g in grads.items():
-                    grad_sum[name] += g
+            grad_sum = backward(model, cache, dq, grad_sum if window else None)
             window.append(sample.sample_id)
             step += 1
             losses.append(LossPoint(step=step, epoch=epoch, lr=lr, loss=loss))

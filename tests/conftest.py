@@ -1,7 +1,13 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pcqa.pcio import PointCloud
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from run_demo_pipeline import make_reference as textured_ref  # noqa: E402  (re-exported)
 
 
 def random_cloud(rng: np.random.Generator, n: int = 200, extent: float = 50.0,
@@ -32,22 +38,6 @@ def shell_cloud(rng: np.random.Generator, n: int = 200, radius: float = 8.0) -> 
     pts = pts[:n]
     col = rng.integers(0, 256, (len(pts), 3))
     return PointCloud(pts.astype(float), col)
-
-
-def textured_ref(rng: np.random.Generator, n: int = 1400, extent: int = 120) -> PointCloud:
-    """Blobby surface with smooth color gradients; rich enough for FR metrics."""
-    base = rng.normal(size=(n * 2, 3))
-    base /= np.linalg.norm(base, axis=1, keepdims=True)
-    r = extent / 2 * (0.8 + 0.2 * rng.random(len(base)))[:, None]
-    pts = np.unique(np.floor(base * r + extent / 2).astype(int), axis=0)
-    rng.shuffle(pts)
-    pts = pts[:n].astype(float)
-    col = np.stack([
-        128 + 100 * np.sin(pts[:, 0] / 17),
-        128 + 100 * np.cos(pts[:, 1] / 23),
-        128 + 100 * np.sin(pts[:, 2] / 13)], axis=1)
-    col = np.clip(np.round(col + rng.normal(0, 8, col.shape)), 0, 255)
-    return PointCloud(pts, col)
 
 
 @pytest.fixture

@@ -221,6 +221,21 @@ def test_cli_train_oversized_model_exits_1_at_once(tmp_path, inputs, capsys, mod
     assert not (tmp_path / "m.ckpt").exists()
 
 
+def test_cli_train_model_of_too_many_arrays_exits_1_at_once(tmp_path, inputs, capsys):
+    # 88,000,057 parameters pass the ceiling, but 15,000,004 arrays would
+    # stall in the layout: the array count is bounded in closed form too
+    root, _ = inputs
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"model": {"blocks": 1_000_000, "width": 1, "fc_hidden": 1}}))
+    t0 = time.perf_counter()
+    _assert_one_line_error(["train", "--manifest", str(root / "ds" / "manifest.jsonl"),
+                            "--split", "test=ref0", "--config", str(path),
+                            "--out", str(tmp_path / "m.ckpt")],
+                           capsys, "model has 15,000,004 arrays, over 10,000")
+    assert time.perf_counter() - t0 < 1.0
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda c: c.update(width="4"), "model width must be a positive int, got '4'"),
     (lambda c: c.update(voxel_size=-1.0), "model voxel_size must be a positive number"),
@@ -251,6 +266,27 @@ def test_cli_annotate_short_csv_row_exits_1_naming_the_line(tmp_path, inputs, ca
     name = {"scores": "s.csv", "ratings": "r.csv"}[target]
     assert err.strip().splitlines()[-1] == (
         f"error: {tmp_path / name}:3: row has fewer fields than the header")
+
+
+@pytest.mark.parametrize("target, value, message", [
+    ("ratings", "", "could not convert string to float: ''"),
+    ("ratings", "good", "could not convert string to float: 'good'"),
+    ("ratings", "0", "score 0.0 outside [1.0, 5.0]"),
+    ("scores", "", "non-numeric value ''"),
+    ("scores", "n/a", "non-numeric value 'n/a'"),
+    ("scores", "nan", "metric value must be finite, got nan"),
+], ids=["blank-rating", "non-numeric-rating", "out-of-scale-rating", "blank-score",
+        "non-numeric-score", "non-finite-score"])
+def test_cli_annotate_bad_csv_value_exits_1_naming_the_line(tmp_path, inputs, capsys,
+                                                            target, value, message):
+    root, _ = inputs
+    rows = copy.deepcopy({"scores": VALID_SCORES, "ratings": VALID_RATINGS}[target])
+    rows[3][-1] = value
+    assert _run_corrupted(target, rows, root, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    name = {"scores": "s.csv", "ratings": "r.csv"}[target]
+    assert err.strip().splitlines()[-1] == f"error: {tmp_path / name}:4: {message}"
 
 
 # ---------------------------------------------------------------------------

@@ -388,32 +388,33 @@ def _paper_block(model, b, x, kmap, dout):
     variant = "D" if cfg.residual in ("B", "C") and b == 0 else cfg.residual
     kw = dict(training=True, momentum=cfg.bn_momentum, eps=cfg.bn_eps)
     p1, p2, p3 = (model.layer_view(b, l) for l in range(3))
+    g1, g2, g3 = ({k: np.zeros_like(p[k]) for k in ("w", "gamma", "beta")} for p in (p1, p2, p3))
     h1, c1 = layer_forward(p1, x, kmap, activate=True, **kw)
     if variant == "A":
         h2, c2 = layer_forward(p2, h1, kmap, activate=True, **kw)
         out, c3 = layer_forward(p3, h2, kmap, activate=True, **kw)
-        dh2, g3 = layer_backward(p3, dout, c3, kmap)
-        dh1, g2 = layer_backward(p2, dh2, c2, kmap)
-        dx, g1 = layer_backward(p1, dh1, c1, kmap)
+        dh2 = layer_backward(p3, dout, c3, g3, kmap)
+        dh1 = layer_backward(p2, dh2, c2, g2, kmap)
+        dx = layer_backward(p1, dh1, c1, g1, kmap)
     elif variant == "B":
         z2, c2 = layer_forward(p2, h1, kmap, activate=False, **kw)
         h2, mask = relu_forward(z2 + x)
         out, c3 = layer_forward(p3, h2, kmap, activate=True, **kw)
-        dh2, g3 = layer_backward(p3, dout, c3, kmap)
+        dh2 = layer_backward(p3, dout, c3, g3, kmap)
         dz2 = relu_backward(dh2, mask)
-        dh1, g2 = layer_backward(p2, dz2, c2, kmap)
-        dx, g1 = layer_backward(p1, dh1, c1, kmap)
+        dh1 = layer_backward(p2, dz2, c2, g2, kmap)
+        dx = layer_backward(p1, dh1, c1, g1, kmap)
         dx = dx + dz2
     else:
         h2, c2 = layer_forward(p2, h1, kmap, activate=True, **kw)
         z3, c3 = layer_forward(p3, h2, kmap, activate=False, **kw)
         out, mask = relu_forward(z3 + (x if variant == "C" else h1))
         dz3 = relu_backward(dout, mask)
-        dh2, g3 = layer_backward(p3, dz3, c3, kmap)
-        dh1, g2 = layer_backward(p2, dh2, c2, kmap)
+        dh2 = layer_backward(p3, dz3, c3, g3, kmap)
+        dh1 = layer_backward(p2, dh2, c2, g2, kmap)
         if variant == "D":
             dh1 = dh1 + dz3
-        dx, g1 = layer_backward(p1, dh1, c1, kmap)
+        dx = layer_backward(p1, dh1, c1, g1, kmap)
         if variant == "C":
             dx = dx + dz3
     grads = {f"conv{b}.{l}.{k}": v for l, g in ((2, g3), (1, g2), (0, g1)) for k, v in g.items()}
@@ -430,7 +431,9 @@ def test_block_wiring_matches_paper_table(variant, b):
     x = t.feats if b == 0 else rng_l.normal(size=(len(t), 5))
     dout = rng_l.normal(size=(len(t), 5))
     out, cache = _block_forward(model, b, x, kmap, training=True)
-    dx, grads = _block_backward(model, b, dout, cache, kmap)
+    grads = {f"conv{b}.{l}.{k}": np.zeros_like(model.params[f"conv{b}.{l}.{k}"])
+             for l in (2, 1, 0) for k in ("w", "gamma", "beta")}
+    dx = _block_backward(model, b, dout, cache, grads, kmap)
     want_out, want_dx, want_grads = _paper_block(model, b, x, kmap, dout)
     np.testing.assert_array_equal(out, want_out)
     np.testing.assert_array_equal(dx, want_dx)
@@ -652,7 +655,8 @@ def test_kernel_map_near_the_index_limit(tensor):
 def test_conv_backward_equals_scatter_oracle(case):
     tensor, w, dout = case
     kmap = build_kernel_map(tensor)
-    dfeats, dw = conv_backward(w, tensor.feats, dout, kmap)
+    dw = np.zeros_like(w)
+    dfeats = conv_backward(w, tensor.feats, dout, dw, kmap)
     dfeats_exp, dw_exp = scatter_conv_backward(w, tensor.feats, dout, kmap.pairs)
     assert dfeats.dtype == dfeats_exp.dtype and dw.dtype == dw_exp.dtype
     np.testing.assert_array_equal(dfeats, dfeats_exp)
@@ -668,7 +672,7 @@ def test_conv_backward_is_the_adjoint_of_forward(case):
     kmap = build_kernel_map(tensor)
     fx = conv_forward(w, tensor.feats, kmap)
     lhs = np.sum(fx * y)
-    rhs = np.sum(tensor.feats * conv_backward(w, tensor.feats, y, kmap)[0])
+    rhs = np.sum(tensor.feats * conv_backward(w, tensor.feats, y, np.zeros_like(w), kmap))
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(fx) * np.linalg.norm(y)
 
 
@@ -684,9 +688,99 @@ def test_conv_backward_does_not_call_conv_forward(rng, monkeypatch):
     def forbidden(*args):
         raise AssertionError("conv_backward called conv_forward")
     monkeypatch.setattr(layers, "conv_forward", forbidden)
-    dfeats, dw = layers.conv_backward(w, t.feats, dout, kmap)
+    dw = np.zeros_like(w)
+    dfeats = layers.conv_backward(w, t.feats, dout, dw, kmap)
     np.testing.assert_array_equal(dfeats, expected[0])
     np.testing.assert_array_equal(dw, expected[1])
+
+
+# ---------------------------------------------------------------------------
+# Backward adds into caller-owned accumulators: bit-equal to the fresh
+# arrays summed per sample, and no fresh gradient set per sample
+# ---------------------------------------------------------------------------
+
+
+def _scatter_matmul_fresh(w, x, pairs):
+    """out[dst] += x[src] @ w[k] for each offset k and its (src, dst) rows."""
+    out = np.zeros((x.shape[0], w.shape[2]))
+    for k, (src, dst) in enumerate(pairs):
+        if len(src) == len(x):
+            out += x @ w[k]
+        elif len(src):
+            out[dst] += x[src] @ w[k]
+    return out
+
+
+def conv_backward_fresh(w, feats, dout, kmap):
+    """Oracle: conv_backward as it was when it returned a fresh dW."""
+    dw = np.zeros_like(w)
+    for k, (in_rows, out_rows) in enumerate(kmap.pairs):
+        if len(in_rows) == len(feats):
+            dw[k] = feats.T @ dout
+        elif len(in_rows):
+            dw[k] = feats[in_rows].T @ dout[out_rows]
+    dfeats = _scatter_matmul_fresh(w.transpose(0, 2, 1), dout, [(o, i) for i, o in kmap.pairs])
+    return dfeats, dw
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@st.composite
+def conv_windows(draw):
+    """A window of 1-4 samples sharing the first conv case's weight: each has
+    its own sites, input and output gradient, with rows set to +0.0 and -0.0."""
+    first = draw(conv_cases())
+    w = first[1]
+    cases = [first] + [draw(conv_cases()) for _ in range(draw(st.integers(0, 3)))]
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = []
+    for tensor, _, _ in cases:
+        feats = r.normal(size=(len(tensor), w.shape[1]))
+        dout = r.normal(size=(len(tensor), w.shape[2]))
+        for a in (feats, dout):
+            kind = r.integers(0, 5, len(a))
+            a[kind == 0] = 0.0
+            a[kind == 1] = -0.0
+        samples.append((build_kernel_map(tensor), feats, dout))
+    return w, samples
+
+
+@settings(max_examples=60, deadline=None)
+@given(conv_windows())
+def test_conv_backward_accumulates_bit_equal_to_the_per_sample_sum(case):
+    w, samples = case
+    acc = np.zeros_like(w)
+    want = np.zeros_like(w)  # the per-sample fresh dW added into zeros
+    old_sum = None  # the old training loop: the first dW itself, then +=
+    for kmap, feats, dout in samples:
+        dfeats = conv_backward(w, feats, dout, acc, kmap)
+        dfeats_exp, dw_exp = conv_backward_fresh(w, feats, dout, kmap)
+        assert dfeats.dtype == dfeats_exp.dtype and dfeats.shape == dfeats_exp.shape
+        assert np.array_equal(_bits(dfeats), _bits(dfeats_exp))
+        want += dw_exp
+        old_sum = dw_exp if old_sum is None else old_sum + dw_exp
+    assert np.array_equal(_bits(acc), _bits(want))
+    # against the old loop only the sign of a zero may differ: 0.0 + (-0.0)
+    np.testing.assert_array_equal(acc, old_sum)
+
+
+def test_backward_into_an_accumulator_allocates_no_gradient_set():
+    # a train-sized shell: one fresh gradient set of the default model is
+    # param_count * 8 bytes (about 9.8 MB)
+    t = voxelize(shell_cloud(np.random.default_rng(0), n=200), 1.0)
+    model = init_model(ModelConfig(), seed=0)
+    q, cache = forward(model, t, training=True)
+    grads = {name: np.zeros_like(p) for name, p in model.params.items()}
+    tracemalloc.start()
+    try:
+        out = backward(model, cache, 1.0, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out is grads
+    assert peak < param_count(model) * 8 / 4, peak / (param_count(model) * 8)
 
 
 # ---------------------------------------------------------------------------

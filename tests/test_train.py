@@ -157,9 +157,9 @@ def _count_steps(monkeypatch):
     backward, sgd = module.backward, module.sgd_step
     passes, steps = [], []
 
-    def counted_backward(model, cache, dq):
+    def counted_backward(model, cache, dq, grads=None):
         passes.append(dq)
-        return backward(model, cache, dq)
+        return backward(model, cache, dq, grads)
 
     def counted_sgd(params, grad_sum, lr, k):
         steps.append((lr, k))
@@ -247,8 +247,8 @@ def test_non_finite_gradient_stops_before_the_sgd_step(monkeypatch):
     module = sys.modules["pcqa.sparsenn.train"]
     backward, calls = module.backward, []
 
-    def planted(model, cache, dq):  # the third sample's gradient overflows
-        grads = backward(model, cache, dq)
+    def planted(model, cache, dq, grads=None):  # the third sample's gradient overflows
+        grads = backward(model, cache, dq, grads)
         calls.append(dq)
         if len(calls) == 3:
             grads["fc2.b"][0] = np.inf
@@ -266,8 +266,8 @@ def test_non_finite_gradient_in_the_last_partial_window_stops_training(monkeypat
     module = sys.modules["pcqa.sparsenn.train"]
     backward, calls = module.backward, []
 
-    def planted(model, cache, dq):  # the last sample's gradient overflows
-        grads = backward(model, cache, dq)
+    def planted(model, cache, dq, grads=None):  # the last sample's gradient overflows
+        grads = backward(model, cache, dq, grads)
         calls.append(dq)
         if len(calls) == 3:
             grads["fc2.b"][0] = np.inf
