@@ -398,12 +398,6 @@ class SpatialIndex:
         return ids
 
 
-def k_nearest(index: SpatialIndex, query: np.ndarray, k: int) -> np.ndarray:
-    """Ids of the k nearest points to `query`, ties broken by lower id."""
-    ids, _ = index.k_nearest(query, k)
-    return ids
-
-
 # ---------------------------------------------------------------------------
 # Normal estimation
 # ---------------------------------------------------------------------------

@@ -172,27 +172,35 @@ class SplitSpec:
     test: tuple[str, ...]
 
     def __post_init__(self):
+        check(self, "split")
         overlap = set(self.train) & set(self.test)
         if overlap:
             raise ValidationError(f"train/test reference overlap: {sorted(overlap)}")
 
     @classmethod
     def parse(cls, spec: str, all_refs: list[str]) -> "SplitSpec":
-        """Either a JSON file path or an inline 'test=ref1,ref2' rule."""
+        """Either a JSON file path or an inline 'test=ref1,ref2' rule; every
+        id must name one of `all_refs`."""
         if spec.startswith("test="):
             test = tuple(s for s in spec[5:].split(",") if s)
-            unknown = set(test) - set(all_refs)
+            split = cls(train=tuple(r for r in all_refs if r not in test), test=test)
+        else:
+            path = Path(spec)
+            if not path.exists():
+                raise ValidationError(f"split spec file not found: {spec}")
+            try:
+                d = json.loads(path.read_text())
+            except ValueError as exc:
+                raise ValidationError(f"{spec}: not a JSON split file ({exc})") from None
+            if not (isinstance(d, dict)
+                    and all(isinstance(d.get(k), list) for k in ("train", "test"))):
+                raise ValidationError(f"{spec}: a split file needs 'train' and 'test' lists")
+            split = cls(train=d["train"], test=d["test"])
+        for name in ("train", "test"):
+            unknown = set(getattr(split, name)) - set(all_refs)
             if unknown:
-                raise ValidationError(f"unknown test references: {sorted(unknown)}")
-            train = tuple(r for r in all_refs if r not in test)
-            return cls(train=train, test=test)
-        path = Path(spec)
-        if not path.exists():
-            raise ValidationError(f"split spec file not found: {spec}")
-        d = json.loads(path.read_text())
-        if not (isinstance(d, dict) and all(isinstance(d.get(k), list) for k in ("train", "test"))):
-            raise ValidationError(f"{spec}: a split file needs 'train' and 'test' lists")
-        return cls(train=tuple(d["train"]), test=tuple(d["test"]))
+                raise ValidationError(f"unknown {name} references: {sorted(unknown)}")
+        return split
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,12 @@
 Everything operates on float64 arrays. Backward passes return the input
 gradient and add the exact reverse-mode parameter gradients into arrays the
 caller owns; the tests validate them against finite differences.
-Batch norm is training-only: inference folds it into the conv weights.
+
+Every conv layer is one contract in both modes: conv -> batch norm
+(+ shortcut) -> ReLU in place. Batch norm is training-only: inference folds
+it into the conv weights. A residual shortcut joins the pre-activation. The
+training cache keeps the activation the layer returns, and backward reads
+the ReLU mask from it (out > 0 exactly where the pre-activation is).
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from .tensor import KernelMap
 __all__ = [
     "conv_forward", "conv_backward",
     "bn_forward", "bn_backward", "BNCache",
-    "relu_forward", "relu_backward",
     "layer_forward", "layer_backward", "LayerCache",
     "global_pool", "global_pool_backward",
     "fc_forward", "fc_backward", "FCCache",
@@ -87,20 +91,11 @@ def bn_backward(
     return dx, dgamma, dbeta
 
 
-def relu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mask = x > 0
-    return x * mask, mask
-
-
-def relu_backward(dy: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return dy * mask
-
-
 @dataclass
 class LayerCache:
     feats_in: np.ndarray
     bn: BNCache
-    relu_mask: np.ndarray | None
+    out: np.ndarray  # the returned activation: the next layer's feats_in or the block output
 
 
 def layer_forward(
@@ -110,23 +105,23 @@ def layer_forward(
     training: bool,
     momentum: float,
     eps: float,
-    activate: bool = True,
+    shortcut: np.ndarray | None = None,
 ) -> tuple[np.ndarray, LayerCache | None]:
-    """conv -> batch norm -> (optional) ReLU. `params` holds keys
+    """conv -> batch norm (+ shortcut) -> ReLU. `params` holds keys
     w/gamma/beta/running_mean/running_var. Training returns the cache for
     layer_backward. Inference returns None and folds the running-statistics
     batch norm into the conv (Jacob et al., CVPR 2018): w * scale, then
     + beta - mean * scale, with scale = gamma / sqrt(var + eps)."""
-    if not training:
+    if training:
+        y, bn_cache = bn_forward(conv_forward(params["w"], feats, kmap), params, momentum, eps)
+    else:
         scale = params["gamma"] / np.sqrt(params["running_var"] + eps)
         y = conv_forward(params["w"] * scale, feats, kmap)
         y += params["beta"] - params["running_mean"] * scale
-        if activate:
-            np.maximum(y, 0.0, out=y)
-        return y, None
-    y, bn_cache = bn_forward(conv_forward(params["w"], feats, kmap), params, momentum, eps)
-    y, mask = relu_forward(y) if activate else (y, None)
-    return y, LayerCache(feats, bn_cache, mask)
+    if shortcut is not None:
+        y += shortcut  # y is this layer's fresh output
+    np.maximum(y, 0.0, out=y)
+    return y, LayerCache(feats, bn_cache, y) if training else None
 
 
 def layer_backward(
@@ -135,17 +130,15 @@ def layer_backward(
     cache: LayerCache,
     grads: dict,
     kmap: KernelMap,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Reverse of layer_forward: adds the w/gamma/beta gradients into the
-    matching arrays of `grads` and returns the input gradient. When the layer
-    deferred its activation (residual join), the caller must pass gradients
-    w.r.t. pre-activation."""
-    if cache.relu_mask is not None:
-        dout = relu_backward(dout, cache.relu_mask)
-    dz, dgamma, dbeta = bn_backward(dout, params["gamma"], cache.bn)
+    matching arrays of `grads` and returns (input gradient, pre-activation
+    gradient); the latter is also the gradient of the shortcut."""
+    dpre = dout * (cache.out > 0)
+    dz, dgamma, dbeta = bn_backward(dpre, params["gamma"], cache.bn)
     grads["gamma"] += dgamma
     grads["beta"] += dbeta
-    return conv_backward(params["w"], cache.feats_in, dz, grads["w"], kmap)
+    return conv_backward(params["w"], cache.feats_in, dz, grads["w"], kmap), dpre
 
 
 def global_pool(feats: np.ndarray, mode: str = "avg") -> tuple[np.ndarray, np.ndarray | None]:

@@ -23,7 +23,6 @@ from ..schema import Positive, PositiveInt, ValidationError, check
 from .layers import (
     LayerCache, FCCache, fc_backward, fc_forward, global_pool,
     global_pool_backward, layer_backward, layer_forward,
-    relu_backward, relu_forward,
 )
 from .tensor import KernelMap, SparseTensor, build_kernel_map
 
@@ -136,7 +135,7 @@ def param_count(model: Model) -> int:
 
 
 # (source, join): the block activation `source` (0 = block input, 1 = layer
-# 0's output) is added to layer `join`'s pre-activation before its ReLU.
+# 0's output) is layer `join`'s shortcut, added to its pre-activation.
 _SHORTCUTS: dict[str, tuple[int, int] | None] = {"A": None, "B": (0, 1), "C": (0, 2), "D": (1, 2)}
 
 
@@ -147,49 +146,42 @@ def _shortcut(variant: str, b: int) -> tuple[int | None, int | None]:
 
 
 @dataclass
-class BlockCache:
-    layers: list[LayerCache]
-    join_mask: np.ndarray | None
-
-
-@dataclass
 class ModelCache:
     kmap: KernelMap
     n_rows: int
-    blocks: list[BlockCache]
+    blocks: list[list[LayerCache]]
     pool_args: list[np.ndarray | None]
     fc: FCCache
 
 
 def _block_forward(
     model: Model, b: int, x: np.ndarray, kmap: KernelMap, training: bool,
-) -> tuple[np.ndarray, BlockCache | None]:
+) -> tuple[np.ndarray, list[LayerCache] | None]:
     cfg = model.config
     source, join = _shortcut(cfg.residual, b)
-    acts, caches, mask = [x], [], None
+    skip, caches = None, []
     for l in range(3):
-        h, c = layer_forward(model.layer_view(b, l), acts[-1], kmap, training,
-                             cfg.bn_momentum, cfg.bn_eps, activate=l != join)
-        if l == join:
-            h += acts[source]  # h is this layer's fresh output
-            h, mask = relu_forward(h) if training else (np.maximum(h, 0.0, out=h), None)
-        acts.append(h)
+        if l == source:
+            skip = x
+        x, c = layer_forward(model.layer_view(b, l), x, kmap, training,
+                             cfg.bn_momentum, cfg.bn_eps, shortcut=skip if l == join else None)
         caches.append(c)
-    return acts[-1], BlockCache(caches, mask) if training else None
+    return x, caches if training else None
 
 
 def _block_backward(
-    model: Model, b: int, dout: np.ndarray, cache: BlockCache, grads: dict, kmap: KernelMap,
+    model: Model, b: int, dout: np.ndarray, cache: list[LayerCache], grads: dict,
+    kmap: KernelMap,
 ) -> np.ndarray:
     source, join = _shortcut(model.config.residual, b)
     d = dout
     for l in (2, 1, 0):
-        if l == join:
-            d = dpre = relu_backward(d, cache.join_mask)
         layer_grads = {name: grads[f"conv{b}.{l}.{name}"] for name in ("w", "gamma", "beta")}
-        d = layer_backward(model.layer_view(b, l), d, cache.layers[l], layer_grads, kmap)
+        d, dpre = layer_backward(model.layer_view(b, l), d, cache[l], layer_grads, kmap)
+        if l == join:
+            dskip = dpre
         if l == source:
-            d = d + dpre
+            d = d + dskip
     return d
 
 
@@ -214,7 +206,7 @@ def forward(
     if kmap is None:
         kmap = build_kernel_map(tensor)
     x = tensor.feats
-    block_caches: list[BlockCache] = []
+    block_caches: list[list[LayerCache]] = []
     pool_args: list[np.ndarray | None] = []
     pooled: list[np.ndarray] = []
     for b in range(cfg.blocks):

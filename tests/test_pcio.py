@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 from pcqa import pcio
 from pcqa.pcio import (
     PointCloud, PlyError, SpatialIndex, atomic_write, bounding_box, estimate_normals,
-    k_nearest, load_ply, save_ply,
+    load_ply, save_ply,
 )
 
 from conftest import grid_cloud, random_cloud
@@ -251,12 +251,6 @@ def test_knn_property_vs_exhaustive(n, seed):
     q = r.uniform(0, 8, 3)
     ids, _ = index.k_nearest(q, k)
     np.testing.assert_array_equal(ids, _brute_knn(pts, q, k))
-
-
-def test_k_nearest_wrapper(rng):
-    cloud = random_cloud(rng, n=20)
-    index = SpatialIndex.from_cloud(cloud)
-    assert list(k_nearest(index, cloud.positions[3], 1)) == [3]
 
 
 # ---------------------------------------------------------------------------

@@ -522,18 +522,30 @@ def test_cli_malformed_config_exit_code(tmp_path, refs_dir, capsys, config, matc
     assert not (tmp_path / "ds").exists()
 
 
-@pytest.mark.parametrize("split", [
-    {"test": ["ref1"]}, {"train": ["ref0"]}, {"train": ["ref0"], "test": "ref1"}, ["ref1"],
-], ids=["no-train", "no-test", "test-not-a-list", "not-an-object"])
-def test_cli_malformed_split_file_exit_code(tmp_path, capsys, split):
+@pytest.mark.parametrize("text, match", [
+    (json.dumps({"test": ["ref1"]}), "'train' and 'test' lists"),
+    (json.dumps({"train": ["ref0"]}), "'train' and 'test' lists"),
+    (json.dumps({"train": ["ref0"], "test": "ref1"}), "'train' and 'test' lists"),
+    (json.dumps(["ref1"]), "'train' and 'test' lists"),
+    (json.dumps({"train": ["ref0", "typo"], "test": ["ref1"]}),
+     "unknown train references: ['typo']"),
+    (json.dumps({"train": ["ref0"], "test": ["ref1", "typo"]}),
+     "unknown test references: ['typo']"),
+    (json.dumps({"train": ["ref0"], "test": [1]}), "split test must be a string, got 1"),
+    ("test: [ref1]", "split.json: not a JSON split file"),
+], ids=["no-train", "no-test", "test-not-a-list", "not-an-object",
+        "unknown-train-id", "unknown-test-id", "non-string-id", "not-json"])
+def test_cli_malformed_split_file_exit_code(tmp_path, capsys, text, match):
     manifest = tmp_path / "manifest.jsonl"
     pl.Manifest(seed=0, label_scale=(1.0, 5.0),
                 references={"ref0": "ref0.ply", "ref1": "ref1.ply"}).save(manifest)
     path = tmp_path / "split.json"
-    path.write_text(json.dumps(split))
-    _assert_cli_error(["eval", "--manifest", str(manifest), "--split", str(path),
-                       "--checkpoint", str(tmp_path / "m.ckpt"), "--out", str(tmp_path / "eval")],
-                      capsys, "'train' and 'test' lists")
+    path.write_text(text)
+    assert cli_main(["eval", "--manifest", str(manifest), "--split", str(path),
+                     "--checkpoint", str(tmp_path / "m.ckpt"),
+                     "--out", str(tmp_path / "eval")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and match in line, line
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from pcqa.sparsenn import (
 )
 from pcqa.sparsenn import layers
 from pcqa.sparsenn.layers import (
-    conv_backward, layer_backward, layer_forward, relu_backward, relu_forward,
+    bn_backward, bn_forward, conv_backward, layer_forward,
 )
 from pcqa.sparsenn.model import (
     MAX_PARAMS, RESIDUAL_VARIANTS, CheckpointError, _block_backward, _block_forward,
@@ -380,44 +380,61 @@ def test_gradients_max_pooling():
 
 
 def _paper_block(model, b, x, kmap, dout):
-    """One block wired by hand from the paper's residual table: A has no
-    shortcut; B joins the block input into layer 2's pre-activation, C into
-    layer 3's, D joins layer 1's output into layer 3's. Block 0's input is
-    3-wide, so B and C fall back to D there. Returns (out, dx, grads)."""
+    """One block wired by hand from the paper's residual table, out of the
+    conv and batch-norm primitives: A has no shortcut; B joins the block
+    input into layer 2's pre-activation, C into layer 3's, D joins layer 1's
+    output into layer 3's. Block 0's input is 3-wide, so B and C fall back
+    to D there. Returns (out, dx, grads)."""
     cfg = model.config
     variant = "D" if cfg.residual in ("B", "C") and b == 0 else cfg.residual
-    kw = dict(training=True, momentum=cfg.bn_momentum, eps=cfg.bn_eps)
-    p1, p2, p3 = (model.layer_view(b, l) for l in range(3))
-    g1, g2, g3 = ({k: np.zeros_like(p[k]) for k in ("w", "gamma", "beta")} for p in (p1, p2, p3))
-    h1, c1 = layer_forward(p1, x, kmap, activate=True, **kw)
+    ps = [model.layer_view(b, l) for l in range(3)]
+    gs = [{k: np.zeros_like(p[k]) for k in ("w", "gamma", "beta")} for p in ps]
+
+    def pre(l, h):  # conv -> batch norm by the batch statistics
+        return bn_forward(conv_forward(ps[l]["w"], h, kmap), ps[l], cfg.bn_momentum, cfg.bn_eps)
+
+    def back(l, h, dz, bn_cache):  # pre-activation gradient -> layer input gradient
+        dy, dgamma, dbeta = bn_backward(dz, ps[l]["gamma"], bn_cache)
+        gs[l]["gamma"] += dgamma
+        gs[l]["beta"] += dbeta
+        return conv_backward(ps[l]["w"], h, dy, gs[l]["w"], kmap)
+
+    z1, c1 = pre(0, x)
+    h1 = np.maximum(z1, 0.0)
     if variant == "A":
-        h2, c2 = layer_forward(p2, h1, kmap, activate=True, **kw)
-        out, c3 = layer_forward(p3, h2, kmap, activate=True, **kw)
-        dh2 = layer_backward(p3, dout, c3, g3, kmap)
-        dh1 = layer_backward(p2, dh2, c2, g2, kmap)
-        dx = layer_backward(p1, dh1, c1, g1, kmap)
+        z2, c2 = pre(1, h1)
+        h2 = np.maximum(z2, 0.0)
+        z3, c3 = pre(2, h2)
+        out = np.maximum(z3, 0.0)
+        dh2 = back(2, h2, dout * (z3 > 0), c3)
+        dh1 = back(1, h1, dh2 * (z2 > 0), c2)
+        dx = back(0, x, dh1 * (z1 > 0), c1)
     elif variant == "B":
-        z2, c2 = layer_forward(p2, h1, kmap, activate=False, **kw)
-        h2, mask = relu_forward(z2 + x)
-        out, c3 = layer_forward(p3, h2, kmap, activate=True, **kw)
-        dh2 = layer_backward(p3, dout, c3, g3, kmap)
-        dz2 = relu_backward(dh2, mask)
-        dh1 = layer_backward(p2, dz2, c2, g2, kmap)
-        dx = layer_backward(p1, dh1, c1, g1, kmap)
+        z2, c2 = pre(1, h1)
+        z2 = z2 + x
+        h2 = np.maximum(z2, 0.0)
+        z3, c3 = pre(2, h2)
+        out = np.maximum(z3, 0.0)
+        dh2 = back(2, h2, dout * (z3 > 0), c3)
+        dz2 = dh2 * (z2 > 0)
+        dh1 = back(1, h1, dz2, c2)
+        dx = back(0, x, dh1 * (z1 > 0), c1)
         dx = dx + dz2
     else:
-        h2, c2 = layer_forward(p2, h1, kmap, activate=True, **kw)
-        z3, c3 = layer_forward(p3, h2, kmap, activate=False, **kw)
-        out, mask = relu_forward(z3 + (x if variant == "C" else h1))
-        dz3 = relu_backward(dout, mask)
-        dh2 = layer_backward(p3, dz3, c3, g3, kmap)
-        dh1 = layer_backward(p2, dh2, c2, g2, kmap)
+        z2, c2 = pre(1, h1)
+        h2 = np.maximum(z2, 0.0)
+        z3, c3 = pre(2, h2)
+        z3 = z3 + (x if variant == "C" else h1)
+        out = np.maximum(z3, 0.0)
+        dz3 = dout * (z3 > 0)
+        dh2 = back(2, h2, dz3, c3)
+        dh1 = back(1, h1, dh2 * (z2 > 0), c2)
         if variant == "D":
             dh1 = dh1 + dz3
-        dx = layer_backward(p1, dh1, c1, g1, kmap)
+        dx = back(0, x, dh1 * (z1 > 0), c1)
         if variant == "C":
             dx = dx + dz3
-    grads = {f"conv{b}.{l}.{k}": v for l, g in ((2, g3), (1, g2), (0, g1)) for k, v in g.items()}
+    grads = {f"conv{b}.{l}.{k}": v for l in (2, 1, 0) for k, v in gs[l].items()}
     return out, dx, grads
 
 
@@ -499,8 +516,36 @@ def test_training_is_the_only_mode_switch(rng):
         np.testing.assert_array_equal(stat, before[name])
     # training returns the backward cache and moves every running statistic
     q, cache = forward(model, t, training=True, kmap=kmap)
-    assert len(cache.blocks) == 2 and all(len(bc.layers) == 3 for bc in cache.blocks)
+    assert len(cache.blocks) == 2 and all(len(bc) == 3 for bc in cache.blocks)
     assert all(not np.array_equal(stat, before[name]) for name, stat in model.state.items())
+
+
+def _reachable_arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _reachable_arrays(item)
+    elif hasattr(obj, "__dict__"):
+        for item in vars(obj).values():
+            yield from _reachable_arrays(item)
+
+
+@pytest.mark.parametrize("variant", RESIDUAL_VARIANTS)
+def test_training_cache_keeps_each_activation_once(rng, variant):
+    # a layer's cached output is the array the next layer reads, across block
+    # boundaries too, and backward reads the ReLU masks from those outputs
+    t = random_tensor(rng, n=30)
+    model = init_model(ModelConfig(blocks=3, width=4, fc_hidden=4, residual=variant,
+                                   pooling="max"), seed=5)
+    _, cache = forward(model, t, training=True)
+    for bc in cache.blocks:
+        for l in range(2):
+            assert bc[l].out is bc[l + 1].feats_in
+    for bc, bc_next in zip(cache.blocks, cache.blocks[1:]):
+        assert bc[-1].out is bc_next[0].feats_in
+    arrays = list(_reachable_arrays(cache))
+    assert arrays and not any(a.dtype == bool for a in arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -875,27 +920,31 @@ def folded_layer_cases(draw):
         params[name] = draw(hnp.arrays(np.float64, cout, elements=value))
     params["running_var"] = draw(hnp.arrays(np.float64, cout, elements=st.floats(0.0, 1e6)))
     eps = draw(st.sampled_from([1e-5, 1e-300]))
-    return tensor_from(coords, x), params, eps, draw(st.booleans())
+    shortcut = draw(st.none() | hnp.arrays(np.float64, (len(coords), cout), elements=value))
+    return tensor_from(coords, x), params, eps, shortcut
 
 
 @settings(max_examples=200, deadline=None)
 @given(folded_layer_cases())
 def test_folded_inference_layer_matches_bn_oracle(case):
-    t, params, eps, activate = case
+    t, params, eps, shortcut = case
     kmap = build_kernel_map(t)
-    y, cache = layer_forward(params, t.feats, kmap, False, 0.9, eps, activate=activate)
+    y, cache = layer_forward(params, t.feats, kmap, False, 0.9, eps, shortcut=shortcut)
     expected = running_stats_bn_oracle(conv_forward(params["w"], t.feats, kmap), params["gamma"],
                                        params["beta"], params["running_mean"],
                                        params["running_var"], eps)
-    if activate:
-        expected = np.maximum(expected, 0.0)
+    if shortcut is not None:
+        expected = expected + shortcut
+    expected = np.maximum(expected, 0.0)
     assert cache is None and y.shape == expected.shape
-    # the fold reorders the rounding of w * x * scale - mean * scale + beta:
-    # bound the error relative to the magnitude of those terms, plus an
-    # absolute floor for products that underflow
+    # the fold reorders the rounding of w * x * scale - mean * scale + beta
+    # (+ shortcut): bound the error relative to the magnitude of those terms,
+    # plus an absolute floor for products that underflow
     scale = np.abs(params["gamma"]) / np.sqrt(params["running_var"] + eps)
     magnitude = (conv_forward(np.abs(params["w"]), np.abs(t.feats), kmap) * scale
                  + np.abs(params["running_mean"]) * scale + np.abs(params["beta"]))
+    if shortcut is not None:
+        magnitude += np.abs(shortcut)
     assert np.all(np.abs(y - expected) <= 1e-12 * magnitude + 1e-300)
 
 
