@@ -9,7 +9,6 @@ oracles.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -19,6 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .frmetrics import metric_order_key
+from .pcio import read_csv_rows
 
 __all__ = [
     "DegenerateCorrelationError",
@@ -105,21 +105,12 @@ class RatingMatrix:
     @classmethod
     def from_csv(cls, path: str | Path,
                  scale: tuple[float, float] = (MOS_MIN, MOS_MAX)) -> "RatingMatrix":
-        required = {"stimulus_id", "subject_id", "score"}
         out = []
-        with open(path, newline="") as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                missing = sorted(required - set(reader.fieldnames or ()))
-                raise ValueError(f"rating CSV missing columns: {', '.join(missing)}")
-            for row in reader:
-                where = f"{path}:{reader.line_num}"
-                if None in row.values():  # DictReader pads a short row with None
-                    raise ValueError(f"{where}: row has fewer fields than the header")
-                try:
-                    out.append(Rating(row["stimulus_id"], row["subject_id"], float(row["score"]), scale))
-                except ValueError as exc:  # a blank, non-numeric or out-of-scale score
-                    raise ValueError(f"{where}: {exc}") from None
+        for where, row in read_csv_rows(path, {"stimulus_id", "subject_id", "score"}, "rating"):
+            try:
+                out.append(Rating(row["stimulus_id"], row["subject_id"], float(row["score"]), scale))
+            except ValueError as exc:  # a blank, non-numeric or out-of-scale score
+                raise ValueError(f"{where}: {exc}") from None
         return cls(out)
 
     def by_subject(self) -> dict[str, np.ndarray]:
@@ -398,7 +389,7 @@ def _start_points(kind: str, qs: np.ndarray, targets: np.ndarray) -> list[np.nda
             (trange / 2.0, 8.0 / span, q50, slope / 2.0, intercept),
             (0.0, 4.0 / span, q25, slope, intercept),
         ]
-    elif kind == "cubic4":
+    else:  # cubic4; fit_regression checks the kind
         vand = np.stack([qs**3, qs**2, qs, np.ones_like(qs)], axis=1)
         ls, *_ = np.linalg.lstsq(vand, targets, rcond=None)
         starts = [
@@ -411,8 +402,6 @@ def _start_points(kind: str, qs: np.ndarray, targets: np.ndarray) -> list[np.nda
             (-ls[0], ls[1], ls[2], ls[3]),
             (0.0, ls[1], ls[2], ls[3]),
         ]
-    else:
-        raise ValueError(f"unknown regression kind '{kind}'")
     return [np.asarray(s, dtype=np.float64) for s in starts]
 
 
@@ -437,6 +426,8 @@ def fit_regression(kind: str, qs: Sequence[float], targets: Sequence[float]) -> 
     Eight deterministic starts; the best-RMSE model wins. Non-convergence
     within the iteration cap returns the best-so-far flagged not converged.
     """
+    if kind not in _PARAM_COUNT:
+        raise ValueError(f"unknown regression kind '{kind}'")
     qs = np.asarray(qs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if qs.shape != targets.shape or qs.ndim != 1:

@@ -8,7 +8,6 @@ tools) are ingested from CSV and carried alongside.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,9 @@ import numpy as np
 
 from .colors import rgb_to_ycbcr
 from .distort import REGISTRY
-from .pcio import DEFAULT_NORMAL_K, PointCloud, SpatialIndex, bounding_box, estimate_normals
+from .pcio import (
+    DEFAULT_NORMAL_K, PointCloud, SpatialIndex, bounding_box, estimate_normals, read_csv_rows,
+)
 
 __all__ = [
     "M_P2PO", "M_P2PL", "H_P2PO", "H_P2PL", "PSNR_YUV", "H_PSNR_YUV",
@@ -205,31 +206,22 @@ def compute_metric(metric: str, reference: PointCloud, degraded: PointCloud) -> 
 
 def ingest_external_scores(path: str | Path) -> list[MetricScore]:
     """Read externally computed scores; values pass through without rescaling."""
-    path = Path(path)
     required = {"metric_name", "reference_id", "degraded_id", "value"}
     scores: list[MetricScore] = []
     seen: set[tuple[str, str]] = set()
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            missing = sorted(required - set(reader.fieldnames or ()))
-            raise ValueError(f"score CSV missing columns: {', '.join(missing)}")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if None in row.values():  # DictReader pads a short row with None
-                raise ValueError(f"{where}: row has fewer fields than the header")
-            try:
-                value = float(row["value"])
-            except ValueError:
-                raise ValueError(f"{where}: non-numeric value {row['value']!r}") from None
-            key = (row["metric_name"], row["degraded_id"])
-            if key in seen:
-                raise ValueError(f"{where}: duplicate score for (metric, degraded) key {key}")
-            seen.add(key)
-            try:
-                scores.append(MetricScore(
-                    metric=row["metric_name"], value=value,
-                    reference_id=row["reference_id"], degraded_id=row["degraded_id"]))
-            except ValueError as exc:  # a non-finite value, or an empty name or id
-                raise ValueError(f"{where}: {exc}") from None
+    for where, row in read_csv_rows(Path(path), required, "score"):
+        try:
+            value = float(row["value"])
+        except ValueError:
+            raise ValueError(f"{where}: non-numeric value {row['value']!r}") from None
+        key = (row["metric_name"], row["degraded_id"])
+        if key in seen:
+            raise ValueError(f"{where}: duplicate score for (metric, degraded) key {key}")
+        seen.add(key)
+        try:
+            scores.append(MetricScore(
+                metric=row["metric_name"], value=value,
+                reference_id=row["reference_id"], degraded_id=row["degraded_id"]))
+        except ValueError as exc:  # a non-finite value, or an empty name or id
+            raise ValueError(f"{where}: {exc}") from None
     return scores

@@ -6,8 +6,10 @@ so that metric arithmetic downstream stays stable.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import os
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +25,7 @@ __all__ = [
     "load_ply",
     "save_ply",
     "atomic_write",
+    "read_csv_rows",
     "bounding_box",
     "voxel_means",
     "estimate_normals",
@@ -264,6 +267,23 @@ def atomic_write(path: str | Path, mode: str = "w"):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def read_csv_rows(path: str | Path, required: set[str], name: str) -> Iterator[tuple[str, dict]]:
+    """Yield ("file:line", row) for each data row of a headed CSV that has
+    every `required` column; the caller converts the values and prefixes
+    its errors with the "file:line". `name` ("rating", "score") names the
+    CSV in the missing-column error."""
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            missing = sorted(required - set(reader.fieldnames or ()))
+            raise ValueError(f"{name} CSV missing columns: {', '.join(missing)}")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if None in row.values():  # DictReader pads a short row with None
+                raise ValueError(f"{where}: row has fewer fields than the header")
+            yield where, row
 
 
 def save_ply(

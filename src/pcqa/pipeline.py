@@ -95,6 +95,20 @@ class Manifest:
 
     def __post_init__(self):
         check(self, "manifest")
+        seen = set()
+        lo, hi = self.label_scale
+        for row in self.rows:
+            if row.sample_id in seen:
+                raise ValidationError(f"duplicate sample_id {row.sample_id}")
+            seen.add(row.sample_id)
+            if row.reference_id not in self.references:
+                raise ValidationError(f"{row.sample_id}: unknown reference {row.reference_id}")
+            for label in (row.pseudo_mos, row.mos):
+                if label is not None and not lo <= label <= hi:
+                    raise ValidationError(
+                        f"{row.sample_id}: label {label} outside scale [{lo}, {hi}]")
+            if row.status == "ok" and not row.path:
+                raise ValidationError(f"{row.sample_id}: ok row without a path")
 
     def header(self) -> dict:
         return {
@@ -140,25 +154,11 @@ class Manifest:
         except ValidationError as exc:
             raise ValidationError(f"{path}:1: {exc}") from None
 
-    def validate(self, base_dir: str | Path | None = None) -> None:
-        base = Path(base_dir) if base_dir else Path(".")
-        seen = set()
-        lo, hi = self.label_scale
-        for row in self.rows:
-            if row.sample_id in seen:
-                raise ValidationError(f"duplicate sample_id {row.sample_id}")
-            seen.add(row.sample_id)
-            if row.reference_id not in self.references:
-                raise ValidationError(f"{row.sample_id}: unknown reference {row.reference_id}")
-            for label in (row.pseudo_mos, row.mos):
-                if label is not None and not lo <= label <= hi:
-                    raise ValidationError(
-                        f"{row.sample_id}: label {label} outside scale [{lo}, {hi}]")
-            if row.status == "ok":
-                if not row.path:
-                    raise ValidationError(f"{row.sample_id}: ok row without a path")
-                if not (base / row.path).exists():
-                    raise ValidationError(f"{row.sample_id}: missing file {row.path}")
+    def validate(self, base_dir: str | Path) -> None:
+        """Every ok row's file exists under `base_dir`; construction checks the rest."""
+        for row in self.ok_rows():
+            if not (Path(base_dir) / row.path).exists():
+                raise ValidationError(f"{row.sample_id}: missing file {row.path}")
 
     def ok_rows(self) -> list[ManifestRow]:
         return [r for r in self.rows if r.status == "ok"]

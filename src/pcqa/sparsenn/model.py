@@ -5,6 +5,9 @@ pooling per block, concatenation to a 256-vector and a two-layer FC head.
 Residual variants A-D differ only in the block shortcut; the shortcut table
 `_SHORTCUTS` is the single place a variant is defined. The default D joins
 the first layer's output into the third layer's pre-activation.
+
+`forward` and `backward` are each one loop over the conv layers; the block
+index only picks the shortcut row and the pooling tap.
 """
 
 from __future__ import annotations
@@ -149,40 +152,9 @@ def _shortcut(variant: str, b: int) -> tuple[int | None, int | None]:
 class ModelCache:
     kmap: KernelMap
     n_rows: int
-    blocks: list[list[LayerCache]]
+    layers: list[LayerCache]  # conv{b}.{l} at index 3 * b + l
     pool_args: list[np.ndarray | None]
     fc: FCCache
-
-
-def _block_forward(
-    model: Model, b: int, x: np.ndarray, kmap: KernelMap, training: bool,
-) -> tuple[np.ndarray, list[LayerCache] | None]:
-    cfg = model.config
-    source, join = _shortcut(cfg.residual, b)
-    skip, caches = None, []
-    for l in range(3):
-        if l == source:
-            skip = x
-        x, c = layer_forward(model.layer_view(b, l), x, kmap, training,
-                             cfg.bn_momentum, cfg.bn_eps, shortcut=skip if l == join else None)
-        caches.append(c)
-    return x, caches if training else None
-
-
-def _block_backward(
-    model: Model, b: int, dout: np.ndarray, cache: list[LayerCache], grads: dict,
-    kmap: KernelMap,
-) -> np.ndarray:
-    source, join = _shortcut(model.config.residual, b)
-    d = dout
-    for l in (2, 1, 0):
-        layer_grads = {name: grads[f"conv{b}.{l}.{name}"] for name in ("w", "gamma", "beta")}
-        d, dpre = layer_backward(model.layer_view(b, l), d, cache[l], layer_grads, kmap)
-        if l == join:
-            dskip = dpre
-        if l == source:
-            d = d + dskip
-    return d
 
 
 def forward(
@@ -206,20 +178,26 @@ def forward(
     if kmap is None:
         kmap = build_kernel_map(tensor)
     x = tensor.feats
-    block_caches: list[list[LayerCache]] = []
+    layers: list[LayerCache] = []
     pool_args: list[np.ndarray | None] = []
     pooled: list[np.ndarray] = []
     for b in range(cfg.blocks):
-        x, bc = _block_forward(model, b, x, kmap, training)
+        source, join = _shortcut(cfg.residual, b)
+        skip = None
+        for l in range(3):
+            if l == source:
+                skip = x
+            # rebinding x frees the layer input unless it is the shortcut
+            x, c = layer_forward(model.layer_view(b, l), x, kmap, training, cfg.bn_momentum,
+                                 cfg.bn_eps, shortcut=skip if l == join else None)
+            layers.append(c)
         vec, arg = global_pool(x, cfg.pooling)
-        block_caches.append(bc)
         pool_args.append(arg)
         pooled.append(vec)
-    s = np.concatenate(pooled)
-    q, fc_cache = fc_forward(model.params, s)
+    q, fc_cache = fc_forward(model.params, np.concatenate(pooled))
     if not training:
         return q, None
-    return q, ModelCache(kmap=kmap, n_rows=len(tensor), blocks=block_caches,
+    return q, ModelCache(kmap=kmap, n_rows=len(tensor), layers=layers,
                          pool_args=pool_args, fc=fc_cache)
 
 
@@ -232,13 +210,20 @@ def backward(model: Model, cache: ModelCache, dq: float,
         grads = {name: np.zeros_like(p) for name, p in model.params.items()}
     ds = fc_backward(model.params, dq, cache.fc, grads)
     w = cfg.width
-    d_next: np.ndarray | None = None
+    d: np.ndarray | None = None
     for b in range(cfg.blocks - 1, -1, -1):
-        dvec = ds[b * w:(b + 1) * w]
-        dout = global_pool_backward(dvec, cache.n_rows, cfg.pooling, cache.pool_args[b])
-        if d_next is not None:
-            dout = dout + d_next
-        d_next = _block_backward(model, b, dout, cache.blocks[b], grads, cache.kmap)
+        source, join = _shortcut(cfg.residual, b)
+        dpool = global_pool_backward(ds[b * w:(b + 1) * w], cache.n_rows, cfg.pooling,
+                                     cache.pool_args[b])
+        d = dpool if d is None else dpool + d
+        for l in (2, 1, 0):
+            layer_grads = {name: grads[f"conv{b}.{l}.{name}"] for name in ("w", "gamma", "beta")}
+            d, dpre = layer_backward(model.layer_view(b, l), d, cache.layers[3 * b + l],
+                                     layer_grads, cache.kmap)
+            if l == join:
+                dskip = dpre
+            if l == source:
+                d = d + dskip
     return grads
 
 

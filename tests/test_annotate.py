@@ -287,6 +287,12 @@ def test_fit_rejects_short_input():
         ann.fit_regression("logistic5", [1, 2, 3], [1, 2, 3])
 
 
+def test_fit_rejects_unknown_kind():
+    # the same message RegressionModel gives, before any input is looked at
+    with pytest.raises(ValueError, match="^unknown regression kind 'logistic3'$"):
+        ann.fit_regression("logistic3", [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+
+
 def test_regression_model_validation():
     with pytest.raises(ValueError):
         ann.RegressionModel("logistic5", (1.0, 2.0), 0.0, 0, True)

@@ -877,6 +877,29 @@ def test_annotate_out_may_be_its_input_manifest(tmp_path, refs_dir):
     assert sorted(p.name for p in out.iterdir()) == ["clouds", "manifest.jsonl"]
 
 
+def test_cli_annotate_checks_the_manifest_rows(tmp_path, refs_dir, capsys):
+    # a duplicated row and a scored row on an unknown reference: every command
+    # that loads the manifest refuses it, annotate included
+    out, manifest = build_dataset(tmp_path, refs_dir, distortions=(5, 17))
+    scores = tmp_path / "scores.csv"
+    pl.cmd_score(out / "manifest.jsonl", scores)
+    plant_ratings(manifest, tmp_path / "subjective.csv")
+    path = out / "manifest.jsonl"
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[1])
+    stray = {**row, "sample_id": "nope__d05_l1", "reference_id": "nope"}
+    path.write_text("\n".join([*lines, lines[1], json.dumps(stray)]) + "\n")
+    with open(scores, "a") as f:
+        f.writelines(ln.replace(f",{row['reference_id']},{row['sample_id']},", ",nope,nope__d05_l1,")
+                     for ln in scores.read_text().splitlines(keepends=True)
+                     if f",{row['sample_id']}," in ln)
+    _assert_cli_error(["annotate", "--manifest", str(path),
+                       "--scores", str(scores), "--subjective", str(tmp_path / "subjective.csv"),
+                       "--out", str(tmp_path / "annotated.jsonl")],
+                      capsys, f"duplicate sample_id {row['sample_id']}")
+    assert not (tmp_path / "annotated.jsonl").exists()
+
+
 def test_cli_score_two_point_sample_gets_default_normals(tmp_path, refs_dir):
     out, _ = build_dataset(tmp_path, refs_dir, distortions=(17,))
     tiny = PointCloud(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), [[10, 20, 30], [40, 50, 60]])

@@ -16,10 +16,11 @@ from pcqa.sparsenn import (
 )
 from pcqa.sparsenn import layers
 from pcqa.sparsenn.layers import (
-    bn_backward, bn_forward, conv_backward, layer_forward,
+    bn_backward, bn_forward, conv_backward, fc_backward, fc_forward, global_pool_backward,
+    layer_forward,
 )
 from pcqa.sparsenn.model import (
-    MAX_PARAMS, RESIDUAL_VARIANTS, CheckpointError, _block_backward, _block_forward,
+    MAX_PARAMS, RESIDUAL_VARIANTS, CheckpointError,
 )
 
 from conftest import grid_cloud, shell_cloud
@@ -379,12 +380,12 @@ def test_gradients_max_pooling():
     assert _fd_check(29, pooling="max") < 1e-4
 
 
-def _paper_block(model, b, x, kmap, dout):
+def _paper_block(model, b, x, kmap):
     """One block wired by hand from the paper's residual table, out of the
     conv and batch-norm primitives: A has no shortcut; B joins the block
     input into layer 2's pre-activation, C into layer 3's, D joins layer 1's
     output into layer 3's. Block 0's input is 3-wide, so B and C fall back
-    to D there. Returns (out, dx, grads)."""
+    to D there. Returns (out, back) with back(dout) -> (dx, grads)."""
     cfg = model.config
     variant = "D" if cfg.residual in ("B", "C") and b == 0 else cfg.residual
     ps = [model.layer_view(b, l) for l in range(3)]
@@ -401,62 +402,62 @@ def _paper_block(model, b, x, kmap, dout):
 
     z1, c1 = pre(0, x)
     h1 = np.maximum(z1, 0.0)
-    if variant == "A":
-        z2, c2 = pre(1, h1)
-        h2 = np.maximum(z2, 0.0)
-        z3, c3 = pre(2, h2)
-        out = np.maximum(z3, 0.0)
-        dh2 = back(2, h2, dout * (z3 > 0), c3)
-        dh1 = back(1, h1, dh2 * (z2 > 0), c2)
-        dx = back(0, x, dh1 * (z1 > 0), c1)
-    elif variant == "B":
-        z2, c2 = pre(1, h1)
+    z2, c2 = pre(1, h1)
+    if variant == "B":
         z2 = z2 + x
-        h2 = np.maximum(z2, 0.0)
-        z3, c3 = pre(2, h2)
-        out = np.maximum(z3, 0.0)
-        dh2 = back(2, h2, dout * (z3 > 0), c3)
-        dz2 = dh2 * (z2 > 0)
-        dh1 = back(1, h1, dz2, c2)
-        dx = back(0, x, dh1 * (z1 > 0), c1)
-        dx = dx + dz2
-    else:
-        z2, c2 = pre(1, h1)
-        h2 = np.maximum(z2, 0.0)
-        z3, c3 = pre(2, h2)
+    h2 = np.maximum(z2, 0.0)
+    z3, c3 = pre(2, h2)
+    if variant in ("C", "D"):
         z3 = z3 + (x if variant == "C" else h1)
-        out = np.maximum(z3, 0.0)
+    out = np.maximum(z3, 0.0)
+
+    def backprop(dout):
         dz3 = dout * (z3 > 0)
         dh2 = back(2, h2, dz3, c3)
-        dh1 = back(1, h1, dh2 * (z2 > 0), c2)
+        dz2 = dh2 * (z2 > 0)
+        dh1 = back(1, h1, dz2, c2)
         if variant == "D":
             dh1 = dh1 + dz3
         dx = back(0, x, dh1 * (z1 > 0), c1)
+        if variant == "B":
+            dx = dx + dz2
         if variant == "C":
             dx = dx + dz3
-    grads = {f"conv{b}.{l}.{k}": v for l in (2, 1, 0) for k, v in gs[l].items()}
-    return out, dx, grads
+        return dx, {f"conv{b}.{l}.{k}": v for l in (2, 1, 0) for k, v in gs[l].items()}
+
+    return out, backprop
 
 
 @pytest.mark.parametrize("variant", RESIDUAL_VARIANTS)
 @pytest.mark.parametrize("b", [0, 1])
 def test_block_wiring_matches_paper_table(variant, b):
+    # the oracle chains block 0, block 1, the pooling and the FC head; case b
+    # compares block b's output and the conv gradients its backward reaches
+    # (blocks b down to 0) bit for bit
     rng_l = np.random.default_rng(41)
     t = random_tensor(rng_l, n=25, extent=4)
     kmap = build_kernel_map(t)
     model = init_model(ModelConfig(blocks=2, width=5, fc_hidden=3, residual=variant), seed=2)
-    x = t.feats if b == 0 else rng_l.normal(size=(len(t), 5))
-    dout = rng_l.normal(size=(len(t), 5))
-    out, cache = _block_forward(model, b, x, kmap, training=True)
-    grads = {f"conv{b}.{l}.{k}": np.zeros_like(model.params[f"conv{b}.{l}.{k}"])
-             for l in (2, 1, 0) for k in ("w", "gamma", "beta")}
-    dx = _block_backward(model, b, dout, cache, grads, kmap)
-    want_out, want_dx, want_grads = _paper_block(model, b, x, kmap, dout)
-    np.testing.assert_array_equal(out, want_out)
-    np.testing.assert_array_equal(dx, want_dx)
-    assert list(grads) == list(want_grads)
-    for name in grads:
-        np.testing.assert_array_equal(grads[name], want_grads[name])
+    dq = rng_l.normal()
+    q, cache = forward(model, t, training=True, kmap=kmap)
+    grads = backward(model, cache, dq)
+
+    out0, back0 = _paper_block(model, 0, t.feats, kmap)
+    out1, back1 = _paper_block(model, 1, out0, kmap)
+    want_q, fc_cache = fc_forward(model.params, np.concatenate(
+        [global_pool(out0)[0], global_pool(out1)[0]]))
+    want_grads = {name: np.zeros_like(p) for name, p in model.params.items()}
+    ds = fc_backward(model.params, dq, fc_cache, want_grads)
+    dx1, grads1 = back1(global_pool_backward(ds[5:], len(t), "avg", None))
+    _, grads0 = back0(global_pool_backward(ds[:5], len(t), "avg", None) + dx1)
+
+    assert q == want_q
+    np.testing.assert_array_equal(cache.layers[3 * b + 2].out, (out0, out1)[b])
+    reached = {**grads1, **grads0} if b else grads0
+    assert list(reached) == [f"conv{i}.{l}.{k}" for i in range(b, -1, -1) for l in (2, 1, 0)
+                             for k in ("w", "gamma", "beta")]
+    for name in reached:
+        np.testing.assert_array_equal(grads[name], reached[name])
 
 
 def test_zero_loss_zero_gradients(rng):
@@ -516,7 +517,7 @@ def test_training_is_the_only_mode_switch(rng):
         np.testing.assert_array_equal(stat, before[name])
     # training returns the backward cache and moves every running statistic
     q, cache = forward(model, t, training=True, kmap=kmap)
-    assert len(cache.blocks) == 2 and all(len(bc) == 3 for bc in cache.blocks)
+    assert len(cache.layers) == 6
     assert all(not np.array_equal(stat, before[name]) for name, stat in model.state.items())
 
 
@@ -539,11 +540,8 @@ def test_training_cache_keeps_each_activation_once(rng, variant):
     model = init_model(ModelConfig(blocks=3, width=4, fc_hidden=4, residual=variant,
                                    pooling="max"), seed=5)
     _, cache = forward(model, t, training=True)
-    for bc in cache.blocks:
-        for l in range(2):
-            assert bc[l].out is bc[l + 1].feats_in
-    for bc, bc_next in zip(cache.blocks, cache.blocks[1:]):
-        assert bc[-1].out is bc_next[0].feats_in
+    for c, c_next in zip(cache.layers, cache.layers[1:]):
+        assert c.out is c_next.feats_in
     arrays = list(_reachable_arrays(cache))
     assert arrays and not any(a.dtype == bool for a in arrays)
 
@@ -948,13 +946,17 @@ def test_folded_inference_layer_matches_bn_oracle(case):
     assert np.all(np.abs(y - expected) <= 1e-12 * magnitude + 1e-300)
 
 
-def test_inference_forward_holds_no_layer_inputs():
+@pytest.mark.parametrize("variant, bound", [("A", 4), ("B", 5), ("C", 5), ("D", 5)],
+                         ids=RESIDUAL_VARIANTS)
+def test_inference_forward_holds_no_layer_inputs(variant, bound):
     # about 10k sparse sites at about 1.04 kernel-map pairs per site, as in
-    # eval; keeping every layer's input alive peaks at about 16 activations
+    # eval; keeping every layer's input alive peaks at about 16 activations.
+    # A layer holds its input, its conv output and the centre-tap product;
+    # B, C and D also hold their shortcut source at the join layer
     r = np.random.default_rng(0)
     coords = np.unique(r.integers(0, 200, (10_500, 3)), axis=0)[:10_000]
     t = tensor_from(coords, r.normal(size=(len(coords), 3)))
-    model = init_model(ModelConfig(), seed=0)
+    model = init_model(ModelConfig(residual=variant), seed=0)
     kmap = build_kernel_map(t)
     activation = len(t) * model.config.width * 8
     tracemalloc.start()
@@ -963,4 +965,4 @@ def test_inference_forward_holds_no_layer_inputs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * activation, peak / activation
+    assert peak < bound * activation, peak / activation
