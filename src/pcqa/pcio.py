@@ -136,8 +136,13 @@ def voxel_means(
     """Occupied cells of a grid of side `size` (int64, sorted) and the mean
     of the `values` rows that fall in each cell."""
     cells = np.floor(positions / size).astype(np.int64)
-    uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
+    order = np.lexsort(cells.T[::-1])  # rows by column 0, then 1, then 2
+    ordered = cells[order]
+    first = np.ones(len(cells), dtype=bool)  # the first row of each cell in `ordered`
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    inverse = np.empty(len(cells), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    uniq = ordered[first]
     sums = np.stack([np.bincount(inverse, weights=column) for column in values.T], axis=1)
     return uniq, sums / np.bincount(inverse)[:, None]
 

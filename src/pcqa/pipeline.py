@@ -86,6 +86,14 @@ class ManifestRow:
         return self.pseudo_mos if self.pseudo_mos is not None else self.mos
 
 
+class _RowError(ValidationError):
+    """A manifest check that fails on `rows[index]`."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass
 class Manifest:
     seed: int
@@ -97,18 +105,17 @@ class Manifest:
         check(self, "manifest")
         seen = set()
         lo, hi = self.label_scale
-        for row in self.rows:
+        for i, row in enumerate(self.rows):
             if row.sample_id in seen:
-                raise ValidationError(f"duplicate sample_id {row.sample_id}")
+                raise _RowError(i, f"duplicate sample_id {row.sample_id}")
             seen.add(row.sample_id)
             if row.reference_id not in self.references:
-                raise ValidationError(f"{row.sample_id}: unknown reference {row.reference_id}")
+                raise _RowError(i, f"{row.sample_id}: unknown reference {row.reference_id}")
             for label in (row.pseudo_mos, row.mos):
                 if label is not None and not lo <= label <= hi:
-                    raise ValidationError(
-                        f"{row.sample_id}: label {label} outside scale [{lo}, {hi}]")
+                    raise _RowError(i, f"{row.sample_id}: label {label} outside scale [{lo}, {hi}]")
             if row.status == "ok" and not row.path:
-                raise ValidationError(f"{row.sample_id}: ok row without a path")
+                raise _RowError(i, f"{row.sample_id}: ok row without a path")
 
     def header(self) -> dict:
         return {
@@ -141,7 +148,7 @@ class Manifest:
             raise ValidationError(f"{path}:1: unsupported manifest version "
                                   f"{version!r} (expected {MANIFEST_VERSION})")
         header.pop("psnr_cap", None)  # recorded for the reader, not a Manifest field
-        rows = []
+        rows, line_of = [], []
         for i, ln in enumerate(lines[1:], start=2):
             if not ln.strip():
                 continue
@@ -149,8 +156,11 @@ class Manifest:
                 rows.append(build(ManifestRow, json.loads(ln), "manifest row"))
             except ValueError as exc:
                 raise ValidationError(f"{path}:{i}: {exc}") from None
+            line_of.append(i)
         try:
             return build(cls, {**header, "rows": rows}, "manifest")
+        except _RowError as exc:
+            raise ValidationError(f"{path}:{line_of[exc.index]}: {exc}") from None
         except ValidationError as exc:
             raise ValidationError(f"{path}:1: {exc}") from None
 

@@ -28,15 +28,21 @@ __all__ = [
 ]
 
 
-def conv_forward(w: np.ndarray, feats: np.ndarray, kmap: KernelMap) -> np.ndarray:
-    """f_out(u) = sum_i W_i f_in(u + i) over occupied neighbors."""
-    out = np.zeros((feats.shape[0], w.shape[2]))
+def conv_forward(w: np.ndarray, feats: np.ndarray, kmap: KernelMap, *,
+                 out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+    """f_out(u) = sum_i W_i f_in(u + i) over occupied neighbors. The caller
+    may lend two N x C_out arrays: `out` receives the result, `tmp` the
+    centre-tap product; fresh ones are allocated when they are None."""
+    if out is None:
+        out = np.zeros((feats.shape[0], w.shape[2]))
+    else:
+        out.fill(0.0)
     for k, (in_rows, out_rows) in enumerate(kmap.pairs):
         if len(in_rows) == len(feats):
             # an offset paired at every site maps the site set into itself, and
             # a nonzero shift cannot (the site farthest along it has no
             # neighbour there): this is the centre, in_rows = out_rows = arange(N)
-            out += feats @ w[k]
+            out += np.matmul(feats, w[k], out=tmp)
         elif len(in_rows):
             # rows unique per offset, fancy accumulation is safe
             out[out_rows] += feats[in_rows] @ w[k]
@@ -106,20 +112,25 @@ def layer_forward(
     momentum: float,
     eps: float,
     shortcut: np.ndarray | None = None,
+    *,
+    out: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
 ) -> tuple[np.ndarray, LayerCache | None]:
     """conv -> batch norm (+ shortcut) -> ReLU. `params` holds keys
     w/gamma/beta/running_mean/running_var. Training returns the cache for
     layer_backward. Inference returns None and folds the running-statistics
     batch norm into the conv (Jacob et al., CVPR 2018): w * scale, then
-    + beta - mean * scale, with scale = gamma / sqrt(var + eps)."""
+    + beta - mean * scale, with scale = gamma / sqrt(var + eps). Inference
+    may lend conv_forward its `out` and `tmp` and then returns `out`, which
+    must be neither `feats` nor `shortcut`; training allocates fresh ones."""
     if training:
         y, bn_cache = bn_forward(conv_forward(params["w"], feats, kmap), params, momentum, eps)
     else:
         scale = params["gamma"] / np.sqrt(params["running_var"] + eps)
-        y = conv_forward(params["w"] * scale, feats, kmap)
+        y = conv_forward(params["w"] * scale, feats, kmap, out=out, tmp=tmp)
         y += params["beta"] - params["running_mean"] * scale
     if shortcut is not None:
-        y += shortcut  # y is this layer's fresh output
+        y += shortcut  # y is this layer's own output, never the shortcut
     np.maximum(y, 0.0, out=y)
     return y, LayerCache(feats, bn_cache, y) if training else None
 

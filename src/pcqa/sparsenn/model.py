@@ -148,6 +148,16 @@ def _shortcut(variant: str, b: int) -> tuple[int | None, int | None]:
     return _SHORTCUTS["D" if b == 0 and variant in ("B", "C") else variant] or (None, None)
 
 
+def _spare(buffers: list[np.ndarray], busy: tuple, shape: tuple[int, int]) -> np.ndarray:
+    """A buffer that is none of `busy` (a layer's input and its shortcut),
+    appended when every one is: A needs two, B, C and D three."""
+    for buf in buffers:
+        if all(buf is not b for b in busy):
+            return buf
+    buffers.append(np.empty(shape))
+    return buffers[-1]
+
+
 @dataclass
 class ModelCache:
     kmap: KernelMap
@@ -167,7 +177,8 @@ def forward(
 
     Training normalizes by batch statistics, updates the running statistics
     in place and returns the ModelCache that `backward` needs; inference
-    folds the running statistics into the convs, keeps nothing, returns None.
+    folds the running statistics into the convs, writes the activations into
+    a few buffers that live for this call only, keeps nothing, returns None.
     A prebuilt kernel map may be passed when evaluating repeatedly on the
     same coordinate set (the map depends only on the coordinates).
     """
@@ -178,6 +189,11 @@ def forward(
     if kmap is None:
         kmap = build_kernel_map(tensor)
     x = tensor.feats
+    # inference rotates N x width buffers through the layers and one more
+    # takes the centre tap; training keeps fresh arrays, which its cache holds
+    shape = (len(tensor), cfg.width)
+    buffers: list[np.ndarray] = []
+    tmp = None if training else np.empty(shape)
     layers: list[LayerCache] = []
     pool_args: list[np.ndarray | None] = []
     pooled: list[np.ndarray] = []
@@ -187,9 +203,10 @@ def forward(
         for l in range(3):
             if l == source:
                 skip = x
-            # rebinding x frees the layer input unless it is the shortcut
+            out = None if training else _spare(buffers, (x, skip), shape)
             x, c = layer_forward(model.layer_view(b, l), x, kmap, training, cfg.bn_momentum,
-                                 cfg.bn_eps, shortcut=skip if l == join else None)
+                                 cfg.bn_eps, shortcut=skip if l == join else None,
+                                 out=out, tmp=tmp)
             layers.append(c)
         vec, arg = global_pool(x, cfg.pooling)
         pool_args.append(arg)

@@ -92,6 +92,10 @@ def build_kernel_map(tensor: SparseTensor) -> KernelMap:
     """Sub-manifold kernel map: output sites equal input sites; for each
     offset i the pairs are (row of u+i, row of u) over occupied u+i."""
     # packing is linear and every u+i lies in the padded box: key(u+i) = key(u) + delta(i)
-    deltas = tensor._pack(np.pad(KERNEL_OFFSETS, ((0, 0), (0, 1))) + tensor._mins - 1)
+    deltas = tensor._pack(np.pad(KERNEL_OFFSETS[:13], ((0, 0), (0, 1))) + tensor._mins - 1)
     in_rows = tensor._rows(tensor._keys + deltas[:, None])
-    return KernelMap([(rows[ok], np.flatnonzero(ok)) for rows, ok in zip(in_rows, in_rows >= 0)])
+    half = [(rows[ok], np.flatnonzero(ok)) for rows, ok in zip(in_rows, in_rows >= 0)]
+    # offset 26 - i is -(offset i): v = u + i pairs (row of u, row of v) there, and
+    # the rows of v ascend with those of u because key(v) = key(u) + delta(i)
+    centre = np.arange(len(tensor))
+    return KernelMap(half + [(centre, centre)] + [(o, i) for i, o in reversed(half)])

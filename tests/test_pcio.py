@@ -154,6 +154,49 @@ def test_not_a_ply_errors(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Voxel means
+# ---------------------------------------------------------------------------
+
+
+def _voxel_means_by_unique(positions, size, values):
+    """Oracle: voxel_means as it was, with np.unique over the cell rows."""
+    cells = np.floor(positions / size).astype(np.int64)
+    uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    sums = np.stack([np.bincount(inverse, weights=column) for column in values.T], axis=1)
+    return uniq, sums / np.bincount(inverse)[:, None]
+
+
+@st.composite
+def voxel_cases(draw):
+    """One point or up to 200, negative and fractional, part of them snapped
+    to integers and a third repeating the first point, so cells are shared;
+    a voxel size; 8-bit colours or float features."""
+    n = draw(st.one_of(st.just(1), st.integers(2, 200)))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extent = draw(st.sampled_from([0.5, 3.0, 40.0, 1e4]))
+    positions = r.uniform(-extent, extent, (n, 3))
+    snap = r.random(n) < draw(st.floats(0, 1))
+    positions[snap] = np.round(positions[snap])
+    positions[r.integers(0, n, n // 3)] = positions[0]
+    size = draw(st.sampled_from([0.1, 0.5, 1.0, 1.7, 4.0]))
+    if draw(st.booleans()):
+        values = r.integers(0, 256, (n, 3)).astype(np.uint8)
+    else:
+        values = r.normal(size=(n, draw(st.integers(1, 4))))
+    return positions, size, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(voxel_cases())
+def test_voxel_means_equals_the_unique_rows_version(case):
+    got, want = pcio.voxel_means(*case), _voxel_means_by_unique(*case)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # Bounding box
 # ---------------------------------------------------------------------------
 

@@ -504,6 +504,21 @@ def test_cli_manifest_unsupported_version_exit_code(tmp_path, capsys, version):
         pl.Manifest.load(tmp_path / "m.jsonl")
 
 
+def test_cli_manifest_duplicate_row_names_its_own_line(tmp_path, capsys):
+    header, row = _manifest_lines(tmp_path)
+    lines = [header, row, {**row, "sample_id": "s1"}, row]  # line 4 repeats line 2
+    _score_manifest(tmp_path, lines, capsys, "m.jsonl:4: duplicate sample_id s0")
+
+
+def test_manifest_row_check_counts_blank_lines(tmp_path):
+    header, row = _manifest_lines(tmp_path)
+    stray = json.dumps({**row, "sample_id": "s1", "reference_id": "nope"})
+    path = tmp_path / "m.jsonl"
+    path.write_text("\n".join([json.dumps(header), json.dumps(row), "", stray]) + "\n")
+    with pytest.raises(pl.ValidationError, match=r"m\.jsonl:4: s1: unknown reference nope"):
+        pl.Manifest.load(path)
+
+
 @pytest.mark.parametrize("config, match", [
     ({"model": {"depth": 3}}, "depth"),
     ({"train": {"momentum": 0.9}}, "momentum"),

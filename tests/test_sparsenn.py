@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import tracemalloc
 
@@ -693,6 +694,51 @@ def test_kernel_map_near_the_index_limit(tensor):
     assert sum(kmap.pair_counts()) > len(tensor)  # neighbours beyond the centre
 
 
+def test_kernel_offsets_mirror_about_the_centre():
+    # build_kernel_map searches offsets 0-12 and takes 14-26 as their mirrors
+    assert not KERNEL_OFFSETS[13].any()
+    for k in range(27):
+        np.testing.assert_array_equal(KERNEL_OFFSETS[26 - k], -KERNEL_OFFSETS[k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(conv_cases())
+def test_conv_forward_into_lent_buffers_is_bit_equal(case):
+    tensor, w, _ = case
+    kmap = build_kernel_map(tensor)
+    fresh = conv_forward(w, tensor.feats, kmap)
+    out = np.full((len(tensor), w.shape[2]), np.nan)
+    tmp = np.full((len(tensor), w.shape[2]), np.nan)
+    got = conv_forward(w, tensor.feats, kmap, out=out, tmp=tmp)
+    assert got is out
+    assert np.array_equal(_bits(got), _bits(fresh))
+
+
+def test_conv_calls_pass_the_kernel_map_last_and_buffers_by_keyword(rng, monkeypatch):
+    # the benchmark's flop probe reads the weight as args[0] and the kernel
+    # map as args[-1] of every conv_forward and conv_backward call
+    keyword = inspect.Parameter.KEYWORD_ONLY
+    params = inspect.signature(conv_forward).parameters
+    assert list(params)[:3] == ["w", "feats", "kmap"]
+    assert [n for n, p in params.items() if p.kind is keyword] == ["out", "tmp"]
+    assert list(inspect.signature(conv_backward).parameters)[-1] == "kmap"
+    t = random_tensor(rng, n=40)
+    kmap = build_kernel_map(t)
+    calls = []
+    for name in ("conv_forward", "conv_backward"):
+        def spy(*args, _f=getattr(layers, name), **kwargs):
+            calls.append((args, kwargs))
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(layers, name, spy)
+    model = init_model(ModelConfig(blocks=2, width=8, fc_hidden=4), seed=0)
+    forward(model, t, kmap=kmap)
+    backward(model, forward(model, t, training=True, kmap=kmap)[1], 1.0)
+    assert len(calls) == 3 * 6
+    for args, kwargs in calls:
+        assert args[-1] is kmap and args[0].ndim == 3
+        assert set(kwargs) <= {"out", "tmp"}
+
+
 @settings(max_examples=60, deadline=None)
 @given(conv_cases())
 def test_conv_backward_equals_scatter_oracle(case):
@@ -966,3 +1012,18 @@ def test_inference_forward_holds_no_layer_inputs(variant, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound * activation, peak / activation
+
+
+def test_inference_buffers_do_not_outlive_the_forward_call(rng):
+    t = random_tensor(rng, n=2000, extent=40)
+    model = init_model(ModelConfig(blocks=2), seed=0)
+    kmap = build_kernel_map(t)
+    activation = len(t) * model.config.width * 8
+    tracemalloc.start()
+    try:
+        forward(model, t, kmap=kmap)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak > 3 * activation  # the buffers and the centre tap were live
+    assert current < activation / 10, current / activation
