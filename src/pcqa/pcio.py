@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import os
+import warnings
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -100,18 +101,6 @@ class BoundingBox:
     min_corner: np.ndarray
     max_corner: np.ndarray
 
-    def __post_init__(self):
-        lo = np.asarray(self.min_corner, dtype=np.float64)
-        hi = np.asarray(self.max_corner, dtype=np.float64)
-        if lo.shape != (3,) or hi.shape != (3,):
-            raise ValueError("corners must be 3-vectors")
-        if np.any(lo > hi):
-            raise ValueError("min_corner must be componentwise <= max_corner")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "min_corner", lo)
-        object.__setattr__(self, "max_corner", hi)
-
     @property
     def side_lengths(self) -> np.ndarray:
         return self.max_corner - self.min_corner
@@ -157,6 +146,13 @@ _PLY_NP_TYPES = {
     "int": "i4", "int32": "i4", "uint": "u4", "uint32": "u4",
     "float": "f4", "float32": "f4", "double": "f8", "float64": "f8",
 }
+_XYZ = ("x", "y", "z")
+_RGB = ("red", "green", "blue")
+
+
+def _record_dtype(props: list[tuple[str, str]]) -> np.dtype:
+    """The little-endian vertex record of a (name, PLY type) property list."""
+    return np.dtype([(name, "<" + _PLY_NP_TYPES[ptype]) for name, ptype in props])
 
 
 def _parse_header(f) -> tuple[str, int, list[tuple[str, str]]]:
@@ -210,54 +206,39 @@ def load_ply(path: str | Path) -> PointCloud:
     """Read an ASCII or binary-little-endian PLY with xyz + rgb vertex data.
 
     Raises PlyError on malformed headers, missing attributes, type
-    mismatches and truncated bodies.
+    mismatches and truncated or non-numeric bodies; the colour values go
+    to PointCloud as read, which refuses any that is not an integer in
+    [0, 255].
     """
-    path = Path(path)
     with open(path, "rb") as f:
         fmt, n, props = _parse_header(f)
-        names = [p[0] for p in props]
-        for axis in ("x", "y", "z"):
-            if axis not in names:
-                raise PlyError(f"missing attribute '{axis}'")
-            ptype = props[names.index(axis)][1]
-            if _PLY_NP_TYPES[ptype] not in ("f4", "f8"):
-                raise PlyError(f"property '{axis}' must be float or double, got {ptype}")
-        for chan in ("red", "green", "blue"):
-            if chan not in names:
-                raise PlyError(f"missing attribute '{chan}'")
-            ptype = props[names.index(chan)][1]
-            if _PLY_NP_TYPES[ptype] != "u1":
-                raise PlyError(f"property '{chan}' must be uchar, got {ptype}")
-
+        types = dict(props)
+        for names, allowed, kind in ((_XYZ, ("f4", "f8"), "float or double"),
+                                     (_RGB, ("u1",), "uchar")):
+            for name in names:
+                if name not in types:
+                    raise PlyError(f"missing attribute '{name}'")
+                if _PLY_NP_TYPES[types[name]] not in allowed:
+                    raise PlyError(f"property '{name}' must be {kind}, got {types[name]}")
         if fmt == "binary_le":
-            dtype = np.dtype([(nm, "<" + _PLY_NP_TYPES[tp]) for nm, tp in props])
+            dtype = _record_dtype(props)
             body = f.read(dtype.itemsize * n)
             if len(body) != dtype.itemsize * n:
                 raise PlyError("truncated body")
             rec = np.frombuffer(body, dtype=dtype, count=n)
         else:
-            rows = []
-            for _ in range(n):
-                raw = f.readline()
-                if not raw:
-                    raise PlyError("truncated body")
-                fields = raw.split()
-                if len(fields) < len(props):
-                    raise PlyError("truncated body")
-                rows.append(fields[: len(props)])
-            arr = np.array(rows, dtype=np.float64)
-            rec = {nm: arr[:, i] for i, (nm, _) in enumerate(props)}
-
-        positions = np.stack(
-            [np.asarray(rec["x"], dtype=np.float64),
-             np.asarray(rec["y"], dtype=np.float64),
-             np.asarray(rec["z"], dtype=np.float64)], axis=1)
-        colors = np.stack(
-            [np.asarray(rec["red"]), np.asarray(rec["green"]), np.asarray(rec["blue"])],
-            axis=1).astype(np.int64)
-    if colors.min() < 0 or colors.max() > 255:
-        raise PlyError("color values out of uchar range")
-    return PointCloud(positions=positions, colors=colors)
+            try:
+                with warnings.catch_warnings():  # blank lines are skipped, not counted
+                    warnings.simplefilter("ignore", UserWarning)
+                    rows = np.loadtxt(f, max_rows=n, usecols=range(len(props)), ndmin=2,
+                                      comments=None)
+            except ValueError as exc:
+                raise PlyError(f"truncated or non-numeric body: {exc}") from None
+            if len(rows) < n:
+                raise PlyError(f"truncated body: {len(rows)} of {n} vertex rows")
+            rec = dict(zip([name for name, _ in props], rows.T))
+    return PointCloud(positions=np.stack([rec[name] for name in _XYZ], axis=1),
+                      colors=np.stack([rec[name] for name in _RGB], axis=1))
 
 
 @contextmanager
@@ -307,41 +288,21 @@ def save_ply(
         raise ValueError(f"unknown mode '{mode}'")
     if coord_dtype not in ("float", "double"):
         raise ValueError(f"coord_dtype must be 'float' or 'double', got '{coord_dtype}'")
+    props = [(name, coord_dtype) for name in _XYZ] + [(name, "uchar") for name in _RGB]
+    rec = np.empty(len(cloud), dtype=_record_dtype(props))
+    for (name, _), column in zip(props, [*cloud.positions.T, *cloud.colors.T]):
+        rec[name] = column
     fmt_line = "ascii 1.0" if mode == "ascii" else "binary_little_endian 1.0"
-    header = (
-        "ply\n"
-        f"format {fmt_line}\n"
-        f"element vertex {len(cloud)}\n"
-        f"property {coord_dtype} x\n"
-        f"property {coord_dtype} y\n"
-        f"property {coord_dtype} z\n"
-        "property uchar red\n"
-        "property uchar green\n"
-        "property uchar blue\n"
-        "end_header\n"
-    )
-    np_coord = "<f4" if coord_dtype == "float" else "<f8"
-    pos = cloud.positions.astype(np_coord)
-    col = cloud.colors
+    header = (f"ply\nformat {fmt_line}\nelement vertex {len(cloud)}\n"
+              + "".join(f"property {ptype} {name}\n" for name, ptype in props)
+              + "end_header\n")
     with atomic_write(path, "wb") as f:
         f.write(header.encode("ascii"))
         if mode == "binary_le":
-            rec = np.empty(len(cloud), dtype=np.dtype(
-                [("x", np_coord), ("y", np_coord), ("z", np_coord),
-                 ("red", "u1"), ("green", "u1"), ("blue", "u1")]))
-            for i, nm in enumerate(("x", "y", "z")):
-                rec[nm] = pos[:, i]
-            for i, nm in enumerate(("red", "green", "blue")):
-                rec[nm] = col[:, i]
             f.write(rec.tobytes())
         else:
             digits = 9 if coord_dtype == "float" else 17
-            lines = []
-            for i in range(len(cloud)):
-                x, y, z = pos[i]
-                r, g, b = col[i]
-                lines.append(f"{x:.{digits}g} {y:.{digits}g} {z:.{digits}g} {r} {g} {b}\n")
-            f.write("".join(lines).encode("ascii"))
+            np.savetxt(f, rec, fmt=[f"%.{digits}g"] * 3 + ["%d"] * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +350,9 @@ class SpatialIndex:
         return ids[order][:k], dists[order][:k]
 
     def nearest(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized 1-NN with the (distance, id) tie rule per query row."""
+        """Vectorized 1-NN of an (M, 3) query array, with the (distance, id)
+        tie rule per query row."""
         queries = np.asarray(queries, dtype=np.float64)
-        squeeze = queries.ndim == 1
-        queries = np.atleast_2d(queries)
         n = len(self)
         k0 = min(n, 4)
         dists, ids = self._tree.query(queries, k=k0)
@@ -408,8 +368,6 @@ class SpatialIndex:
         for row in unresolved:
             rid, _ = self.k_nearest(queries[row], 1)
             best_i[row] = rid[0]
-        if squeeze:
-            return best_i[:1][0], best_d[:1][0]
         return best_i, best_d
 
     def neighborhoods(self, queries: np.ndarray, k: int) -> np.ndarray:

@@ -2,8 +2,9 @@
 scoring, pseudo-MOS annotation, training, evaluation and reports.
 
 All randomness flows from one dataset seed recorded in the manifest
-header; job seeds are derived by hashing (seed, reference, distortion,
-level) so builds are reproducible at any parallelism.
+header; job seeds are derived by hashing (seed, reference, distortion) so
+builds are reproducible at any parallelism. The level stays out of the
+hash: the distortion generator spawns its per-level streams itself.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ MANIFEST_KIND = "pcqa-manifest"
 MANIFEST_VERSION = 1
 
 DistortionId = Annotated[int, (REGISTRY.__contains__, "a REGISTRY id, not an unknown distortion")]
+DistortionIds = Annotated[tuple[DistortionId, ...],
+                          (lambda ids: len(set(ids)) == len(ids), "a list of distinct ids")]
 LabelScale = Annotated[tuple[float, float],
                        (lambda s: s[0] < s[1], "a [min, max] pair, min < max")]
 
@@ -221,7 +224,7 @@ class SplitSpec:
 @dataclass
 class Config:
     seed: int = 0
-    distortions: tuple[DistortionId, ...] = NATIVE_IDS
+    distortions: DistortionIds = NATIVE_IDS
     label_scale: LabelScale = (1.0, 5.0)
     adapters: dict[int, AdapterConfig] = field(default_factory=dict)
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -681,8 +684,6 @@ def cmd_eval(
     if model_config is not None and model_config != model.config:
         raise ValidationError("checkpoint/config mismatch")
     test_rows = _split_rows(manifest, split.test, "evaluation")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     labels, preds, types = [], [], []
     pred_lines = ["sample_id,distortion_id,level,label,prediction"]
     for row in test_rows:
@@ -692,6 +693,8 @@ def cmd_eval(
         types.append(row.distortion_id)
         pred_lines.append(
             f"{row.sample_id},{row.distortion_id},{row.level},{row.label!r},{q!r}")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once every test cloud has loaded
     _write_lines(out_dir / "predictions.csv", pred_lines)
 
     overall_plcc, overall_srocc = _safe_corr(labels, preds)

@@ -7,7 +7,9 @@ list), a JSON object to the nested dataclass, the key "25" of a
 `dict[int, ...]` to 25. An int is never a bool, a float is a finite int or
 float, `X | None` allows null, `Literal[...]` lists the choices and
 `Annotated[T, (test, kind)]` bounds the value. A bad value raises
-ValidationError("<section> <field> must be <kind>, got <value!r>").
+ValidationError("<section> <field> must be <kind>, got <value!r>"); a
+bound on a `tuple[X, ...]` keeps the error of a value that is not a list
+of X (its item names itself) and reports <kind> only when the test fails.
 """
 
 from __future__ import annotations
@@ -89,13 +91,16 @@ def _converter(hint):
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is Annotated:
         inner, (test, kind) = _converter(args[0]), hint.__metadata__[0]
+        # the bound names the whole value, but a bad list item names itself
+        own_errors = typing.get_args(args[0])[-1:] == (Ellipsis,)
 
         def bounded(v):
             try:
                 if test(out := inner(v)):
                     return out
             except _Bad:
-                pass
+                if own_errors:
+                    raise
             raise _Bad(f"must be {kind}, got {v!r}")
         return bounded
     if origin is Literal:

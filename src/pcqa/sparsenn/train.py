@@ -15,7 +15,7 @@ from typing import Annotated
 import numpy as np
 
 from ..pcio import PointCloud
-from ..schema import Positive, PositiveInt, check
+from ..schema import Positive, PositiveInt, ValidationError, check
 from .model import Model, backward, forward
 from .tensor import voxelize
 
@@ -31,14 +31,17 @@ class TrainConfig:
     # multiplied in at each epoch end
     lr_decay: Annotated[float, (lambda d: 0 < d <= 1, "a number in (0, 1]")] = 0.99
     accum: PositiveInt = 8  # gradient accumulation length
-    epochs: int = 1
-    max_steps: int | None = None
+    epochs: int = 1  # at least 1, checked in __post_init__
+    max_steps: PositiveInt | None = None
     scale_range: tuple[float, float] = (0.8, 1.2)
     rotation_range: tuple[float, float] = (0.0, 360.0)  # degrees, [lo, hi)
     seed: int = 0
 
     def __post_init__(self):
         check(self, "train")
+        # after the type check, so that a non-int still reads "must be an int"
+        if self.epochs < 1:
+            raise ValidationError(f"train epochs must be a positive int, got {self.epochs!r}")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -151,6 +153,56 @@ def test_not_a_ply_errors(tmp_path):
     path.write_bytes(b"obj\n")
     with pytest.raises(PlyError, match="magic"):
         load_ply(path)
+
+
+ASCII_HEADER = (
+    "ply\nformat ascii 1.0\nelement vertex 2\n"
+    "property float x\nproperty float y\nproperty float z\n"
+    "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+    "end_header\n"
+)
+
+
+@pytest.mark.parametrize("body, error, match", [
+    ("0 0 0 1 2 3\n1 1 1 12.7 5 6\n", ValueError, "color components must be integers"),
+    ("0 0 0 1 2 3\n1 1 1 -0.5 5 6\n", ValueError, "color components must be integers"),
+    ("0 0 0 1 2 3\n1 1 1 256 5 6\n", ValueError, r"color components must lie in \[0, 255\]"),
+    ("0 0 0 1 2 3\n1 1 1 4 5\n", PlyError, "truncated"),
+    ("0 0 0 1 2 3\n", PlyError, "truncated body: 1 of 2 vertex rows"),
+    ("0 0 0 1 2 3\n1 1 one 4 5 6\n", PlyError, "non-numeric body: could not convert string 'one'"),
+], ids=["fractional-colour", "negative-colour", "colour-256", "short-row", "missing-row",
+        "non-numeric-token"])
+def test_bad_ascii_body_errors(tmp_path, body, error, match):
+    path = tmp_path / "bad.ply"
+    path.write_text(ASCII_HEADER + body)
+    with pytest.raises(error, match=match):
+        load_ply(path)
+
+
+def test_ascii_body_ignores_blank_lines_and_extra_columns(tmp_path):
+    path = tmp_path / "a.ply"
+    path.write_text(ASCII_HEADER + "0 0 0 1 2 3 9\n\n1 1 1 4 5 6\nnot a vertex\n")
+    cloud = load_ply(path)
+    np.testing.assert_array_equal(cloud.positions, [[0, 0, 0], [1, 1, 1]])
+    np.testing.assert_array_equal(cloud.colors, [[1, 2, 3], [4, 5, 6]])
+
+
+# SHA-256 of what save_ply writes for one seeded cloud in each mode
+SAVED_PLY_SHA256 = {
+    ("ascii", "float"): "e4df9482756cdc24e0e20038c80d7628ea606f76a08db6b7816cfa3f3ccefbdb",
+    ("ascii", "double"): "f897c91cf46915a8772f62094ec470f832a80e73ae834834936dd5b74146b963",
+    ("binary_le", "float"): "fbe80569f7d9be0ec93e31059538a60009e46923a3db221847bf4f694395295d",
+    ("binary_le", "double"): "d6bb1053914fc64a095f24296dab477316707e5a2b6f2d25aa725c8bad4ef1cb",
+}
+
+
+@pytest.mark.parametrize("mode, coord_dtype", list(SAVED_PLY_SHA256))
+def test_save_ply_bytes_are_pinned(tmp_path, mode, coord_dtype):
+    cloud = random_cloud(np.random.default_rng(17), n=300, extent=50.0, jitter=5.0)
+    assert cloud.positions.min() < 0  # the pin covers negative coordinates too
+    path = tmp_path / "c.ply"
+    save_ply(cloud, path, mode=mode, coord_dtype=coord_dtype)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_PLY_SHA256[mode, coord_dtype]
 
 
 # ---------------------------------------------------------------------------

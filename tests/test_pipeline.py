@@ -527,8 +527,10 @@ def test_manifest_row_check_counts_blank_lines(tmp_path):
     ({"model": {"blocks": 2.0}}, "model blocks must be a positive int"),
     ({"adapters": [{"command": "x"}]}, "adapters must be a JSON object"),
     ([{"seed": 1}], "expected a JSON object"),
+    ({"distortions": [2, 2, 5]}, "config distortions must be a list of distinct ids, got [2, 2, 5]"),
 ], ids=["unknown-model-key", "unknown-train-key", "adapter-without-command",
-        "string-width", "float-blocks", "adapters-not-an-object", "config-not-an-object"])
+        "string-width", "float-blocks", "adapters-not-an-object", "config-not-an-object",
+        "repeated-distortion"])
 def test_cli_malformed_config_exit_code(tmp_path, refs_dir, capsys, config, match):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

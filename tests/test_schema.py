@@ -129,11 +129,13 @@ def _assert_one_line_error(argv, capsys, *parts):
     ({"train": {"scale_range": [1, math.inf]}}, "train scale_range must be a finite number"),
     ({"model": {"bn_momentum": 7}}, "model bn_momentum must be a number in [0, 1), got 7"),
     ({"model": {"residual": "E"}}, "model residual must be one of 'A', 'B', 'C', 'D', got 'E'"),
+    ({"train": {"epochs": 0}}, "train epochs must be a positive int, got 0"),
+    ({"train": {"max_steps": 0}}, "train max_steps must be a positive int, got 0"),
 ], ids=["string-voxel-size", "float-seed", "bool-seed", "unknown-top-level-key",
         "scalar-label-scale", "reversed-label-scale", "scalar-distortions", "unknown-distortion",
         "string-adapter-args", "int-adapter-command", "float-accum", "string-epochs",
         "train-label-scale", "zero-lr-decay", "infinite-scale-range", "momentum-7",
-        "unknown-residual"])
+        "unknown-residual", "zero-epochs", "zero-max-steps"])
 def test_cli_bad_config_value_exits_1_naming_the_field(tmp_path, inputs, capsys, config,
                                                        message):
     root, _ = inputs
@@ -184,6 +186,42 @@ def test_cli_every_manifest_reader_names_an_unknown_distortion(tmp_path, inputs,
     _assert_one_line_error([command, "--manifest", str(path), *argv], capsys,
                            f"{path}:2: manifest row distortion_id", "got 99")
     assert not Path(out).exists()
+
+
+def _one_point_ply(red: str) -> str:
+    return ("ply\nformat ascii 1.0\nelement vertex 1\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+            f"end_header\n0 0 0 {red} 0 0\n")
+
+
+@pytest.mark.parametrize("command", ["score", "eval"])
+def test_cli_non_integer_ply_colour_exits_1(tmp_path, inputs, capsys, command):
+    root, header = inputs
+    (tmp_path / "clouds").mkdir()
+    (tmp_path / "clouds" / "s0.ply").write_text(_one_point_ply(red="12.7"))
+    path = _write_manifest(tmp_path / "m.jsonl", [header, VALID_ROW])
+    out = str(tmp_path / "out")
+    argv = {"score": ["--out", out],
+            "eval": ["--split", "test=ref0", "--checkpoint", str(root / "m.ckpt"), "--out", out],
+            }[command]
+    _assert_one_line_error([command, "--manifest", str(path), *argv], capsys,
+                           "color components must be integers")
+    assert not Path(out).exists()
+
+
+def test_cli_build_fails_the_rows_of_a_reference_with_a_bad_colour(tmp_path, inputs, capsys):
+    root, _ = inputs
+    refs = tmp_path / "refs"
+    refs.mkdir()
+    (refs / "bad.ply").write_text(_one_point_ply(red="-0.5"))
+    (refs / "good.ply").write_bytes((root / "refs" / "ref0.ply").read_bytes())
+    assert cli_main(["build", "--refs", str(refs), "--out", str(tmp_path / "ds"),
+                     "--subset", CHEAP_ID]) == 0
+    rows = pl.Manifest.load(tmp_path / "ds" / "manifest.jsonl").rows
+    assert {(r.reference_id, r.status, r.error) for r in rows} == {
+        ("bad", "failed", "ValueError: color components must be integers"),
+        ("good", "ok", None)}
 
 
 def test_cli_non_json_manifest_header_names_the_file(tmp_path, capsys):
