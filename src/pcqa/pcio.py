@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "PointCloud",
@@ -172,24 +171,32 @@ def _parse_header(f) -> tuple[str, int, list[tuple[str, str]]]:
             continue
         if line == "end_header":
             break
-        parts = line.split()
-        if parts[0] == "format":
-            if parts[1] == "ascii":
+        keyword, *args = line.split()
+        if keyword == "format":
+            if not args:
+                raise PlyError(f"malformed header line '{line}': no format")
+            if args[0] == "ascii":
                 fmt = "ascii"
-            elif parts[1] == "binary_little_endian":
+            elif args[0] == "binary_little_endian":
                 fmt = "binary_le"
             else:
-                raise PlyError(f"unsupported PLY format '{parts[1]}'")
-        elif parts[0] == "element":
-            if parts[1] == "vertex":
-                vertex_count = int(parts[2])
-                in_vertex = True
-            else:
-                in_vertex = False
-        elif parts[0] == "property" and in_vertex:
-            if parts[1] == "list":
+                raise PlyError(f"unsupported PLY format '{args[0]}'")
+        elif keyword == "element":
+            if not args:
+                raise PlyError(f"malformed header line '{line}': no element name")
+            in_vertex = args[0] == "vertex"
+            if in_vertex:
+                if len(args) < 2 or not args[1].isdecimal():
+                    raise PlyError(f"malformed header line '{line}': vertex count must "
+                                   "be a non-negative int")
+                vertex_count = int(args[1])
+        elif keyword == "property" and in_vertex:
+            if len(args) < 2:
+                raise PlyError(f"malformed header line '{line}': a property needs a type "
+                               "and a name")
+            if args[0] == "list":
                 raise PlyError("list properties are not supported on vertices")
-            ptype, pname = parts[1], parts[2]
+            ptype, pname = args[:2]
             if ptype not in _PLY_NP_TYPES:
                 raise PlyError(f"unknown property type '{ptype}'")
             properties.append((pname, ptype))
@@ -318,6 +325,9 @@ class SpatialIndex:
     """
 
     def __init__(self, positions: np.ndarray):
+        # SciPy loads with the first tree: only the full-reference stages build one
+        from scipy.spatial import cKDTree
+
         pts = np.asarray(positions, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
             raise ValueError("positions must be a non-empty (N, 3) array")

@@ -16,7 +16,6 @@ import json
 import logging
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Annotated, Literal
@@ -269,6 +268,10 @@ def _map(worker, tasks: list, jobs: int) -> list:
     """worker over tasks in order, in a pool of `jobs` processes when jobs > 1."""
     if jobs <= 1:
         return [worker(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    import scipy.spatial  # noqa: F401  once, here: the forked workers inherit it
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, tasks, chunksize=4))
 
@@ -282,6 +285,14 @@ def _load_ref(path: str, normals: bool) -> PointCloud:
     if normals:
         return fr.with_normals(_load_ref(path, False))
     return load_ply(path)
+
+
+def _load_sample(path: str | Path) -> PointCloud:
+    """A dataset sample's cloud; a bad file's error names its path."""
+    try:
+        return load_ply(path)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _build_worker(args: tuple) -> dict:
@@ -355,7 +366,7 @@ def cmd_build(
 def _score_worker(args: tuple) -> list[tuple[str, str, str, float]]:
     ref_path, ref_id, degraded_path, degraded_id, metrics = args
     reference = _load_ref(ref_path, not fr.PLANE_METRICS.isdisjoint(metrics))
-    scores = fr.score_pair(reference, load_ply(degraded_path), metrics)
+    scores = fr.score_pair(reference, _load_sample(degraded_path), metrics)
     return [(metric, ref_id, degraded_id, value) for metric, value in scores.items()]
 
 
@@ -640,7 +651,7 @@ def cmd_train(
     manifest = Manifest.load(manifest_path)
     manifest.validate(base_dir=manifest_path.parent / "clouds")
     samples = [TrainSample(sample_id=r.sample_id, label=float(r.label),
-                           cloud=load_ply(manifest_path.parent / "clouds" / r.path))
+                           cloud=_load_sample(manifest_path.parent / "clouds" / r.path))
                for r in _split_rows(manifest, split.train, "training")]
     model = init_model(model_config, seed=train_config.seed)
     log.info("training %d samples, %d parameters", len(samples), param_count(model))
@@ -687,7 +698,7 @@ def cmd_eval(
     labels, preds, types = [], [], []
     pred_lines = ["sample_id,distortion_id,level,label,prediction"]
     for row in test_rows:
-        q = predict(model, load_ply(manifest_path.parent / "clouds" / row.path))
+        q = predict(model, _load_sample(manifest_path.parent / "clouds" / row.path))
         labels.append(float(row.label))
         preds.append(q)
         types.append(row.distortion_id)

@@ -155,6 +155,29 @@ def test_not_a_ply_errors(tmp_path):
         load_ply(path)
 
 
+@pytest.mark.parametrize("bad_line, match", [
+    ("format", "no format"),
+    ("element", "no element name"),
+    ("element vertex", "vertex count must be a non-negative int"),
+    ("element vertex abc", "vertex count must be a non-negative int"),
+    ("element vertex -3", "vertex count must be a non-negative int"),
+    ("property float", "a property needs a type and a name"),
+], ids=["format-without-value", "element-without-name", "vertex-without-count",
+        "non-numeric-count", "negative-count", "property-without-name"])
+def test_malformed_header_line_errors_naming_the_line(tmp_path, bad_line, match):
+    lines = ["ply", "format ascii 1.0", "element vertex 1",
+             "property float x", "property float y", "property float z",
+             "property uchar red", "property uchar green", "property uchar blue",
+             "end_header", "0 0 0 1 2 3"]
+    keyword = bad_line.split()[0]
+    at = next(i for i, ln in enumerate(lines) if ln.startswith(keyword))
+    lines.insert(at, bad_line)  # before the first good line of its kind
+    path = tmp_path / "bad.ply"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(PlyError, match=f"malformed header line '{bad_line}': {match}"):
+        load_ply(path)
+
+
 ASCII_HEADER = (
     "ply\nformat ascii 1.0\nelement vertex 2\n"
     "property float x\nproperty float y\nproperty float z\n"

@@ -224,6 +224,39 @@ def test_cli_build_fails_the_rows_of_a_reference_with_a_bad_colour(tmp_path, inp
         ("good", "ok", None)}
 
 
+@pytest.mark.parametrize("command", ["score", "train", "eval"])
+def test_cli_bad_sample_cloud_error_names_its_file(tmp_path, inputs, capsys, command):
+    root, header = inputs
+    (tmp_path / "clouds").mkdir()
+    cloud = tmp_path / "clouds" / "s0.ply"
+    cloud.write_text(_one_point_ply(red="12.7"))
+    path = _write_manifest(tmp_path / "m.jsonl", [header, VALID_ROW])
+    out = str(tmp_path / "out")
+    argv = {"score": ["--out", out],
+            "train": ["--split", "test=", "--out", out],
+            "eval": ["--split", "test=ref0", "--checkpoint", str(root / "m.ckpt"), "--out", out],
+            }[command]
+    _assert_one_line_error([command, "--manifest", str(path), *argv], capsys,
+                           f"error: {cloud}: color components must be integers")
+    assert not Path(out).exists()
+
+
+def test_cli_build_fails_the_rows_of_a_reference_with_a_malformed_header(tmp_path, inputs):
+    root, _ = inputs
+    refs = tmp_path / "refs"
+    refs.mkdir()
+    (refs / "bad.ply").write_text(_one_point_ply(red="0").replace("property float z",
+                                                                  "property float"))
+    (refs / "good.ply").write_bytes((root / "refs" / "ref0.ply").read_bytes())
+    assert cli_main(["build", "--refs", str(refs), "--out", str(tmp_path / "ds"),
+                     "--subset", CHEAP_ID]) == 0
+    rows = pl.Manifest.load(tmp_path / "ds" / "manifest.jsonl").rows
+    assert {(r.reference_id, r.status, r.error) for r in rows} == {
+        ("bad", "failed",
+         "PlyError: malformed header line 'property float': a property needs a type and a name"),
+        ("good", "ok", None)}
+
+
 def test_cli_non_json_manifest_header_names_the_file(tmp_path, capsys):
     path = tmp_path / "m.jsonl"
     path.write_text("not json\n")
