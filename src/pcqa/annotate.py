@@ -26,7 +26,7 @@ __all__ = [
     "Rating", "RatingMatrix", "ScreeningResult",
     "subject_kurtosis", "screen_subjects", "compute_mos",
     "select_best_metric",
-    "RegressionModel", "fit_regression", "eval_regression", "nelder_mead",
+    "RegressionModel", "fit_regression", "fit_regressions", "eval_regression", "nelder_mead",
     "AnnotationRecord", "ScoredSample", "generate_pseudo_mos",
     "ErrorStats", "annotation_error_stats",
     "MOS_MIN", "MOS_MAX",
@@ -241,6 +241,7 @@ class RegressionModel:
     rmse: float
     iterations: int
     converged: bool
+    starts_converged: tuple[bool, ...] = ()  # each simplex start's flag, in start order
 
     def __post_init__(self):
         if self.kind not in _PARAM_COUNT:
@@ -253,16 +254,19 @@ class RegressionModel:
 
 
 def _eval_kind(kind: str, params: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """The `kind` curve at `qs`: for one parameter vector, or for an (m, k)
+    stack of them, row i evaluated at row i of an (m, n) `qs`."""
+    cols = params.T[..., None]  # one coefficient each, broadcast along the samples
     if kind == "logistic4":
-        b1, b2, b3, b4 = params.tolist()
+        b1, b2, b3, b4 = cols
         z = np.minimum(np.maximum(-(qs - b3) / abs(b4), -700.0), 700.0)
         return (b1 - b2) / (1.0 + np.exp(z)) + b2
     if kind == "logistic5":
-        b1, b2, b3, b4, b5 = params.tolist()
+        b1, b2, b3, b4, b5 = cols
         z = np.minimum(np.maximum(b2 * (qs - b3), -700.0), 700.0)
         return b1 * (0.5 - 1.0 / (1.0 + np.exp(z))) + b4 * qs + b5
     if kind == "cubic4":
-        a, b, c, d = params.tolist()
+        a, b, c, d = cols
         return a * qs**3 + b * qs**2 + c * qs + d
     raise ValueError(f"unknown regression kind '{kind}'")
 
@@ -283,29 +287,21 @@ def _stable_argsort(values: list[float]) -> list[int]:
     return sorted(range(len(values)), key=lambda i: (values[i] != values[i], values[i]))
 
 
-def nelder_mead(
-    f,
-    x0: np.ndarray,
-    max_iter: int = 10_000,
-    xatol: float = 1e-10,
-    fatol: float = 1e-12,
-) -> tuple[np.ndarray, float, int, bool]:
-    """Derivative-free simplex descent (reflection/expansion/contraction/shrink).
-
-    Returns (best point, best value, iterations, converged flag). The
-    iteration cap makes the search deterministic; non-convergence returns
-    the best point seen so far.
+def _simplex(x0: np.ndarray, max_iter: int = 10_000, xatol: float = 1e-10,
+             fatol: float = 1e-12):
+    """Derivative-free simplex descent (reflection/expansion/contraction/shrink)
+    as a generator: it yields each list of points it needs scored (all n+1
+    at the start, one per reflection, expansion or contraction, n for a
+    shrink), is sent back their values as a list of floats, and returns
+    (best point, best value, iterations, converged flag).
 
     The simplex is held as lists of Python floats, because on a few
     coordinates NumPy's per-call overhead costs far more than the
     arithmetic. Each float operation is the one the array form
     (`sim[:-1].mean(axis=0)`, `centroid + alpha * (centroid - sim[-1])`,
     ...) performs, in the same order, so the results and the sequence of
-    points handed to `f` are bit-identical to it.
+    points yielded are bit-identical to it.
     """
-    def evaluate(x: list[float]) -> float:
-        return float(f(np.array(x)))
-
     x0 = np.asarray(x0, dtype=np.float64)
     n = len(x0)
     sim = [x0.tolist()]
@@ -313,7 +309,7 @@ def nelder_mead(
         y = list(sim[0])
         y[i] = y[i] * 1.05 if y[i] != 0.0 else 0.00025
         sim.append(y)
-    fsim = [evaluate(s) for s in sim]
+    fsim = list((yield sim))
 
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
     it = 0
@@ -336,10 +332,10 @@ def nelder_mead(
         centroid = [c / n for c in centroid]
         worst = sim[-1]
         xr = [c + alpha * (c - w) for c, w in zip(centroid, worst)]
-        fr = evaluate(xr)
+        [fr] = yield [xr]
         if fr < fbest:
             xe = [c + gamma * (r - c) for c, r in zip(centroid, xr)]
-            fe = evaluate(xe)
+            [fe] = yield [xe]
             if fe < fr:
                 sim[-1], fsim[-1] = xe, fe
             else:
@@ -349,16 +345,41 @@ def nelder_mead(
         else:
             inner = xr if fr < fsim[-1] else worst
             xc = [c + rho * (v - c) for c, v in zip(centroid, inner)]
-            fc = evaluate(xc)
+            [fc] = yield [xc]
             if fc < min(fr, fsim[-1]):
                 sim[-1], fsim[-1] = xc, fc
             else:
                 sim[1:] = [[b + sigma * (v - b) for v, b in zip(s, best)] for s in sim[1:]]
-                fsim[1:] = [evaluate(s) for s in sim[1:]]
+                fsim[1:] = yield sim[1:]
     # np.argmin: the first NaN if there is one, else the first minimum
     nan = [i for i, v in enumerate(fsim) if v != v]
     i = nan[0] if nan else min(range(n + 1), key=fsim.__getitem__)
     return np.array(sim[i]), fsim[i], it, converged
+
+
+def nelder_mead(
+    f,
+    x0: np.ndarray,
+    max_iter: int = 10_000,
+    xatol: float = 1e-10,
+    fatol: float = 1e-12,
+) -> tuple[np.ndarray, float, int, bool]:
+    """Minimise the scalar function `f` by simplex descent from `x0`.
+
+    Returns (best point, best value, iterations, converged flag). The
+    iteration cap makes the search deterministic; non-convergence returns
+    the best point seen so far. This drives the `_simplex` generator one
+    point at a time; `fit_regressions` drives many of them in lockstep and
+    scores all their pending points in one array call, with the same
+    results.
+    """
+    search = _simplex(x0, max_iter, xatol, fatol)
+    try:
+        points = next(search)
+        while True:
+            points = search.send([float(f(np.array(x))) for x in points])
+    except StopIteration as done:
+        return done.value
 
 
 def _start_points(kind: str, qs: np.ndarray, targets: np.ndarray) -> list[np.ndarray]:
@@ -420,14 +441,18 @@ def _rmse_objective(kind: str, qs: np.ndarray, targets: np.ndarray):
     return objective
 
 
-def fit_regression(kind: str, qs: Sequence[float], targets: Sequence[float]) -> RegressionModel:
-    """Least-squares fit of the chosen curve form via multi-start simplex descent.
+def _rmse_rows(kind: str, params: np.ndarray, qs: np.ndarray, targets: np.ndarray) -> list[float]:
+    """`_rmse_objective` of each row of `params` over the same row of `qs`
+    and `targets`, bit for bit: each row is reduced on its own, with the
+    pairwise sum a 1-D reduction of its length performs."""
+    d = _eval_kind(kind, params, qs) - targets
+    rmse = np.sqrt(np.add.reduce(d * d, axis=1) / qs.shape[1])
+    rmse[~np.isfinite(rmse)] = np.inf
+    return rmse.tolist()
 
-    Eight deterministic starts; the best-RMSE model wins. Non-convergence
-    within the iteration cap returns the best-so-far flagged not converged.
-    """
-    if kind not in _PARAM_COUNT:
-        raise ValueError(f"unknown regression kind '{kind}'")
+
+def _checked_problem(kind: str, qs: Sequence[float],
+                     targets: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     qs = np.asarray(qs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if qs.shape != targets.shape or qs.ndim != 1:
@@ -436,23 +461,91 @@ def fit_regression(kind: str, qs: Sequence[float], targets: Sequence[float]) -> 
         raise ValueError(f"need at least {_PARAM_COUNT[kind]} samples for {kind}")
     if not (np.all(np.isfinite(qs)) and np.all(np.isfinite(targets))):
         raise ValueError("inputs must be finite")
+    return qs, targets
 
-    objective = _rmse_objective(kind, qs, targets)
-    best = None
-    total_it = 0
-    for x0 in _start_points(kind, qs, targets):
-        with np.errstate(all="ignore"):
-            x, fx, it, conv = nelder_mead(objective, x0)
-        total_it += it
-        if not np.all(np.isfinite(x)):
-            continue
-        if best is None or fx < best[1]:
-            best = (x, fx, conv)
-    if best is None:
-        raise RuntimeError("all regression starts diverged")
-    x, fx, conv = best
-    return RegressionModel(kind=kind, params=tuple(float(v) for v in x),
-                           rmse=fx, iterations=total_it, converged=conv)
+
+def fit_regressions(
+    kind: str,
+    problems: Sequence[tuple[Sequence[float], Sequence[float]]],
+) -> list[RegressionModel]:
+    """`fit_regression` of each (qs, targets) problem, all in one lockstep search.
+
+    Every start of every problem is a `_simplex` generator. Each round
+    stacks the points all live searches wait for and scores them with one
+    array call per sample count (rows are never padded: padding would
+    change the pairwise sums), so each model is bit-identical to the best
+    of its starts run one by one through `nelder_mead` on
+    `_rmse_objective`.
+    """
+    if kind not in _PARAM_COUNT:
+        raise ValueError(f"unknown regression kind '{kind}'")
+    checked = [_checked_problem(kind, qs, targets) for qs, targets in problems]
+    # problems of one sample count share one stacked (qs, targets) pair;
+    # where[p] is problem p's (sample count, row in that stack)
+    stacks: dict[int, list] = {}
+    where = []
+    for qs, targets in checked:
+        stack = stacks.setdefault(len(qs), [])
+        where.append((len(qs), len(stack)))
+        stack.append((qs, targets))
+    stacked = {n: tuple(map(np.stack, zip(*stack))) for n, stack in stacks.items()}
+
+    # one search per (problem, start), in problem-then-start order
+    owner, searches = [], []
+    for p, (qs, targets) in enumerate(checked):
+        for x0 in _start_points(kind, qs, targets):
+            owner.append(p)
+            searches.append(_simplex(x0))
+    results: list = [None] * len(searches)
+    with np.errstate(all="ignore"):
+        pending = {r: next(search) for r, search in enumerate(searches)}
+        while pending:
+            batches: dict[int, list[int]] = {}
+            for r in pending:
+                batches.setdefault(where[owner[r]][0], []).append(r)
+            for n, runs in batches.items():
+                points = [x for r in runs for x in pending[r]]
+                rows = [where[owner[r]][1] for r in runs for _ in pending[r]]
+                qs, targets = stacked[n]
+                values = _rmse_rows(kind, np.array(points), qs[rows], targets[rows])
+                k = 0
+                for r in runs:
+                    m = len(pending[r])
+                    try:
+                        pending[r] = searches[r].send(values[k:k + m])
+                    except StopIteration as done:
+                        results[r] = done.value
+                        del pending[r]
+                    k += m
+
+    per_problem: list[list] = [[] for _ in checked]
+    for p, result in zip(owner, results):
+        per_problem[p].append(result)
+    models = []
+    for runs in per_problem:
+        best = None
+        for x, fx, _, conv in runs:
+            if not np.all(np.isfinite(x)):
+                continue
+            if best is None or fx < best[1]:
+                best = (x, fx, conv)
+        if best is None:
+            raise RuntimeError("all regression starts diverged")
+        x, fx, conv = best
+        models.append(RegressionModel(
+            kind=kind, params=tuple(float(v) for v in x), rmse=fx,
+            iterations=sum(it for _, _, it, _ in runs), converged=conv,
+            starts_converged=tuple(c for _, _, _, c in runs)))
+    return models
+
+
+def fit_regression(kind: str, qs: Sequence[float], targets: Sequence[float]) -> RegressionModel:
+    """Least-squares fit of the chosen curve form via multi-start simplex descent.
+
+    Eight deterministic starts; the best-RMSE model wins. Non-convergence
+    within the iteration cap returns the best-so-far flagged not converged.
+    """
+    return fit_regressions(kind, [(qs, targets)])[0]
 
 
 # ---------------------------------------------------------------------------

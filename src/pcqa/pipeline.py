@@ -365,7 +365,10 @@ def cmd_build(
 
 def _score_worker(args: tuple) -> list[tuple[str, str, str, float]]:
     ref_path, ref_id, degraded_path, degraded_id, metrics = args
-    reference = _load_ref(ref_path, not fr.PLANE_METRICS.isdisjoint(metrics))
+    try:
+        reference = _load_ref(ref_path, not fr.PLANE_METRICS.isdisjoint(metrics))
+    except ValueError as exc:  # build's rows quote _load_ref's message as it is
+        raise ValidationError(f"{ref_path}: {exc}") from None
     scores = fr.score_pair(reference, _load_sample(degraded_path), metrics)
     return [(metric, ref_id, degraded_id, value) for metric, value in scores.items()]
 
@@ -517,12 +520,9 @@ def cmd_annotate(
         mos_by_type[did] = [mos[r.sample_id] for r in type_rows]
 
     selection = ann.select_best_metric(scores_by_type, mos_by_type)
-    fits: dict[int, tuple[str, ann.RegressionModel]] = {}
-    for did in present_types:
-        metric = selection[did]
-        model = ann.fit_regression(
-            "logistic5", scores_by_type[did][metric], mos_by_type[did])
-        fits[did] = (metric, model)
+    models = ann.fit_regressions("logistic5", [
+        (scores_by_type[did][selection[did]], mos_by_type[did]) for did in present_types])
+    fits = {did: (selection[did], model) for did, model in zip(present_types, models)}
 
     samples = []
     for r in rows:
@@ -599,12 +599,15 @@ def _write_annotate_reports(report_dir, result, scores_by_type, mos_by_type):
                        f"  q95|e| {stats.q95_abs:.4f}")
     rep.append("")
     rep.append("curve fits (iterations summed over the simplex starts; converged is "
-               "that of the best start)")
+               "that of the best start; starts_converged counts the starts that "
+               "converged within the iteration cap)")
     rep.append(f"{'id':>3} {'metric':<12} {'kind':<10} {'iterations':>10} "
-               f"{'converged':>9} {'rmse':>10}")
+               f"{'converged':>9} {'rmse':>10} {'starts_converged':>16}")
     for did, (metric, model) in sorted(result.fits.items()):
+        starts = f"{sum(model.starts_converged)}/{len(model.starts_converged)}"
         rep.append(f"{did:>3} {metric:<12} {model.kind:<10} {model.iterations:>10} "
-                   f"{'yes' if model.converged else 'NO':>9} {model.rmse:>10.6f}")
+                   f"{'yes' if model.converged else 'NO':>9} {model.rmse:>10.6f} "
+                   f"{starts:>16}")
     screening = result.screening
     n_subjects = len(screening.kept) + len(screening.rejected)
     rep.append("")

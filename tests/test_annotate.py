@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pcqa import annotate as ann
 
@@ -605,6 +605,116 @@ def test_rmse_objective_matches_array_form(kind, seed, raw):
         want = float(np.sqrt(np.mean((pred - targets) ** 2)))
     want = want if math.isfinite(want) else float("inf")
     assert _bits(got) == _bits(want)
+
+
+_KINDS = ("logistic4", "logistic5", "cubic4")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_KINDS), st.integers(0, 2**32 - 1), st.integers(4, 20),
+       st.lists(st.lists(st.one_of(st.floats(-1e3, 1e3), st.floats(-1e200, 1e200),
+                                   st.sampled_from([0.0, -0.0, 700.0, 1e-300])),
+                         min_size=5, max_size=5),
+                min_size=1, max_size=8))
+def test_rmse_rows_match_the_scalar_objective(kind, seed, n, raw):
+    # each row of a stack scored against its own problem's samples
+    r = np.random.default_rng(seed)
+    qs = r.uniform(0, 100, (3, n))
+    targets = r.uniform(1, 5, (3, n))
+    params = np.array([row[:ann._PARAM_COUNT[kind]] for row in raw])
+    owner = r.integers(0, 3, len(params))
+    with np.errstate(all="ignore"):
+        got = ann._rmse_rows(kind, params, qs[owner], targets[owner])
+        want = [ann._rmse_objective(kind, qs[o], targets[o])(x) for x, o in zip(params, owner)]
+    assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+
+# ---------------------------------------------------------------------------
+# fit_regressions: every start of every problem searched in lockstep
+# ---------------------------------------------------------------------------
+
+
+def _fit_problem(seed, n, scale):
+    """n sorted scores in [0, 100) times `scale`, against noisy falling MOS."""
+    r = np.random.default_rng(seed)
+    qs = np.sort(r.uniform(0, 100, n)) * scale
+    targets = np.clip(4.5 - 0.035 * qs / scale + r.normal(0, 0.3, n), 1, 5)
+    return qs, targets
+
+
+def _one_start_at_a_time(kind, qs, targets):
+    """The best of the starts, each run alone through `nelder_mead` on the
+    scalar objective, as (params bytes, rmse bytes, summed iterations,
+    converged); None when every start diverged."""
+    objective = ann._rmse_objective(kind, qs, targets)
+    best, total = None, 0
+    for x0 in ann._start_points(kind, qs, targets):
+        with np.errstate(all="ignore"):
+            x, fx, it, conv = ann.nelder_mead(objective, x0)
+        total += it
+        if np.all(np.isfinite(x)) and (best is None or fx < best[1]):
+            best = (x, fx, conv)
+    return None if best is None else (best[0].tobytes(), _bits(best[1]), total, best[2])
+
+
+# Pinned cases that reach the iteration cap (logistic4: 5 of 8 starts;
+# logistic5: 1 of 8), the shrink step and, at scores near 1e100, overflowing
+# and NaN curves; `test_pinned_fit_cases_reach_cap_shrink_and_non_finite`
+# checks that they do.
+_PINNED_FITS = [
+    (("logistic4", 1.0), [(101, 5), (102, 6)]),
+    (("logistic5", 1.0), [(103, 5), (104, 6)]),
+    (("cubic4", 1e100), [(0, 5), (0, 7), (1, 5)]),
+]
+_fit_case = st.tuples(
+    st.sampled_from([("cubic4", 1.0), ("cubic4", 1e100), ("logistic5", 1.0), ("logistic4", 1.0)]),
+    st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(5, 8)), min_size=2, max_size=3)
+    .filter(lambda specs: len({n for _, n in specs}) > 1))
+
+
+@settings(max_examples=6, deadline=None)
+@example(_PINNED_FITS[0])
+@example(_PINNED_FITS[1])
+@example(_PINNED_FITS[2])
+@given(_fit_case)
+def test_fit_regressions_matches_one_start_at_a_time(case):
+    (kind, scale), specs = case
+    problems = [_fit_problem(seed, n, scale) for seed, n in specs]
+    want = [_one_start_at_a_time(kind, qs, targets) for qs, targets in problems]
+    if None in want:
+        with pytest.raises(RuntimeError, match="all regression starts diverged"):
+            ann.fit_regressions(kind, problems)
+        return
+    got = [(np.array(m.params).tobytes(), _bits(m.rmse), m.iterations, m.converged)
+           for m in ann.fit_regressions(kind, problems)]
+    assert got == want
+
+
+@pytest.mark.parametrize("case", _PINNED_FITS, ids=[kind for (kind, _), _ in _PINNED_FITS])
+def test_pinned_fit_cases_reach_cap_shrink_and_non_finite(monkeypatch, case):
+    (kind, scale), specs = case
+    seen = {"shrink": 0, "inf": 0}
+    simplex = ann._simplex
+
+    def watched(x0, *args):
+        search = simplex(x0, *args)
+        points = next(search)
+        try:
+            while True:
+                values = yield points
+                seen["inf"] += math.inf in values
+                points = search.send(values)
+                seen["shrink"] += len(points) == len(x0)
+        except StopIteration as done:
+            return done.value
+
+    monkeypatch.setattr(ann, "_simplex", watched)
+    models = ann.fit_regressions(kind, [_fit_problem(seed, n, scale) for seed, n in specs])
+    assert seen["shrink"] > 0
+    if kind == "cubic4":
+        assert seen["inf"] > 0
+    else:
+        assert not all(flag for m in models for flag in m.starts_converged)
 
 
 def test_rating_scale_defaults_to_1_5_and_follows_from_csv(tmp_path):

@@ -199,11 +199,15 @@ def test_annotate_report_shows_fits_and_screening(tmp_path, refs_dir):
     lines = (tmp_path / "reports" / "annotation_report.txt").read_text().splitlines()
 
     assert sorted(result.fits) == [5, 17]
+    assert any(ln.split()[-2:] == ["rmse", "starts_converged"] for ln in lines), lines
     for did, (metric, model) in result.fits.items():
         assert metric == result.selection[did]
+        assert len(model.starts_converged) == 8
         want = [str(did), metric, "logistic5", str(model.iterations),
                 "yes" if model.converged else "NO"]
-        assert any(ln.split()[:5] == want for ln in lines), (want, lines)
+        starts = f"{sum(model.starts_converged)}/8"
+        assert any(ln.split()[:5] == want and ln.split()[-1] == starts
+                   for ln in lines), (want, starts, lines)
 
     rejected = result.screening.rejected
     assert rejected["zconst"] == "degenerate"

@@ -224,6 +224,23 @@ def test_cli_build_fails_the_rows_of_a_reference_with_a_bad_colour(tmp_path, inp
         ("good", "ok", None)}
 
 
+def test_cli_score_error_names_a_reference_changed_after_build(tmp_path, inputs, capsys):
+    root, _ = inputs
+    refs = tmp_path / "refs"
+    refs.mkdir()
+    ref = refs / "ref0.ply"
+    ref.write_bytes((root / "refs" / "ref0.ply").read_bytes())
+    out = tmp_path / "ds"
+    assert cli_main(["build", "--refs", str(refs), "--out", str(out),
+                     "--subset", CHEAP_ID]) == 0
+    ref.write_text(_one_point_ply(red="12.7"))
+    scores = tmp_path / "scores.csv"
+    _assert_one_line_error(["score", "--manifest", str(out / "manifest.jsonl"),
+                            "--out", str(scores)], capsys,
+                           f"error: {ref}: color components must be integers")
+    assert not scores.exists()
+
+
 @pytest.mark.parametrize("command", ["score", "train", "eval"])
 def test_cli_bad_sample_cloud_error_names_its_file(tmp_path, inputs, capsys, command):
     root, header = inputs

@@ -5,6 +5,8 @@ The in-process tests run after the test modules have imported SciPy, so
 what a user's process loads is checked here, in subprocesses.
 """
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -127,3 +129,59 @@ print(pl._map(scipy_loaded, list(range(8)), jobs=2))
 
 def test_pool_workers_inherit_scipy_from_the_parent():
     assert loaded(run_python("-c", POOL_PROBE)) == str([True] * 8)
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _fake_run(pass_s: float, items_per_s: float, annotate_s: float, correct=True) -> str:
+    """The last three stdout lines of a `benchmark/run.py --trace 0` run."""
+    record = {"workload": "dataset", "seed": 0, "trace": 0, "metrics": {
+        "annotate_s": {"value": annotate_s, "unit": "s", "q1": 0, "q3": 0, "n": 1,
+                       "passes": [annotate_s]},
+        "pool_busy_frac": {"value": 0.5, "unit": "ratio"},
+        "setup_s": {"value": 0.2, "unit": "s", "repeats": [0.2], "import_s": [0.1]},
+    }}
+    result = {"correct": correct, "attempted": 3, "failed": 0 if correct else 1, "metrics": {
+        "pass_s": {"value": pass_s, "unit": "s"},
+        "items_per_s": {"value": items_per_s, "unit": "1/s"},
+        "setup_s": {"value": 0.2, "unit": "s"},
+    }}
+    return "a progress line\n" + json.dumps(record) + "\n" + json.dumps(result) + "\n"
+
+
+def test_bench_pairs_summary_medians_quartiles_and_wins():
+    bp = _bench_pairs()
+    parent = [bp.parse_run(_fake_run(p, i, a)) for p, i, a in
+              [(8.0, 100.0, 6.0), (9.0, 90.0, 7.0), (7.0, 110.0, 5.0), (10.0, 95.0, 8.0)]]
+    change = [bp.parse_run(_fake_run(p, i, a)) for p, i, a in
+              [(4.0, 100.0, 3.0), (9.5, 91.0, 2.0), (3.0, 120.0, 2.5), (5.0, 80.0, 3.5)]]
+    summary = bp.summarise(list(zip(parent, change)), {"items_per_s": "higher"})
+
+    pass_s = summary["pass_s"]
+    assert (pass_s["unit"], pass_s["better"]) == ("s", "lower")
+    assert pass_s["parent_median"] == 8.5 and pass_s["change_median"] == 4.5
+    assert (pass_s["parent_q1"], pass_s["parent_q3"]) == (7.25, 9.75)  # exclusive quartiles
+    assert pass_s["wins"] == 3 and pass_s["pairs"] == 4  # pair 2 is lost
+    assert pass_s["parent"] == [8.0, 9.0, 7.0, 10.0]
+
+    # a tie counts for neither side; a higher rate wins
+    assert summary["items_per_s"]["better"] == "higher"
+    assert summary["items_per_s"]["wins"] == 2
+    # per-pass timings of the record line, with the direction from the unit
+    assert summary["annotate_s"]["wins"] == 4
+    assert summary["pool_busy_frac"]["better"] == "higher"
+    assert summary["pool_busy_frac"]["wins"] == 0
+    assert summary["setup_s"]["parent_median"] == 0.2
+
+
+def test_bench_pairs_parse_run_keeps_correctness():
+    bp = _bench_pairs()
+    run = bp.parse_run(_fake_run(1.0, 2.0, 0.5, correct=False))
+    assert run["correct"] is False
+    assert run["metrics"]["pass_s"] == (1.0, "s")
+    assert run["metrics"]["annotate_s"] == (0.5, "s")
