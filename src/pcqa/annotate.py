@@ -9,6 +9,7 @@ oracles.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -278,83 +279,92 @@ def eval_regression(model: RegressionModel, qs) -> np.ndarray | float:
     return float(out[0]) if arr.ndim == 0 else out
 
 
-def _stable_argsort(values: list[float]) -> list[int]:
-    """`np.argsort(values, kind="stable")` of a short list: ascending, ties
-    in index order, NaN last."""
-    total = sum(values)
-    if total == total:  # no NaN, so `<` orders every pair
-        return sorted(range(len(values)), key=values.__getitem__)
-    return sorted(range(len(values)), key=lambda i: (values[i] != values[i], values[i]))
+def _record(results: list, ids: np.ndarray, sim: np.ndarray, fsim: np.ndarray,
+            it: int, converged: bool) -> None:
+    """Store each search's np.argmin vertex (the first NaN, else the first minimum)."""
+    for r, vertices, values, best in zip(ids, sim, fsim, np.argmin(fsim, axis=1)):
+        results[r] = (vertices[best], float(values[best]), it, converged)
 
 
-def _simplex(x0: np.ndarray, max_iter: int = 10_000, xatol: float = 1e-10,
-             fatol: float = 1e-12):
+def _simplex_batch(x0s, score, max_iter: int = 10_000, xatol: float = 1e-10,
+                   fatol: float = 1e-12) -> list[tuple[np.ndarray, float, int, bool]]:
     """Derivative-free simplex descent (reflection/expansion/contraction/shrink)
-    as a generator: it yields each list of points it needs scored (all n+1
-    at the start, one per reflection, expansion or contraction, n for a
-    shrink), is sent back their values as a list of floats, and returns
-    (best point, best value, iterations, converged flag).
+    from each row of the (R, n) starts `x0s`, returning (best point, best
+    value, iterations, converged flag) per start.
 
-    The simplex is held as lists of Python floats, because on a few
-    coordinates NumPy's per-call overhead costs far more than the
-    arithmetic. Each float operation is the one the array form
-    (`sim[:-1].mean(axis=0)`, `centroid + alpha * (centroid - sim[-1])`,
-    ...) performs, in the same order, so the results and the sequence of
-    points yielded are bit-identical to it.
+    The R simplices are one (R, n+1, n) array and their values one (R, n+1)
+    array; each loop pass is one iteration of every live search.
+    `score(rows, points)` returns an array of the objective at each of the
+    (m, n) `points`, point i belonging to search `rows[i]` (ascending). A
+    pass calls it once for all reflections, once for the expansion or
+    contraction points that are needed and, if a search shrinks, once for
+    all shrunk vertices. Every float operation is the one a single search
+    on NumPy arrays performs (`sim[:-1].mean(axis=0)`, `centroid + alpha *
+    (centroid - sim[-1])`, ...), so each search's result and the points it
+    has scored, in order, are bit-identical to that search run alone.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    n = len(x0)
-    sim = [x0.tolist()]
-    for i in range(n):
-        y = list(sim[0])
-        y[i] = y[i] * 1.05 if y[i] != 0.0 else 0.00025
-        sim.append(y)
-    fsim = list((yield sim))
+    x0s = np.asarray(x0s, dtype=np.float64)
+    if x0s.ndim != 2 or x0s.shape[1] == 0:
+        raise ValueError(f"starts must be an (R, n) array with n >= 1, got shape {x0s.shape}")
+    R, n = x0s.shape
+    firsts = np.arange(0, R * (n + 1), n + 1)[:, None]  # each simplex's first flat row
+    sim = np.repeat(x0s[:, None], n + 1, axis=1)
+    sim[:, np.arange(1, n + 1), np.arange(n)] = np.where(x0s != 0.0, x0s * 1.05, 0.00025)
+    ids = np.arange(R)  # the live searches, ascending
+    fsim = score(np.repeat(ids, n + 1), sim.reshape(-1, n)).reshape(R, n + 1)
 
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+    results: list = [None] * R
     it = 0
-    converged = False
-    while it < max_iter:
-        order = _stable_argsort(fsim)
-        sim = [sim[i] for i in order]
-        fsim = [fsim[i] for i in order]
-        best, fbest = sim[0], fsim[0]
-        # `all(... <= tol)` is False on a NaN, as `np.max(...) <= tol` is
-        if (all(abs(v - fbest) <= fatol for v in fsim[1:])
-                and all(abs(a - b) <= xatol for s in sim[1:] for a, b in zip(s, best))):
-            converged = True
-            break
+    # every live search started together, so all of them reach the cap at once
+    while len(ids) and it < max_iter:
+        # a stable sort of each row, NaN last, gathered through flat indices
+        rows = (fsim.argsort(axis=1, kind="stable") + firsts).ravel()
+        sim = sim.reshape(-1, n).take(rows, axis=0).reshape(sim.shape)
+        fsim = fsim.take(rows).reshape(fsim.shape)
+        # `max(...) <= tol` is False on a NaN
+        done = np.abs(fsim[:, 1:] - fsim[:, :1]).max(axis=1) <= fatol
+        if np.count_nonzero(done):
+            done &= np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol
+        if np.count_nonzero(done):
+            _record(results, ids[done], sim[done], fsim[done], it, True)
+            keep = ~done
+            ids, sim, fsim = ids[keep], sim[keep], fsim[keep]
+            firsts = firsts[:len(ids)]
+            if not len(ids):
+                break
         it += 1
         # row by row, as NumPy reduces over the leading axis
-        centroid = best
-        for s in sim[1:-1]:
-            centroid = [a + b for a, b in zip(centroid, s)]
-        centroid = [c / n for c in centroid]
-        worst = sim[-1]
-        xr = [c + alpha * (c - w) for c, w in zip(centroid, worst)]
-        [fr] = yield [xr]
-        if fr < fbest:
-            xe = [c + gamma * (r - c) for c, r in zip(centroid, xr)]
-            [fe] = yield [xe]
-            if fe < fr:
-                sim[-1], fsim[-1] = xe, fe
-            else:
-                sim[-1], fsim[-1] = xr, fr
-        elif fr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fr
-        else:
-            inner = xr if fr < fsim[-1] else worst
-            xc = [c + rho * (v - c) for c, v in zip(centroid, inner)]
-            [fc] = yield [xc]
-            if fc < min(fr, fsim[-1]):
-                sim[-1], fsim[-1] = xc, fc
-            else:
-                sim[1:] = [[b + sigma * (v - b) for v, b in zip(s, best)] for s in sim[1:]]
-                fsim[1:] = yield sim[1:]
-    # np.argmin: the first NaN if there is one, else the first minimum
-    nan = [i for i, v in enumerate(fsim) if v != v]
-    i = nan[0] if nan else min(range(n + 1), key=fsim.__getitem__)
-    return np.array(sim[i]), fsim[i], it, converged
+        centroid = sim[:, 0].copy()
+        for j in range(1, n):
+            centroid += sim[:, j]
+        centroid /= n
+        worst, fworst = sim[:, -1], fsim[:, -1]
+        xr = centroid + alpha * (centroid - worst)
+        fr = score(ids, xr)
+        expand = fr < fsim[:, 0]
+        contract = ~(expand | (fr < fsim[:, -2]))
+        # expansion toward xr, or contraction toward xr or the worst vertex
+        toward = np.where((expand | (fr < fworst))[:, None], xr, worst)
+        x2 = centroid + np.where(expand, gamma, rho)[:, None] * (toward - centroid)
+        f2 = fr.copy()
+        tried = (expand | contract).nonzero()[0]
+        if len(tried):
+            f2[tried] = score(ids.take(tried), x2.take(tried, axis=0))
+        # `min(fr, fworst)` with Python's NaN semantics; an accepted
+        # reflection has f2 = fr <= fworst, so it takes nothing here
+        take = f2 < np.where(fworst < fr, fworst, fr)
+        shrink = contract & ~take
+        sim[:, -1] = np.where(take[:, None], x2, np.where(shrink[:, None], worst, xr))
+        fsim[:, -1] = np.where(take, f2, fr)
+        if np.count_nonzero(shrink):
+            base = sim[shrink, :1]
+            points = base + sigma * (sim[shrink, 1:] - base)
+            sim[shrink, 1:] = points
+            fsim[shrink, 1:] = score(np.repeat(ids[shrink], n),
+                                     points.reshape(-1, n)).reshape(-1, n)
+    _record(results, ids, sim, fsim, it, False)
+    return results
 
 
 def nelder_mead(
@@ -368,18 +378,18 @@ def nelder_mead(
 
     Returns (best point, best value, iterations, converged flag). The
     iteration cap makes the search deterministic; non-convergence returns
-    the best point seen so far. This drives the `_simplex` generator one
-    point at a time; `fit_regressions` drives many of them in lockstep and
-    scores all their pending points in one array call, with the same
+    the best point seen so far. This is `_simplex_batch` on one start,
+    calling `f` on each point in turn; `fit_regressions` runs many starts
+    in one `_simplex_batch` call with an array objective, with the same
     results.
     """
-    search = _simplex(x0, max_iter, xatol, fatol)
-    try:
-        points = next(search)
-        while True:
-            points = search.send([float(f(np.array(x))) for x in points])
-    except StopIteration as done:
-        return done.value
+    x0 = np.asarray(x0, dtype=np.float64)
+    if x0.ndim != 1 or not len(x0):
+        raise ValueError(f"x0 must be a non-empty 1-D vector, got shape {x0.shape}")
+    [result] = _simplex_batch(
+        x0[None], lambda _, points: np.array([float(f(x)) for x in points]),
+        max_iter, xatol, fatol)
+    return result
 
 
 def _start_points(kind: str, qs: np.ndarray, targets: np.ndarray) -> list[np.ndarray]:
@@ -411,7 +421,11 @@ def _start_points(kind: str, qs: np.ndarray, targets: np.ndarray) -> list[np.nda
             (0.0, 4.0 / span, q25, slope, intercept),
         ]
     else:  # cubic4; fit_regression checks the kind
-        vand = np.stack([qs**3, qs**2, qs, np.ones_like(qs)], axis=1)
+        with np.errstate(over="ignore"):
+            vand = np.stack([qs**3, qs**2, qs, np.ones_like(qs)], axis=1)
+        if not np.all(np.isfinite(vand)):  # lstsq does not return on an inf matrix
+            raise ValueError(f"cubic4: the largest |score| {float(np.abs(qs).max()):g} "
+                             f"overflows float64 when cubed")
         ls, *_ = np.linalg.lstsq(vand, targets, rcond=None)
         starts = [
             tuple(ls),
@@ -441,14 +455,14 @@ def _rmse_objective(kind: str, qs: np.ndarray, targets: np.ndarray):
     return objective
 
 
-def _rmse_rows(kind: str, params: np.ndarray, qs: np.ndarray, targets: np.ndarray) -> list[float]:
+def _rmse_rows(kind: str, params: np.ndarray, qs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """`_rmse_objective` of each row of `params` over the same row of `qs`
     and `targets`, bit for bit: each row is reduced on its own, with the
     pairwise sum a 1-D reduction of its length performs."""
     d = _eval_kind(kind, params, qs) - targets
     rmse = np.sqrt(np.add.reduce(d * d, axis=1) / qs.shape[1])
     rmse[~np.isfinite(rmse)] = np.inf
-    return rmse.tolist()
+    return rmse
 
 
 def _checked_problem(kind: str, qs: Sequence[float],
@@ -470,9 +484,10 @@ def fit_regressions(
 ) -> list[RegressionModel]:
     """`fit_regression` of each (qs, targets) problem, all in one lockstep search.
 
-    Every start of every problem is a `_simplex` generator. Each round
-    stacks the points all live searches wait for and scores them with one
-    array call per sample count (rows are never padded: padding would
+    Every start of every problem is one row of a single `_simplex_batch`
+    call. Its objective scores the points of each pass with one
+    `_rmse_rows` call per sample count, over (qs, targets) stacks built
+    once with a row per search (rows are never padded: padding would
     change the pairwise sums), so each model is bit-identical to the best
     of its starts run one by one through `nelder_mead` on
     `_rmse_objective`.
@@ -480,58 +495,41 @@ def fit_regressions(
     if kind not in _PARAM_COUNT:
         raise ValueError(f"unknown regression kind '{kind}'")
     checked = [_checked_problem(kind, qs, targets) for qs, targets in problems]
-    # problems of one sample count share one stacked (qs, targets) pair;
-    # where[p] is problem p's (sample count, row in that stack)
-    stacks: dict[int, list] = {}
-    where = []
-    for qs, targets in checked:
-        stack = stacks.setdefault(len(qs), [])
-        where.append((len(qs), len(stack)))
-        stack.append((qs, targets))
-    stacked = {n: tuple(map(np.stack, zip(*stack))) for n, stack in stacks.items()}
+    # one search per (problem, start); problems go in order of sample count,
+    # so that the searches of one sample count are the ids [lo, hi)
+    owner, starts = [], []
+    for p in sorted(range(len(checked)), key=lambda p: len(checked[p][0])):
+        x0s = _start_points(kind, *checked[p])
+        owner += [p] * len(x0s)
+        starts += x0s
+    # per sample count: (lo, qs stack, targets stack), a row per search
+    groups = []
+    for _, run in itertools.groupby(enumerate(owner), key=lambda rp: len(checked[rp[1]][0])):
+        run = list(run)
+        qs, targets = (np.stack(column) for column in zip(*(checked[p] for _, p in run)))
+        groups.append((run[0][0], qs, targets))
+    bounds = [lo for lo, _, _ in groups] + [len(owner)]
 
-    # one search per (problem, start), in problem-then-start order
-    owner, searches = [], []
-    for p, (qs, targets) in enumerate(checked):
-        for x0 in _start_points(kind, qs, targets):
-            owner.append(p)
-            searches.append(_simplex(x0))
-    results: list = [None] * len(searches)
+    def score(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+        values = np.empty(len(rows))
+        cuts = rows.searchsorted(bounds)
+        for (lo, qs, targets), a, b in zip(groups, cuts, cuts[1:]):
+            local = rows[a:b] - lo
+            values[a:b] = _rmse_rows(kind, points[a:b], qs.take(local, axis=0),
+                                     targets.take(local, axis=0))
+        return values
+
     with np.errstate(all="ignore"):
-        pending = {r: next(search) for r, search in enumerate(searches)}
-        while pending:
-            batches: dict[int, list[int]] = {}
-            for r in pending:
-                batches.setdefault(where[owner[r]][0], []).append(r)
-            for n, runs in batches.items():
-                points = [x for r in runs for x in pending[r]]
-                rows = [where[owner[r]][1] for r in runs for _ in pending[r]]
-                qs, targets = stacked[n]
-                values = _rmse_rows(kind, np.array(points), qs[rows], targets[rows])
-                k = 0
-                for r in runs:
-                    m = len(pending[r])
-                    try:
-                        pending[r] = searches[r].send(values[k:k + m])
-                    except StopIteration as done:
-                        results[r] = done.value
-                        del pending[r]
-                    k += m
-
+        results = _simplex_batch(np.reshape(starts, (-1, _PARAM_COUNT[kind])), score)
     per_problem: list[list] = [[] for _ in checked]
     for p, result in zip(owner, results):
         per_problem[p].append(result)
     models = []
     for runs in per_problem:
-        best = None
-        for x, fx, _, conv in runs:
-            if not np.all(np.isfinite(x)):
-                continue
-            if best is None or fx < best[1]:
-                best = (x, fx, conv)
-        if best is None:
+        finite = [run for run in runs if np.all(np.isfinite(run[0]))]
+        if not finite:
             raise RuntimeError("all regression starts diverged")
-        x, fx, conv = best
+        x, fx, _, conv = min(finite, key=lambda run: run[1])  # the first best
         models.append(RegressionModel(
             kind=kind, params=tuple(float(v) for v in x), rmse=fx,
             iterations=sum(it for _, _, it, _ in runs), converged=conv,

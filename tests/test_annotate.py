@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +245,23 @@ def test_cubic_exact_recovery():
     model = ann.fit_regression("cubic4", qs, targets)
     np.testing.assert_allclose(model.params, truth, atol=1e-6)
     assert model.rmse < 1e-8
+
+
+def test_cubic_overflowing_scores_raise_instead_of_hanging():
+    # an inf Vandermonde matrix made np.linalg.lstsq spin without returning,
+    # so the fit runs in a child process that the timeout ends
+    code = ("import numpy as np\n"
+            "from pcqa import annotate as ann\n"
+            "ann.fit_regression('cubic4', np.linspace(0, 1, 8) * 1e150, np.linspace(1, 5, 8))\n")
+    src = str(Path(ann.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 1
+    assert done.stderr.strip().splitlines()[-1] == (
+        "ValueError: cubic4: the largest |score| 1e+150 overflows float64 when cubed")
+    # scores whose cube is still finite fit as before
+    model = ann.fit_regression("cubic4", np.linspace(0, 1, 8) * 5e102, np.linspace(1, 5, 8))
+    assert model.converged
 
 
 def test_cubic_eval_direct():
@@ -576,6 +597,80 @@ def test_nelder_mead_nan_start_point():
     _assert_same_search(f, np.array([1.0, 1.0]), max_iter=50)
 
 
+@pytest.mark.parametrize("x0", [np.array([]), np.zeros((2, 2)), np.float64(1.0)],
+                         ids=["empty", "2-D", "scalar"])
+def test_nelder_mead_rejects_an_empty_or_non_vector_start(x0):
+    with pytest.raises(ValueError, match=r"^x0 must be a non-empty 1-D vector, got shape"):
+        ann.nelder_mead(lambda x: 0.0, x0)
+
+
+@pytest.mark.parametrize("x0s", [np.zeros((3, 0)), np.zeros(3), np.zeros((2, 2, 2))],
+                         ids=["no-dims", "1-D", "3-D"])
+def test_simplex_batch_rejects_starts_that_are_not_rows(x0s):
+    with pytest.raises(ValueError, match=r"^starts must be an \(R, n\) array with n >= 1"):
+        ann._simplex_batch(x0s, lambda rows, points: np.zeros(len(rows)))
+
+
+def _objective(spec):
+    """A scalar test objective: a weighted bowl, a staircase whose plateaus
+    make the search shrink, or a bowl with NaN and inf regions."""
+    kind, a, b = spec
+    if kind == "bowl":
+        center, weights = np.array(a), np.array(b)
+        return lambda x: float(np.sum(weights * (x - center) ** 2))
+    if kind == "stairs":
+        return lambda x: float(np.floor(np.sum(np.abs(x - a)) * 4.0))
+
+    def regions(x):
+        if x[0] > a:
+            return float("nan")
+        if x[-1] < b:
+            return float("inf")
+        return float(np.sum((x - 1.0) ** 2))
+    return regions
+
+
+def _search_specs(n):
+    # starts near the NaN and inf thresholds, so that simplices straddle them
+    vector = st.lists(st.floats(-6.0, 6.0), min_size=n, max_size=n)
+    objective = st.one_of(
+        st.tuples(st.just("bowl"), vector, st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)),
+        st.tuples(st.just("stairs"), st.floats(-5.0, 5.0), st.none()),
+        st.tuples(st.just("regions"), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)))
+    return st.lists(st.tuples(vector, objective), min_size=1, max_size=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(_search_specs), st.integers(0, 120))
+# a contraction is taken against Python's min(fr, NaN) = fr
+@example([([4.2, 2.5, -3.6, 1.6], ("regions", 4.3, -3.4)),
+          ([1.0, -1.5, -4.6, 0.3], ("stairs", 0.5, None))], 35)
+# the cap stops a search whose simplex holds a NaN vertex, which np.argmin returns
+@example([([4.8, -0.4, -4.9], ("regions", 4.8, 3.2)),
+          ([0.9, -1.7, -3.3], ("stairs", -2.4, None))], 5)
+def test_simplex_batch_matches_each_search_run_alone(specs, max_iter):
+    # R searches in one call, each against the array form run on its own:
+    # the same result and the same points handed to its objective, in order
+    x0s = np.array([x0 for x0, _ in specs])
+    objectives = [_objective(spec) for _, spec in specs]
+    calls = [[] for _ in specs]
+
+    def score(rows, points):
+        assert np.all(np.diff(rows) >= 0)
+        for r, x in zip(rows, points):
+            calls[r].append(x.tobytes())
+        return np.array([objectives[r](x) for r, x in zip(rows, points)])
+
+    with np.errstate(all="ignore"):
+        results = ann._simplex_batch(x0s, score, max_iter)
+        for x0, f, got, got_calls in zip(x0s, objectives, results, calls):
+            g, want_calls = _recorded(f)
+            rx, rfx, rit, rconv = _reference_nelder_mead(g, x0, max_iter=max_iter)
+            x, fx, it, conv = got
+            assert (x.tobytes(), _bits(fx), it, conv) == (rx.tobytes(), _bits(rfx), rit, rconv)
+            assert got_calls == want_calls
+
+
 def _reference_eval_kind(kind, params, qs):
     if kind == "logistic4":
         b1, b2, b3, b4 = params
@@ -694,21 +789,18 @@ def test_fit_regressions_matches_one_start_at_a_time(case):
 def test_pinned_fit_cases_reach_cap_shrink_and_non_finite(monkeypatch, case):
     (kind, scale), specs = case
     seen = {"shrink": 0, "inf": 0}
-    simplex = ann._simplex
+    simplex_batch = ann._simplex_batch
 
-    def watched(x0, *args):
-        search = simplex(x0, *args)
-        points = next(search)
-        try:
-            while True:
-                values = yield points
-                seen["inf"] += math.inf in values
-                points = search.send(values)
-                seen["shrink"] += len(points) == len(x0)
-        except StopIteration as done:
-            return done.value
+    def watched(x0s, score, *args):
+        def watched_score(rows, points):
+            values = score(rows, points)
+            seen["inf"] += math.inf in values
+            # a shrink scores n points of one search, the start n + 1, the rest 1
+            seen["shrink"] += np.unique(rows, return_counts=True)[1].max() == x0s.shape[1]
+            return values
+        return simplex_batch(x0s, watched_score, *args)
 
-    monkeypatch.setattr(ann, "_simplex", watched)
+    monkeypatch.setattr(ann, "_simplex_batch", watched)
     models = ann.fit_regressions(kind, [_fit_problem(seed, n, scale) for seed, n in specs])
     assert seen["shrink"] > 0
     if kind == "cubic4":
