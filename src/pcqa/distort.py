@@ -238,6 +238,15 @@ def _luminance(cloud: PointCloud, offset: int, rng: np.random.Generator) -> Poin
     return cloud.with_colors(finalize_colors(ycbcr_to_rgb(ycc)))
 
 
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared distances between RGB rows, the three channel
+    terms added in order without an (len(a), len(b), 3) temporary."""
+    d2 = (a[:, None, 0] - b[None, :, 0]) ** 2
+    for c in (1, 2):
+        d2 += (a[:, None, c] - b[None, :, c]) ** 2
+    return d2
+
+
 def _kmeans_palette(colors: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     uniq = np.unique(colors, axis=0).astype(np.float64)
     k_eff = min(k, len(uniq))
@@ -245,8 +254,7 @@ def _kmeans_palette(colors: np.ndarray, k: int, rng: np.random.Generator) -> np.
     pts = colors.astype(np.float64)
     assign = np.zeros(len(pts), dtype=np.int64)
     for _ in range(30):  # Lloyd iterations, or fewer once converged
-        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_assign = d2.argmin(axis=1)
+        new_assign = _sq_dists(pts, centers).argmin(axis=1)
         new_centers = centers.copy()
         for j in range(k_eff):
             members = pts[new_assign == j]
@@ -261,7 +269,7 @@ def _kmeans_palette(colors: np.ndarray, k: int, rng: np.random.Generator) -> np.
 def _palette_spacing(centers: np.ndarray) -> float:
     if len(centers) < 2:
         return 0.0
-    d2 = ((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    d2 = _sq_dists(centers, centers)
     np.fill_diagonal(d2, np.inf)
     return float(np.sqrt(d2.min(axis=1)).mean())
 
@@ -272,8 +280,7 @@ def _dither_quantization(cloud: PointCloud, k: int, rng: np.random.Generator) ->
     centers = _kmeans_palette(cloud.colors, k, rng)
     q = _palette_spacing(centers)
     dithered = colors + rng.uniform(-q / 2.0, q / 2.0, size=colors.shape)
-    d2 = ((dithered[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return cloud.with_colors(finalize_colors(centers[d2.argmin(axis=1)]))
+    return cloud.with_colors(finalize_colors(centers[_sq_dists(dithered, centers).argmin(axis=1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +502,7 @@ def apply_distortion(
     info = REGISTRY[spec.distortion_id]
     if info.generator is not None:
         return info.generate(cloud, spec.level, rng_for_spec(spec))
-    out, _ = external_codec(cloud, spec, (adapters or {}).get(spec.distortion_id))
-    return out
+    return external_codec(cloud, spec, (adapters or {}).get(spec.distortion_id))
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +549,9 @@ def _adapter_lock(adapter: AdapterConfig):
 
 
 def external_codec(
-    cloud: PointCloud,
-    spec: DistortionSpec,
-    adapter: AdapterConfig | None,
-    workdir: str | Path | None = None,
-) -> tuple[PointCloud, dict]:
-    """Round-trip the cloud through an external tool; returns (cloud, provenance)."""
+    cloud: PointCloud, spec: DistortionSpec, adapter: AdapterConfig | None
+) -> PointCloud:
+    """Round-trip the cloud through an external tool in a temporary directory."""
     if adapter is None:
         raise AdapterNotConfiguredError(
             f"adapter not configured for distortion id {spec.distortion_id}"
@@ -556,9 +559,9 @@ def external_codec(
     raw = REGISTRY[spec.distortion_id].param(spec.level)
     params = [_format_param(p) for p in (raw if isinstance(raw, tuple) else (raw,))]
 
-    def run(dirpath: Path) -> PointCloud:
-        in_path = dirpath / "input.ply"
-        out_path = dirpath / "output.ply"
+    with tempfile.TemporaryDirectory(prefix="pcqa_adapter_") as tmp:
+        in_path = Path(tmp) / "input.ply"
+        out_path = Path(tmp) / "output.ply"
         save_ply(cloud, in_path, mode="binary_le")
         subs = {"in": str(in_path), "out": str(out_path)}
         subs.update({f"p{i + 1}": p for i, p in enumerate(params)})
@@ -579,11 +582,3 @@ def external_codec(
             return load_ply(out_path)
         except (OSError, ValueError) as exc:
             raise AdapterOutputError(f"unreadable adapter output: {exc}") from exc
-
-    if workdir is None:
-        with tempfile.TemporaryDirectory(prefix="pcqa_adapter_") as tmp:
-            result = run(Path(tmp))
-    else:
-        result = run(Path(workdir))
-    provenance = {"tool": adapter.command, "params": params}
-    return result, provenance

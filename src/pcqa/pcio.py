@@ -269,14 +269,17 @@ def read_csv_rows(path: str | Path, required: set[str], name: str) -> Iterator[t
     CSV in the missing-column error."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            missing = sorted(required - set(reader.fieldnames or ()))
-            raise ValueError(f"{name} CSV missing columns: {', '.join(missing)}")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if None in row.values():  # DictReader pads a short row with None
-                raise ValueError(f"{where}: row has fewer fields than the header")
-            yield where, row
+        try:
+            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+                missing = sorted(required - set(reader.fieldnames or ()))
+                raise ValueError(f"{path}: {name} CSV missing columns: {', '.join(missing)}")
+            for row in reader:
+                where = f"{path}:{reader.line_num}"
+                if None in row.values():  # DictReader pads a short row with None
+                    raise ValueError(f"{where}: row has fewer fields than the header")
+                yield where, row
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def save_ply(

@@ -136,7 +136,10 @@ class Manifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "Manifest":
-        lines = Path(path).read_text().splitlines()
+        try:
+            lines = Path(path).read_text().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
         if not lines:
             raise ValidationError(f"empty manifest {path}")
         try:
@@ -234,8 +237,7 @@ class Config:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Config":
-        d = json.loads(Path(path).read_text())
-        return cls.from_dict(d)
+        return cls.from_dict(_read_json(path))
 
     @classmethod
     def from_dict(cls, d: dict) -> "Config":
@@ -246,7 +248,15 @@ class Config:
 
 
 def load_adapters(path: str | Path) -> dict[int, AdapterConfig]:
-    return Config.from_dict({"adapters": json.loads(Path(path).read_text())}).adapters
+    return Config.from_dict({"adapters": _read_json(path)}).adapters
+
+
+def _read_json(path: str | Path):
+    """The JSON value in a UTF-8 file; a file that is neither names itself."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def job_seed(dataset_seed: int, reference_id: str, distortion_id: int) -> int:

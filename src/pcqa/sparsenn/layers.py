@@ -1,4 +1,5 @@
-"""Forward/backward primitives: sparse convolution, batch norm, ReLU, FC.
+"""Forward/backward primitives: sparse convolution, batch norm, ReLU, global
+average pooling, FC.
 
 Everything operates on float64 arrays. Backward passes return the input
 gradient and add the exact reverse-mode parameter gradients into arrays the
@@ -152,24 +153,14 @@ def layer_backward(
     return conv_backward(params["w"], cache.feats_in, dz, grads["w"], kmap), dpre
 
 
-def global_pool(feats: np.ndarray, mode: str = "avg") -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-channel reduction over rows; returns (vector, argmax cache)."""
-    if mode == "avg":
-        return feats.mean(axis=0), None
-    if mode == "max":
-        arg = feats.argmax(axis=0)
-        return feats[arg, np.arange(feats.shape[1])], arg
-    raise ValueError(f"unknown pooling mode '{mode}'")
+def global_pool(feats: np.ndarray) -> np.ndarray:
+    """Global average pooling: the per-channel mean over rows."""
+    return feats.mean(axis=0)
 
 
-def global_pool_backward(
-    dvec: np.ndarray, n_rows: int, mode: str, arg: np.ndarray | None
-) -> np.ndarray:
-    if mode == "avg":
-        return np.tile(dvec / n_rows, (n_rows, 1))
-    out = np.zeros((n_rows, len(dvec)))
-    out[arg, np.arange(len(dvec))] = dvec
-    return out
+def global_pool_backward(dvec: np.ndarray, n_rows: int) -> np.ndarray:
+    """Reverse of global_pool: each row receives dvec / n_rows."""
+    return np.tile(dvec / n_rows, (n_rows, 1))
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """Hierarchical sparse-CNN quality regressor.
 
-Four residual blocks of three sub-manifold conv layers (width 64), global
-pooling per block, concatenation to a 256-vector and a two-layer FC head.
+Four residual blocks of three sub-manifold conv layers (width 64) over the
+RGB features `voxelize` emits, global average pooling per block,
+concatenation to a 256-vector and a two-layer FC head.
 Residual variants A-D differ only in the block shortcut; the shortcut table
 `_SHORTCUTS` is the single place a variant is defined. The default D joins
 the first layer's output into the third layer's pre-activation.
@@ -27,7 +28,7 @@ from .layers import (
     LayerCache, FCCache, fc_backward, fc_forward, global_pool,
     global_pool_backward, layer_backward, layer_forward,
 )
-from .tensor import KernelMap, SparseTensor, build_kernel_map
+from .tensor import IN_CHANNELS, KernelMap, SparseTensor, build_kernel_map
 
 __all__ = [
     "ModelConfig", "Model", "RESIDUAL_VARIANTS",
@@ -39,7 +40,7 @@ Residual = Literal["A", "B", "C", "D"]
 RESIDUAL_VARIANTS = get_args(Residual)
 
 _MAGIC = b"PCQANET\x01"
-_VERSION = 1
+_VERSION = 2
 MAX_PARAMS = 10**8  # the default has 1.2M; bounds what a config makes init_model allocate
 MAX_ARRAYS = 10**4  # the default has 64; bounds the arrays _layout lists (15 per block)
 
@@ -52,10 +53,8 @@ class CheckpointError(ValueError):
 class ModelConfig:
     blocks: PositiveInt = 4
     width: PositiveInt = 64
-    in_channels: PositiveInt = 3
     fc_hidden: PositiveInt = 32
     residual: Residual = "D"
-    pooling: Literal["avg", "max"] = "avg"
     bn_eps: Positive = 1e-5
     bn_momentum: Annotated[float, (lambda m: 0 <= m < 1, "a number in [0, 1)")] = 0.9
     voxel_size: Positive = 1.0
@@ -70,7 +69,7 @@ class ModelConfig:
     @property
     def param_count(self) -> int:  # _layout's trainable arrays, in closed form
         w, convs = self.width, 3 * self.blocks
-        return (27 * w * (self.in_channels + (convs - 1) * w) + 2 * w * convs
+        return (27 * w * (IN_CHANNELS + (convs - 1) * w) + 2 * w * convs
                 + (self.feature_length + 2) * self.fc_hidden + 1)
 
     @property
@@ -108,7 +107,7 @@ def _layout(config: ModelConfig) -> dict[str, _Array]:
     w, layout = config.width, {}
     for b in range(config.blocks):
         for l in range(3):
-            cin = config.in_channels if (b == 0 and l == 0) else w
+            cin = IN_CHANNELS if (b == 0 and l == 0) else w
             layout[f"conv{b}.{l}.w"] = _Array((27, cin, w), std=np.sqrt(2.0 / (27 * cin)))
             layout[f"conv{b}.{l}.gamma"] = _Array((w,), fill=1.0)
             layout[f"conv{b}.{l}.beta"] = _Array((w,))
@@ -163,7 +162,6 @@ class ModelCache:
     kmap: KernelMap
     n_rows: int
     layers: list[LayerCache]  # conv{b}.{l} at index 3 * b + l
-    pool_args: list[np.ndarray | None]
     fc: FCCache
 
 
@@ -183,9 +181,8 @@ def forward(
     same coordinate set (the map depends only on the coordinates).
     """
     cfg = model.config
-    if tensor.n_channels != cfg.in_channels:
-        raise ValueError(
-            f"tensor has {tensor.n_channels} channels, model expects {cfg.in_channels}")
+    if tensor.n_channels != IN_CHANNELS:
+        raise ValueError(f"tensor has {tensor.n_channels} channels, model expects {IN_CHANNELS}")
     if kmap is None:
         kmap = build_kernel_map(tensor)
     x = tensor.feats
@@ -195,7 +192,6 @@ def forward(
     buffers: list[np.ndarray] = []
     tmp = None if training else np.empty(shape)
     layers: list[LayerCache] = []
-    pool_args: list[np.ndarray | None] = []
     pooled: list[np.ndarray] = []
     for b in range(cfg.blocks):
         source, join = _shortcut(cfg.residual, b)
@@ -208,14 +204,11 @@ def forward(
                                  cfg.bn_eps, shortcut=skip if l == join else None,
                                  out=out, tmp=tmp)
             layers.append(c)
-        vec, arg = global_pool(x, cfg.pooling)
-        pool_args.append(arg)
-        pooled.append(vec)
+        pooled.append(global_pool(x))
     q, fc_cache = fc_forward(model.params, np.concatenate(pooled))
     if not training:
         return q, None
-    return q, ModelCache(kmap=kmap, n_rows=len(tensor), layers=layers,
-                         pool_args=pool_args, fc=fc_cache)
+    return q, ModelCache(kmap=kmap, n_rows=len(tensor), layers=layers, fc=fc_cache)
 
 
 def backward(model: Model, cache: ModelCache, dq: float,
@@ -230,8 +223,7 @@ def backward(model: Model, cache: ModelCache, dq: float,
     d: np.ndarray | None = None
     for b in range(cfg.blocks - 1, -1, -1):
         source, join = _shortcut(cfg.residual, b)
-        dpool = global_pool_backward(ds[b * w:(b + 1) * w], cache.n_rows, cfg.pooling,
-                                     cache.pool_args[b])
+        dpool = global_pool_backward(ds[b * w:(b + 1) * w], cache.n_rows)
         d = dpool if d is None else dpool + d
         for l in (2, 1, 0):
             layer_grads = {name: grads[f"conv{b}.{l}.{name}"] for name in ("w", "gamma", "beta")}

@@ -78,6 +78,9 @@ class KernelMap:
         return [len(p[0]) for p in self.pairs]
 
 
+IN_CHANNELS = 3  # the feature width voxelize emits: one per RGB channel
+
+
 def voxelize(cloud: PointCloud, voxel_size: float = 1.0) -> SparseTensor:
     """Quantize positions to a voxel grid; duplicate sites merge with mean
     features. Features are RGB / 255 - 0.5 per channel; the batch column is 0."""

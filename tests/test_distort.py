@@ -484,14 +484,12 @@ def _passthrough_adapter():
     return AdapterConfig(command="cp", args=("{in}", "{out}"))
 
 
-def test_external_passthrough_identity(tmp_path):
+def test_external_passthrough_identity():
     cloud = grid_cloud(np.random.default_rng(54), n=100)
     spec = DistortionSpec(25, 1, seed=1)
-    out, prov = external_codec(cloud, spec, _passthrough_adapter(), workdir=tmp_path)
+    out = external_codec(cloud, spec, _passthrough_adapter())
     np.testing.assert_allclose(out.positions, cloud.positions)
     np.testing.assert_array_equal(out.colors, cloud.colors)
-    assert prov["tool"] == "cp"
-    assert prov["params"] == ["27"]
 
 
 def test_external_unconfigured_errors():
@@ -505,35 +503,36 @@ def test_external_param_template_substitution(tmp_path):
     script = tmp_path / "fake_codec.sh"
     script.write_text("#!/bin/sh\necho \"$1\" > \"$4\".args\ncp \"$2\" \"$3\"\n")
     script.chmod(0o755)
-    adapter = AdapterConfig(command=str(script), args=("qp={p1}", "{in}", "{out}", "{out}"))
+    argv_file = str(tmp_path / "argv")  # the script writes to argv_file + ".args"
+    adapter = AdapterConfig(command=str(script), args=("qp={p1}", "{in}", "{out}", argv_file))
     cloud = grid_cloud(np.random.default_rng(55), n=50)
-    out, prov = external_codec(cloud, DistortionSpec(25, 1, seed=1), adapter, workdir=tmp_path)
-    assert (tmp_path / "output.ply.args").read_text().strip() == "qp=27"
+    external_codec(cloud, DistortionSpec(25, 1, seed=1), adapter)
+    assert (tmp_path / "argv.args").read_text().strip() == "qp=27"
     # two-parameter codec: VPCC level 3 -> geometry qp 24, texture qp 32
-    adapter2 = AdapterConfig(command=str(script), args=("g{p1}t{p2}", "{in}", "{out}", "{out}"))
-    external_codec(cloud, DistortionSpec(28, 3, seed=1), adapter2, workdir=tmp_path)
-    assert (tmp_path / "output.ply.args").read_text().strip() == "g24t32"
+    adapter2 = AdapterConfig(command=str(script), args=("g{p1}t{p2}", "{in}", "{out}", argv_file))
+    external_codec(cloud, DistortionSpec(28, 3, seed=1), adapter2)
+    assert (tmp_path / "argv.args").read_text().strip() == "g24t32"
 
 
-def test_external_tool_missing(tmp_path):
+def test_external_tool_missing():
     adapter = AdapterConfig(command="/nonexistent/tool", args=("{in}", "{out}"))
     cloud = flat_cloud(n=10)
     with pytest.raises(AdapterToolMissingError):
-        external_codec(cloud, DistortionSpec(25, 1, seed=1), adapter, workdir=tmp_path)
+        external_codec(cloud, DistortionSpec(25, 1, seed=1), adapter)
 
 
-def test_external_nonzero_exit(tmp_path):
+def test_external_nonzero_exit():
     adapter = AdapterConfig(command="false", args=())
     cloud = flat_cloud(n=10)
     with pytest.raises(AdapterFailedError):
-        external_codec(cloud, DistortionSpec(25, 1, seed=1), adapter, workdir=tmp_path)
+        external_codec(cloud, DistortionSpec(25, 1, seed=1), adapter)
 
 
-def test_external_unreadable_output(tmp_path):
+def test_external_unreadable_output():
     adapter = AdapterConfig(command="true", args=())  # never writes {out}
     cloud = flat_cloud(n=10)
     with pytest.raises(AdapterOutputError):
-        external_codec(cloud, DistortionSpec(25, 1, seed=1), adapter, workdir=tmp_path)
+        external_codec(cloud, DistortionSpec(25, 1, seed=1), adapter)
 
 
 # ---------------------------------------------------------------------------

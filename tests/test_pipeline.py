@@ -459,7 +459,9 @@ def _set_shape(header, name, shape):
     (lambda raw: raw + b"\0" * 8, "trailing bytes"),
     (lambda raw: _edit_checkpoint_header(raw, lambda h: _set_shape(h, "fc2.b", [2])),
      "shape"),
-], ids=["truncated-header", "unknown-config-key", "trailing-bytes", "wrong-shape"])
+    # version 1 headers list the removed pooling and in_channels settings
+    (lambda raw: raw[:8] + struct.pack("<I", 1) + raw[12:], "unsupported checkpoint version 1"),
+], ids=["truncated-header", "unknown-config-key", "trailing-bytes", "wrong-shape", "version-1"])
 def test_cli_malformed_checkpoint_exit_code(tmp_path, capsys, corrupt, match):
     manifest = tmp_path / "manifest.jsonl"
     pl.Manifest(seed=0, label_scale=(1.0, 5.0),

@@ -32,8 +32,8 @@ CHEAP_ID = "5"  # a colour-only distortion: fast, keeps every point
 VALID_CONFIG = {
     "seed": 7, "distortions": [1, 2], "label_scale": [1, 5],
     "adapters": {"25": {"command": "cp", "args": ["{in}", "{out}"], "serialize": False}},
-    "model": {"blocks": 1, "width": 4, "in_channels": 3, "fc_hidden": 4, "residual": "D",
-              "pooling": "avg", "bn_eps": 1e-5, "bn_momentum": 0.9, "voxel_size": 1.0},
+    "model": {"blocks": 1, "width": 4, "fc_hidden": 4, "residual": "D",
+              "bn_eps": 1e-5, "bn_momentum": 0.9, "voxel_size": 1.0},
     "train": {"lr": 0.01, "lr_decay": 0.99, "accum": 2, "epochs": 1, "max_steps": 4,
               "scale_range": [0.9, 1.1], "rotation_range": [0, 360], "seed": 0},
 }
@@ -131,11 +131,14 @@ def _assert_one_line_error(argv, capsys, *parts):
     ({"model": {"residual": "E"}}, "model residual must be one of 'A', 'B', 'C', 'D', got 'E'"),
     ({"train": {"epochs": 0}}, "train epochs must be a positive int, got 0"),
     ({"train": {"max_steps": 0}}, "train max_steps must be a positive int, got 0"),
+    ({"model": {"pooling": "avg"}}, "config model has unknown key 'pooling'"),
+    ({"model": {"in_channels": 3}}, "config model has unknown key 'in_channels'"),
 ], ids=["string-voxel-size", "float-seed", "bool-seed", "unknown-top-level-key",
         "scalar-label-scale", "reversed-label-scale", "scalar-distortions", "unknown-distortion",
         "string-adapter-args", "int-adapter-command", "float-accum", "string-epochs",
         "train-label-scale", "zero-lr-decay", "infinite-scale-range", "momentum-7",
-        "unknown-residual", "zero-epochs", "zero-max-steps"])
+        "unknown-residual", "zero-epochs", "zero-max-steps", "no-pooling-setting",
+        "no-in-channels-setting"])
 def test_cli_bad_config_value_exits_1_naming_the_field(tmp_path, inputs, capsys, config,
                                                        message):
     root, _ = inputs
@@ -339,6 +342,36 @@ def test_cli_eval_bad_checkpoint_config_exits_1(tmp_path, inputs, capsys, edit, 
     _assert_one_line_error(["eval", "--manifest", str(root / "ds" / "manifest.jsonl"),
                             "--split", "test=ref0", "--checkpoint", str(ckpt),
                             "--out", str(tmp_path / "eval")], capsys, message)
+
+
+@pytest.mark.parametrize("target, data", [
+    ("config", b'{"seed": 1,\n'),
+    ("adapters", b'{"25": {"command": "cp"'),
+    ("manifest", b"\xff\n"),
+    ("scores", b"metric_name,reference_id,degraded_id,value\n\xff\n"),
+    ("ratings", b"\xffstimulus_id,subject_id,score\n"),
+    ("scores", b"metric_name,reference_id,degraded_id,value\nPSNRyuv,ref0,s0," + b"9" * 200_000),
+], ids=["truncated-config", "truncated-adapters", "non-utf8-manifest", "non-utf8-scores",
+        "non-utf8-ratings", "field-over-the-csv-limit"])
+def test_cli_unreadable_input_file_names_itself(tmp_path, inputs, capsys, target, data):
+    root, _ = inputs
+    path = tmp_path / "bad"
+    path.write_bytes(data)
+    out = str(tmp_path / "out")
+    build = ["build", "--refs", str(root / "refs"), "--out", out, "--subset", CHEAP_ID]
+    csvs = {"scores": _write_csv(tmp_path / "s.csv", VALID_SCORES),
+            "ratings": _write_csv(tmp_path / "r.csv", VALID_RATINGS), target: path}
+    argv = {
+        "config": [*build, "--config", str(path)],
+        "adapters": build,
+        "manifest": ["score", "--manifest", str(path), "--out", out],
+    }.get(target, ["annotate", "--manifest", str(root / "ds" / "labelled.jsonl"),
+                   "--scores", str(csvs["scores"]), "--subjective", str(csvs["ratings"]),
+                   "--out", out])
+    env = {"PCQA_ADAPTERS": str(path)} if target == "adapters" else {}
+    with mock.patch.dict(os.environ, env):
+        _assert_one_line_error(argv, capsys, f"error: {path}: ")
+    assert not Path(out).exists()
 
 
 @pytest.mark.parametrize("target", ["scores", "ratings"])

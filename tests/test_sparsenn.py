@@ -193,22 +193,19 @@ def test_submanifold_property_coords_unchanged(rng):
 
 
 def test_global_pool_mean():
-    vec, _ = global_pool(np.array([[1.0, 2.0], [3.0, 4.0]]), "avg")
+    vec = global_pool(np.array([[1.0, 2.0], [3.0, 4.0]]))
     np.testing.assert_allclose(vec, [2.0, 3.0])
 
 
 def test_global_pool_single_row():
-    vec, _ = global_pool(np.array([[7.0, -1.0]]), "avg")
+    vec = global_pool(np.array([[7.0, -1.0]]))
     np.testing.assert_allclose(vec, [7.0, -1.0])
 
 
 def test_global_pool_permutation_invariant(rng):
     feats = rng.normal(size=(20, 5))
     perm = rng.permutation(20)
-    for mode in ("avg", "max"):
-        a, _ = global_pool(feats, mode)
-        b, _ = global_pool(feats[perm], mode)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+    np.testing.assert_allclose(global_pool(feats), global_pool(feats[perm]), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +328,11 @@ def test_smooth_l1_boundary_continuity():
 # ---------------------------------------------------------------------------
 
 
-def _fd_check(seed, residual="D", pooling="avg", h=1e-5, tol=1e-4):
+def _fd_check(seed, residual="D", h=1e-5, tol=1e-4):
     rng_l = np.random.default_rng(seed)
     t = random_tensor(rng_l, n=14, extent=4)
     kmap = build_kernel_map(t)
-    cfg = ModelConfig(blocks=2, width=3, fc_hidden=3, residual=residual, pooling=pooling)
+    cfg = ModelConfig(blocks=2, width=3, fc_hidden=3, residual=residual)
     model = init_model(cfg, seed=seed + 1)
     label = 3.1
 
@@ -375,10 +372,6 @@ def test_gradients_match_finite_differences():
 def test_gradients_residual_variants():
     for variant in ("A", "B", "C"):
         assert _fd_check(23, residual=variant) < 1e-4
-
-
-def test_gradients_max_pooling():
-    assert _fd_check(29, pooling="max") < 1e-4
 
 
 def _paper_block(model, b, x, kmap):
@@ -446,11 +439,11 @@ def test_block_wiring_matches_paper_table(variant, b):
     out0, back0 = _paper_block(model, 0, t.feats, kmap)
     out1, back1 = _paper_block(model, 1, out0, kmap)
     want_q, fc_cache = fc_forward(model.params, np.concatenate(
-        [global_pool(out0)[0], global_pool(out1)[0]]))
+        [global_pool(out0), global_pool(out1)]))
     want_grads = {name: np.zeros_like(p) for name, p in model.params.items()}
     ds = fc_backward(model.params, dq, fc_cache, want_grads)
-    dx1, grads1 = back1(global_pool_backward(ds[5:], len(t), "avg", None))
-    _, grads0 = back0(global_pool_backward(ds[:5], len(t), "avg", None) + dx1)
+    dx1, grads1 = back1(global_pool_backward(ds[5:], len(t)))
+    _, grads0 = back0(global_pool_backward(ds[:5], len(t)) + dx1)
 
     assert q == want_q
     np.testing.assert_array_equal(cache.layers[3 * b + 2].out, (out0, out1)[b])
@@ -481,7 +474,7 @@ def test_unused_offset_zero_gradient():
             assert np.all(w_grad[k] == 0.0)
 
 
-@pytest.mark.parametrize("field", ["blocks", "width", "in_channels", "fc_hidden"])
+@pytest.mark.parametrize("field", ["blocks", "width", "fc_hidden"])
 @pytest.mark.parametrize("value", ["64", 2.0, True, 0])
 def test_model_config_sizes_are_positive_ints(field, value):
     with pytest.raises(ValueError, match=f"model {field} must be a positive int"):
@@ -490,7 +483,7 @@ def test_model_config_sizes_are_positive_ints(field, value):
 
 @pytest.mark.parametrize("config", [
     ModelConfig(), ModelConfig(blocks=1, width=4, fc_hidden=4),
-    ModelConfig(blocks=3, width=7, in_channels=5, fc_hidden=9), ModelConfig(blocks=5, width=8),
+    ModelConfig(blocks=3, width=7, fc_hidden=9), ModelConfig(blocks=5, width=8),
 ], ids=["default", "tiny", "odd-sizes", "five-blocks"])
 def test_param_count_closed_form_matches_the_arrays(config):
     assert config.param_count == param_count(init_model(config))
@@ -538,8 +531,7 @@ def test_training_cache_keeps_each_activation_once(rng, variant):
     # a layer's cached output is the array the next layer reads, across block
     # boundaries too, and backward reads the ReLU masks from those outputs
     t = random_tensor(rng, n=30)
-    model = init_model(ModelConfig(blocks=3, width=4, fc_hidden=4, residual=variant,
-                                   pooling="max"), seed=5)
+    model = init_model(ModelConfig(blocks=3, width=4, fc_hidden=4, residual=variant), seed=5)
     _, cache = forward(model, t, training=True)
     for c, c_next in zip(cache.layers, cache.layers[1:]):
         assert c.out is c_next.feats_in
@@ -878,7 +870,7 @@ def test_backward_into_an_accumulator_allocates_no_gradient_set():
 # ---------------------------------------------------------------------------
 
 
-def _forward_digests(variant, pooling, blocks):
+def _forward_digests(variant, blocks):
     """Two SHA-256 digests over two seeded tensors: one of the inference
     score, one of the training score and the running statistics that
     training forward left."""
@@ -886,8 +878,8 @@ def _forward_digests(variant, pooling, blocks):
     tensors = (random_tensor(r, n=80, extent=6), voxelize(shell_cloud(r, n=200)))
     inference, training = hashlib.sha256(), hashlib.sha256()
     for t in tensors:
-        model = init_model(ModelConfig(blocks=blocks, width=8, fc_hidden=4,
-                                       residual=variant, pooling=pooling), seed=7)
+        model = init_model(ModelConfig(blocks=blocks, width=8, fc_hidden=4, residual=variant),
+                           seed=7)
         for stat in model.state.values():
             stat += r.uniform(0.1, 0.5, stat.shape)  # away from (0, 1)
         inference.update(repr(forward(model, t)[0]).encode())
@@ -901,49 +893,33 @@ def _forward_digests(variant, pooling, blocks):
 # folded batch norm into the conv and must not move; the inference digests
 # pin the folded output
 _FORWARD_SHA256 = {
-    ("A", "avg", 1): ("9364cae53af31fa78b477bfda728b34e8265f2ebd50cb2e0af3f070c2780c31d",
-                      "b39d6102ff32d1dc348aa526543bb9e242abe9be3dc14279e2f48484644b59d7"),
-    ("A", "avg", 4): ("85f3d2657c9d0f7029f035d8b8ede9b1f04f73411955fcdefeef1f8e96b23133",
-                      "ed6300b215fd8bbd03ad4fe8f2b1277b9b5c15bf07f0022cceac08ba390b067a"),
-    ("A", "max", 1): ("49cab7d8d889021cae142410c79d1c752c8d646e3b9256f693eaca2d0d8f5e01",
-                      "e3368c245b5bcb397033d5f126d025eccfb423b1ae5097ffcbcdb92bd4c48fb4"),
-    ("A", "max", 4): ("00f17f1d1b0b14a80d0186437fb051dbe51981b132d8a602b3d21cb46c3536d4",
-                      "fb515e4c87bc0ca1d5e4b925e248799ec44d83ef62c82c20e130f51affbdd16b"),
-    ("B", "avg", 1): ("6e5e7fc4d16fc4feb44793e9dbf9d8ea59e8bac5e62275974966f2b79b25dcc5",
-                      "e8ed093b6e910f880d2e0821fc8d38268df6f8486512aa996364b3480bb4be7f"),
-    ("B", "avg", 4): ("8f7f8e8b95441a300bbaef9e0bf68f82311a54e2feb8f2893c436ecd3434904d",
-                      "7ae89345732eaf642ac38fd4965bf554fa00cb3d01603379c9c5ac62e9c9b681"),
-    ("B", "max", 1): ("80999f738ecdbbde5eddff3f11e7994581bed8f6b84a59e3067695fd0908282b",
-                      "727eb2e4837df2e653d53a6da5640cf4c0129a814b1f687e734c7e9136528482"),
-    ("B", "max", 4): ("3082438f542eded6910d66ed7c48b9e7b1b3647fdd648f21492c97c8f98c5a0e",
-                      "eb146460dda1da03f08d723b08bb3022b03b7033369da01163bfa51776023381"),
-    ("C", "avg", 1): ("6e5e7fc4d16fc4feb44793e9dbf9d8ea59e8bac5e62275974966f2b79b25dcc5",
-                      "e8ed093b6e910f880d2e0821fc8d38268df6f8486512aa996364b3480bb4be7f"),
-    ("C", "avg", 4): ("9042c6edd41e977ceb6d1b5daa82aed874094a1fab47ff7553117023eb494873",
-                      "0dda840cc846f950528fd748eaefc43b0af9df6df9ef41e5c2f91b0fe1b253f5"),
-    ("C", "max", 1): ("80999f738ecdbbde5eddff3f11e7994581bed8f6b84a59e3067695fd0908282b",
-                      "727eb2e4837df2e653d53a6da5640cf4c0129a814b1f687e734c7e9136528482"),
-    ("C", "max", 4): ("3bd122f0f5ec4ba33099e7c3cd035734d77179973038048109ab376bda3e4359",
-                      "c76a48f4fc50a3b6da26dd1e0756fdc1c8b480a54d702a8ff2457b691d01985e"),
-    ("D", "avg", 1): ("6e5e7fc4d16fc4feb44793e9dbf9d8ea59e8bac5e62275974966f2b79b25dcc5",
-                      "e8ed093b6e910f880d2e0821fc8d38268df6f8486512aa996364b3480bb4be7f"),
-    ("D", "avg", 4): ("da334fc2d183bcb1e5dcbda667186044989694fac8b1e827486103c11b280be7",
-                      "db8ccc2679cb875466a635c1fc6d2516e176720c63e6a15c98f5e9181b108197"),
-    ("D", "max", 1): ("80999f738ecdbbde5eddff3f11e7994581bed8f6b84a59e3067695fd0908282b",
-                      "727eb2e4837df2e653d53a6da5640cf4c0129a814b1f687e734c7e9136528482"),
-    ("D", "max", 4): ("29547db20018c434dd940d122c811e17102331e15fcf1306bb1fa1907f8bb410",
-                      "06fc0a9421363d6720fe4ecdcc59e2d61ba35b80d08b493460e1f16f7463c39f"),
+    ("A", 1): ("9364cae53af31fa78b477bfda728b34e8265f2ebd50cb2e0af3f070c2780c31d",
+               "b39d6102ff32d1dc348aa526543bb9e242abe9be3dc14279e2f48484644b59d7"),
+    ("A", 4): ("85f3d2657c9d0f7029f035d8b8ede9b1f04f73411955fcdefeef1f8e96b23133",
+               "ed6300b215fd8bbd03ad4fe8f2b1277b9b5c15bf07f0022cceac08ba390b067a"),
+    ("B", 1): ("6e5e7fc4d16fc4feb44793e9dbf9d8ea59e8bac5e62275974966f2b79b25dcc5",
+               "e8ed093b6e910f880d2e0821fc8d38268df6f8486512aa996364b3480bb4be7f"),
+    ("B", 4): ("8f7f8e8b95441a300bbaef9e0bf68f82311a54e2feb8f2893c436ecd3434904d",
+               "7ae89345732eaf642ac38fd4965bf554fa00cb3d01603379c9c5ac62e9c9b681"),
+    ("C", 1): ("6e5e7fc4d16fc4feb44793e9dbf9d8ea59e8bac5e62275974966f2b79b25dcc5",
+               "e8ed093b6e910f880d2e0821fc8d38268df6f8486512aa996364b3480bb4be7f"),
+    ("C", 4): ("9042c6edd41e977ceb6d1b5daa82aed874094a1fab47ff7553117023eb494873",
+               "0dda840cc846f950528fd748eaefc43b0af9df6df9ef41e5c2f91b0fe1b253f5"),
+    ("D", 1): ("6e5e7fc4d16fc4feb44793e9dbf9d8ea59e8bac5e62275974966f2b79b25dcc5",
+               "e8ed093b6e910f880d2e0821fc8d38268df6f8486512aa996364b3480bb4be7f"),
+    ("D", 4): ("da334fc2d183bcb1e5dcbda667186044989694fac8b1e827486103c11b280be7",
+               "db8ccc2679cb875466a635c1fc6d2516e176720c63e6a15c98f5e9181b108197"),
 }
 
 
 @pytest.mark.parametrize("blocks", [1, 4])
-@pytest.mark.parametrize("pooling", ["avg", "max"])
-@pytest.mark.parametrize("variant", RESIDUAL_VARIANTS)
-def test_forward_without_cache_is_bit_equal(variant, pooling, blocks):
+# the ids keep the pooling, global average, that the digests were taken with
+@pytest.mark.parametrize("variant", RESIDUAL_VARIANTS, ids=lambda v: f"{v}-avg")
+def test_forward_without_cache_is_bit_equal(variant, blocks):
     # inference keeps no cache and its folded output is pinned; training and
     # the running-statistic updates stay bit-equal to the unfolded engine
     # that still had cache options
-    assert _forward_digests(variant, pooling, blocks) == _FORWARD_SHA256[variant, pooling, blocks]
+    assert _forward_digests(variant, blocks) == _FORWARD_SHA256[variant, blocks]
 
 
 def running_stats_bn_oracle(x, gamma, beta, running_mean, running_var, eps):
