@@ -10,14 +10,18 @@ Example, before committing a change (the parent is then HEAD):
     python3 scripts/bench_pairs.py --workload dataset --pairs 10 --seed 1 \
         --out BENCH_19.json
 
-The parent is exported with `git archive` into a temporary directory that
-is removed afterwards, so an interrupted run leaves nothing registered in
-the repository. Standard library only; no network.
+The parent is exported with `git archive`, and the working tree's `src/`
+and `benchmark/` are copied without `__pycache__`, into two sibling
+directories of one temporary directory that is removed afterwards. Both
+sides thus run from directories of the same kind, so a metric such as peak
+RSS cannot move with where a side runs, and an interrupted run leaves
+nothing registered in the repository. Standard library only; no network.
 """
 
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -91,6 +95,13 @@ def export_revision(rev: str, dest: Path) -> str:
     return sha
 
 
+def copy_working_tree(dest: Path) -> None:
+    """Copy the working tree's `src/` and `benchmark/`, all that a run
+    reads, into `dest`, leaving out `__pycache__`."""
+    for name in ("src", "benchmark"):
+        shutil.copytree(ROOT / name, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", action="append", required=True,
@@ -109,24 +120,25 @@ def main() -> int:
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
     report = {"parent": None, "change": "working tree", "pairs": args.pairs,
               "seed": args.seed, "seconds": args.seconds, "workloads": {}}
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_dir = Path(tmp)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        parent_dir, change_dir = Path(tmp) / "parent", Path(tmp) / "change"
         try:
             report["parent"] = export_revision(args.parent, parent_dir)
         except subprocess.CalledProcessError as exc:
             print(f"error: cannot export {args.parent}: {exc}", file=sys.stderr)
             return 1
+        copy_working_tree(change_dir)
         for workload in args.workload:
             pairs = []
             for i in range(args.pairs):
-                sides = [parent_dir, ROOT] if i % 2 == 0 else [ROOT, parent_dir]
+                sides = [parent_dir, change_dir] if i % 2 == 0 else [change_dir, parent_dir]
                 try:
                     runs = {side: run_benchmark(side, workload, args.seed, args.seconds)
                             for side in sides}
                 except RuntimeError as exc:
                     print(f"error: {exc}", file=sys.stderr)
                     return 1
-                pair = (runs[parent_dir], runs[ROOT])
+                pair = (runs[parent_dir], runs[change_dir])
                 pairs.append(pair)
                 print(f"{workload} pair {i + 1}/{args.pairs}: correct "
                       f"{pair[0]['correct']}/{pair[1]['correct']}", file=sys.stderr)

@@ -28,7 +28,7 @@ __all__ = [
     "subject_kurtosis", "screen_subjects", "compute_mos",
     "select_best_metric",
     "RegressionModel", "fit_regression", "fit_regressions", "eval_regression", "nelder_mead",
-    "AnnotationRecord", "ScoredSample", "generate_pseudo_mos",
+    "generate_pseudo_mos",
     "ErrorStats", "annotation_error_stats",
     "MOS_MIN", "MOS_MAX",
 ]
@@ -547,56 +547,17 @@ def fit_regression(kind: str, qs: Sequence[float], targets: Sequence[float]) -> 
 
 
 # ---------------------------------------------------------------------------
-# Pseudo-MOS records
+# Pseudo-MOS
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnnotationRecord:
-    degraded_id: str
-    distortion_id: int
-    level: int
-    pseudo_mos: float
-    source_metric: str
-    mos: float | None = None
-
-    @property
-    def annotation_error(self) -> float | None:
-        if self.mos is None:
-            return None
-        return self.mos - self.pseudo_mos
-
-
-@dataclass(frozen=True)
-class ScoredSample:
-    degraded_id: str
-    distortion_id: int
-    level: int
-    scores: Mapping[str, float]
-    mos: float | None = None
-
-
 def generate_pseudo_mos(
-    fits: Mapping[int, tuple[str, RegressionModel]],
-    samples: Sequence[ScoredSample],
-    scale: tuple[float, float] = (MOS_MIN, MOS_MAX),
-) -> list[AnnotationRecord]:
-    """Map each sample's selected-metric score through its type's fitted
-    curve; outputs are clamped onto the MOS scale."""
+    model: RegressionModel, q: float, scale: tuple[float, float] = (MOS_MIN, MOS_MAX),
+) -> float:
+    """Map one selected-metric score through its type's fitted curve,
+    clamped onto the MOS scale."""
     lo, hi = scale
-    records = []
-    for s in samples:
-        if s.distortion_id not in fits:
-            raise ValueError(f"no fitted model for distortion type {s.distortion_id}")
-        metric, model = fits[s.distortion_id]
-        if metric not in s.scores:
-            raise ValueError(
-                f"sample {s.degraded_id} lacks a score for selected metric {metric}")
-        value = float(eval_regression(model, float(s.scores[metric])))
-        records.append(AnnotationRecord(
-            degraded_id=s.degraded_id, distortion_id=s.distortion_id, level=s.level,
-            pseudo_mos=min(hi, max(lo, value)), source_metric=metric, mos=s.mos))
-    return records
+    return min(hi, max(lo, float(eval_regression(model, q))))
 
 
 @dataclass(frozen=True)
@@ -608,16 +569,19 @@ class ErrorStats:
     hist_counts: tuple[int, ...]
 
 
-def annotation_error_stats(records: Sequence[AnnotationRecord]) -> ErrorStats:
-    """Mean / population stddev of (MOS - pseudo MOS), the 95% quantile of
-    the absolute error, and a fixed 0.25-wide histogram over [-2.5, 2.5]."""
-    errors = np.asarray(
-        [r.annotation_error for r in records if r.annotation_error is not None],
-        dtype=np.float64)
+def annotation_error_stats(
+    errors: Sequence[float], scale: tuple[float, float] = (MOS_MIN, MOS_MAX),
+) -> ErrorStats:
+    """Mean / population stddev of the (MOS - pseudo MOS) errors, the 95%
+    quantile of the absolute error, and a 20-bin histogram over [-2.5, 2.5]
+    on the [1, 5] scale, widened by (hi - lo) / 4 on another scale; errors
+    past the outer edges count in the outer bins."""
+    errors = np.asarray(errors, dtype=np.float64)
     if len(errors) < 2:
-        raise ValueError("need at least 2 records carrying both labels")
-    edges = np.arange(-2.5, 2.5 + 0.25 / 2, 0.25)
-    counts, _ = np.histogram(errors, bins=edges)
+        raise ValueError("need at least 2 errors")
+    lo, hi = scale
+    edges = np.arange(-2.5, 2.5 + 0.25 / 2, 0.25) * ((hi - lo) / 4)
+    counts, _ = np.histogram(np.clip(errors, edges[0], edges[-1]), bins=edges)
     return ErrorStats(
         mean=float(errors.mean()),
         stddev=float(errors.std()),

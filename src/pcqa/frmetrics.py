@@ -9,7 +9,6 @@ tools) are ingested from CSV and carried alongside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from .pcio import (
 __all__ = [
     "M_P2PO", "M_P2PL", "H_P2PO", "H_P2PL", "PSNR_YUV", "H_PSNR_YUV",
     "BUILTIN_METRICS", "GEOMETRY_METRICS", "PLANE_METRICS", "PSNR_CAP_DB",
-    "MetricScore", "metric_order_key", "metric_applicable",
+    "metric_order_key", "metric_applicable",
     "with_normals", "p2point", "p2plane", "psnr_from_geometry", "psnr_yuv",
     "compute_metric", "score_pair", "ingest_external_scores",
 ]
@@ -41,22 +40,6 @@ PLANE_METRICS = frozenset({M_P2PL, H_P2PL})  # the metrics that need normals
 
 PSNR_CAP_DB = 100.0
 _CAP_RATIO = 1e-10  # errors below peak^2 * ratio saturate at the cap
-
-
-@dataclass(frozen=True)
-class MetricScore:
-    metric: str
-    value: float
-    reference_id: str
-    degraded_id: str
-
-    def __post_init__(self):
-        if not self.metric:
-            raise ValueError("metric name must be non-empty")
-        if not self.reference_id or not self.degraded_id:
-            raise ValueError("provenance ids must be non-empty")
-        if not math.isfinite(self.value):
-            raise ValueError(f"metric value must be finite, got {self.value}")
 
 
 def metric_order_key(metric: str) -> tuple[int, str]:
@@ -204,24 +187,24 @@ def compute_metric(metric: str, reference: PointCloud, degraded: PointCloud) -> 
     return score_pair(reference, degraded, (metric,))[metric]
 
 
-def ingest_external_scores(path: str | Path) -> list[MetricScore]:
-    """Read externally computed scores; values pass through without rescaling."""
+def ingest_external_scores(path: str | Path) -> dict[tuple[str, str], float]:
+    """Read externally computed scores as {(metric, degraded_id): value};
+    values pass through without rescaling."""
     required = {"metric_name", "reference_id", "degraded_id", "value"}
-    scores: list[MetricScore] = []
-    seen: set[tuple[str, str]] = set()
+    scores: dict[tuple[str, str], float] = {}
     for where, row in read_csv_rows(Path(path), required, "score"):
         try:
             value = float(row["value"])
         except ValueError:
             raise ValueError(f"{where}: non-numeric value {row['value']!r}") from None
         key = (row["metric_name"], row["degraded_id"])
-        if key in seen:
+        if key in scores:
             raise ValueError(f"{where}: duplicate score for (metric, degraded) key {key}")
-        seen.add(key)
-        try:
-            scores.append(MetricScore(
-                metric=row["metric_name"], value=value,
-                reference_id=row["reference_id"], degraded_id=row["degraded_id"]))
-        except ValueError as exc:  # a non-finite value, or an empty name or id
-            raise ValueError(f"{where}: {exc}") from None
+        if not row["metric_name"]:
+            raise ValueError(f"{where}: metric name must be non-empty")
+        if not row["reference_id"] or not row["degraded_id"]:
+            raise ValueError(f"{where}: provenance ids must be non-empty")
+        if not math.isfinite(value):
+            raise ValueError(f"{where}: metric value must be finite, got {value}")
+        scores[key] = value
     return scores

@@ -267,7 +267,7 @@ def read_csv_rows(path: str | Path, required: set[str], name: str) -> Iterator[t
     every `required` column; the caller converts the values and prefixes
     its errors with the "file:line". `name` ("rating", "score") names the
     CSV in the missing-column error."""
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:  # spreadsheets write a BOM
         reader = csv.DictReader(f)
         try:
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):

@@ -444,10 +444,6 @@ def _write_lines(path: str | Path, lines: list[str]) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def _read_scores(path: str | Path) -> dict[tuple[str, str], float]:
-    return {(s.metric, s.degraded_id): s.value for s in fr.ingest_external_scores(path)}
-
-
 def _safe_corr(labels: list[float], preds: list[float]) -> tuple[float, float]:
     """(PLCC, SROCC); NaN where a correlation is undefined or too few samples."""
     try:
@@ -476,7 +472,7 @@ def cmd_annotate(
     manifest = Manifest.load(manifest_path)
     if not Path(subjective_csv).exists():
         raise ValidationError(f"subjective score file not found: {subjective_csv}")
-    scores = _read_scores(scores_csv)
+    scores = fr.ingest_external_scores(scores_csv)
     ratings = ann.RatingMatrix.from_csv(subjective_csv, manifest.label_scale)
 
     screening = ann.screen_subjects(ratings)
@@ -534,37 +530,33 @@ def cmd_annotate(
         (scores_by_type[did][selection[did]], mos_by_type[did]) for did in present_types])
     fits = {did: (selection[did], model) for did, model in zip(present_types, models)}
 
-    samples = []
+    pseudo: dict[str, float] = {}
     for r in rows:
-        metric = selection[r.distortion_id]
+        metric, model = fits[r.distortion_id]
         if (metric, r.sample_id) not in scores:
             raise ValidationError(
                 f"{r.sample_id}: no score for selected metric {metric}")
-        samples.append(ann.ScoredSample(
-            degraded_id=r.sample_id, distortion_id=r.distortion_id, level=r.level,
-            scores={metric: scores[(metric, r.sample_id)]},
-            mos=mos.get(r.sample_id)))
-    records = ann.generate_pseudo_mos(fits, samples, scale=manifest.label_scale)
-    by_id = {rec.degraded_id: rec for rec in records}
-
-    for r in manifest.rows:
-        rec = by_id.get(r.sample_id)
-        if rec is not None:
-            r.pseudo_mos = round(rec.pseudo_mos, 10)
-            r.source_metric = rec.source_metric
-            if rec.mos is not None:
-                r.mos = round(rec.mos, 10)
+        pseudo[r.sample_id] = ann.generate_pseudo_mos(
+            model, scores[(metric, r.sample_id)], manifest.label_scale)
+        r.pseudo_mos = round(pseudo[r.sample_id], 10)
+        r.source_metric = metric
+        if r.sample_id in mos:
+            r.mos = round(mos[r.sample_id], 10)
     manifest.save(out_manifest)
 
-    fit_recs = [by_id[r.sample_id] for r in fit_rows]
-    fit_plcc, fit_srocc = _safe_corr([r.mos for r in fit_recs], [r.pseudo_mos for r in fit_recs])
-    fit_stats = ann.annotation_error_stats(fit_recs) if len(fit_recs) >= 2 else None
+    def fidelity(subset):
+        """(PLCC, SROCC, error stats) of the pseudo-MOS over labeled rows."""
+        labels = [mos[r.sample_id] for r in subset]
+        preds = [pseudo[r.sample_id] for r in subset]
+        errors = [m - p for m, p in zip(labels, preds)]
+        stats = (ann.annotation_error_stats(errors, manifest.label_scale)
+                 if len(errors) >= 2 else None)
+        return (*_safe_corr(labels, preds), stats)
 
-    hold_recs = [by_id[r.sample_id] for r in labeled if r.reference_id in holdout_set]
-    if hold_recs:
-        holdout_plcc, holdout_srocc = _safe_corr(
-            [r.mos for r in hold_recs], [r.pseudo_mos for r in hold_recs])
-        holdout_stats = ann.annotation_error_stats(hold_recs) if len(hold_recs) >= 2 else None
+    fit_plcc, fit_srocc, fit_stats = fidelity(fit_rows)
+    hold_rows = [r for r in labeled if r.reference_id in holdout_set]
+    if hold_rows:
+        holdout_plcc, holdout_srocc, holdout_stats = fidelity(hold_rows)
     else:
         log.warning("no holdout references; holdout report degenerates to the fit set")
         holdout_srocc = holdout_plcc = None

@@ -339,33 +339,18 @@ def _linear_fit_for(qs, mos):
 
 def test_pseudo_mos_clamped():
     model = ann.RegressionModel("logistic5", (0.0, 1.0, 0.0, 1.0, 0.0), 0.0, 0, True)
-    fits = {1: ("PSNRyuv", model)}
-    samples = [
-        ann.ScoredSample("d1", 1, 1, {"PSNRyuv": 80.0}),  # identity map -> 80
-        ann.ScoredSample("d2", 1, 7, {"PSNRyuv": -3.0}),
-    ]
-    records = ann.generate_pseudo_mos(fits, samples)
-    assert records[0].pseudo_mos == 5.0
-    assert records[1].pseudo_mos == 1.0
-
-
-def test_pseudo_mos_missing_type_errors():
-    samples = [ann.ScoredSample("d1", 9, 1, {"m": 1.0})]
-    with pytest.raises(ValueError, match="no fitted model"):
-        ann.generate_pseudo_mos({}, samples)
+    assert ann.generate_pseudo_mos(model, 80.0) == 5.0  # identity map -> 80
+    assert ann.generate_pseudo_mos(model, -3.0) == 1.0
 
 
 def test_pseudo_mos_fit_residuals_small(rng):
     qs = np.sort(rng.uniform(20, 60, 40))
     mos = np.clip(1 + 4 * (qs - 20) / 40 + rng.normal(0, 0.1, 40), 1, 5)
     model = _linear_fit_for(qs, mos)
-    fits = {2: ("PSNRyuv", model)}
-    samples = [ann.ScoredSample(f"d{i}", 2, 1, {"PSNRyuv": q}, mos=m)
-               for i, (q, m) in enumerate(zip(qs, mos))]
-    records = ann.generate_pseudo_mos(fits, samples)
-    errors = np.array([r.annotation_error for r in records])
+    pseudo = [ann.generate_pseudo_mos(model, q) for q in qs]
+    errors = mos - np.array(pseudo)
     assert np.sqrt(np.mean(errors**2)) < 0.25
-    assert all(1.0 <= r.pseudo_mos <= 5.0 for r in records)
+    assert all(1.0 <= p <= 5.0 for p in pseudo)
 
 
 def test_pseudo_mos_end_to_end_monotone_metric(rng):
@@ -373,12 +358,10 @@ def test_pseudo_mos_end_to_end_monotone_metric(rng):
     levels = np.repeat(np.arange(1, 8), 6)
     mos = 5.0 - 0.55 * levels + rng.normal(0, 0.08, len(levels))
     metric = 80 - 9 * levels + rng.normal(0, 0.6, len(levels))
-    model = _linear_fit_for(metric, np.clip(mos, 1, 5))
-    fits = {3: ("PSNRyuv", model)}
-    samples = [ann.ScoredSample(f"d{i}", 3, int(l), {"PSNRyuv": m}, mos=float(np.clip(v, 1, 5)))
-               for i, (l, m, v) in enumerate(zip(levels, metric, mos))]
-    records = ann.generate_pseudo_mos(fits, samples)
-    assert ann.srocc([r.mos for r in records], [r.pseudo_mos for r in records]) >= 0.9
+    labels = np.clip(mos, 1, 5)
+    model = _linear_fit_for(metric, labels)
+    pseudo = [ann.generate_pseudo_mos(model, m) for m in metric]
+    assert ann.srocc(labels, pseudo) >= 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -386,42 +369,46 @@ def test_pseudo_mos_end_to_end_monotone_metric(rng):
 # ---------------------------------------------------------------------------
 
 
-def _record(err, i=0):
-    return ann.AnnotationRecord(f"d{i}", 1, 1, pseudo_mos=3.0, source_metric="m",
-                                mos=3.0 + err)
-
-
 def test_error_stats_hand_case():
-    stats = ann.annotation_error_stats([_record(0.1, 0), _record(-0.1, 1)])
+    stats = ann.annotation_error_stats([0.1, -0.1])
     assert stats.mean == pytest.approx(0.0)
     assert stats.stddev == pytest.approx(0.1)  # population formula
 
 
 def test_error_stats_all_zero():
-    stats = ann.annotation_error_stats([_record(0.0, i) for i in range(5)])
+    stats = ann.annotation_error_stats([0.0] * 5)
     assert stats.mean == 0.0
     assert stats.stddev == 0.0
     assert stats.q95_abs == 0.0
 
 
 def test_error_stats_histogram_shape():
-    stats = ann.annotation_error_stats([_record(e, i) for i, e in
-                                        enumerate((-0.3, -0.1, 0.0, 0.1, 0.3, 0.6))])
+    stats = ann.annotation_error_stats([-0.3, -0.1, 0.0, 0.1, 0.3, 0.6])
     assert len(stats.hist_counts) == 20  # 0.25-wide bins over [-2.5, 2.5]
     assert sum(stats.hist_counts) == 6
 
 
+def test_error_stats_histogram_follows_the_label_scale():
+    # on [0, 100] the 20 bins span +-62.5
+    stats = ann.annotation_error_stats([-12.0, -3.0, 0.5, 7.0, 20.0], scale=(0.0, 100.0))
+    assert (stats.hist_edges[0], stats.hist_edges[-1]) == (-62.5, 62.5)
+    assert sum(stats.hist_counts) == 5
+    # errors past the outer edges count in the outer bins
+    stats = ann.annotation_error_stats([-3.0, 0.0, 3.0])
+    assert stats.hist_edges == tuple(np.arange(-2.5, 2.5 + 0.25 / 2, 0.25))
+    assert (stats.hist_counts[0], stats.hist_counts[-1], sum(stats.hist_counts)) == (1, 1, 3)
+
+
 def test_error_stats_q95_absolute(rng):
     errs = rng.normal(0, 0.5, 400)
-    records = [_record(e, i) for i, e in enumerate(np.clip(errs, -1.9, 1.9))]
-    stats = ann.annotation_error_stats(records)
     clipped = np.clip(errs, -1.9, 1.9)
+    stats = ann.annotation_error_stats(clipped)
     assert stats.q95_abs == pytest.approx(np.quantile(np.abs(clipped), 0.95))
 
 
 def test_error_stats_requires_two():
     with pytest.raises(ValueError):
-        ann.annotation_error_stats([_record(0.1)])
+        ann.annotation_error_stats([0.1])
 
 
 def test_nelder_mead_iteration_cap_flags_nonconvergence():

@@ -245,8 +245,8 @@ def test_ingest_single_row(tmp_path):
     p.write_text("metric_name,reference_id,degraded_id,value\nPCQM,r1,d1,0.42\n")
     scores = fr.ingest_external_scores(p)
     assert len(scores) == 1
-    assert scores[0].metric == "PCQM"
-    assert scores[0].value == pytest.approx(0.42)
+    assert list(scores) == [("PCQM", "d1")]
+    assert scores[("PCQM", "d1")] == pytest.approx(0.42)
 
 
 def test_ingest_passthrough_no_rescale(tmp_path):
@@ -254,7 +254,7 @@ def test_ingest_passthrough_no_rescale(tmp_path):
     rows = "\n".join(f"PCQM,r1,d{i},{v}" for i, v in enumerate((0.0, 0.5, 1.0)))
     p.write_text("metric_name,reference_id,degraded_id,value\n" + rows + "\n")
     scores = fr.ingest_external_scores(p)
-    assert [s.value for s in scores] == [0.0, 0.5, 1.0]
+    assert list(scores.values()) == [0.0, 0.5, 1.0]
 
 
 def test_ingest_duplicate_key_errors(tmp_path):
@@ -279,11 +279,15 @@ def test_ingest_non_numeric_errors(tmp_path):
         fr.ingest_external_scores(p)
 
 
-def test_metric_score_validation():
-    with pytest.raises(ValueError):
-        fr.MetricScore(metric="", value=1.0, reference_id="r", degraded_id="d")
-    with pytest.raises(ValueError):
-        fr.MetricScore(metric="m", value=float("inf"), reference_id="r", degraded_id="d")
+def test_ingest_rejects_empty_names_and_non_finite_values(tmp_path):
+    p = tmp_path / "s.csv"
+    for row, message in ((",r1,d1,1.0", "metric name must be non-empty"),
+                         ("m,,d1,1.0", "provenance ids must be non-empty"),
+                         ("m,r1,d1,inf", "metric value must be finite, got inf")):
+        p.write_text("metric_name,reference_id,degraded_id,value\nm,r1,d0,1.0\n" + row + "\n")
+        with pytest.raises(ValueError) as exc:
+            fr.ingest_external_scores(p)
+        assert str(exc.value) == f"{p}:3: {message}"
 
 
 def test_monotonicity_probe_gaussian_shift():

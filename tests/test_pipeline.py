@@ -183,6 +183,29 @@ def test_annotate_end_to_end(tmp_path, refs_dir):
     assert "absolute errors" in text  # quantile convention recorded in the header
 
 
+ANNOTATE_DIGESTS = {
+    "annotated.jsonl": "e756d50d8530cb07298983f80b51996a606a3c61a3334ea4dd0bf7214b8f5641",
+    "selection.csv": "2f1701dad3acf452bc491142549dec0b3065b85d6793955b9d08d007e5b620d8",
+    "selection.txt": "1ae5dca6600037e999c6ba846d1e1d900ee7f7bd8fdf4b90960dcd20852ae0f5",
+    "annotation_report.txt": "1791e71ff00140875a3528a171acf6a72b4197efc2cbce7a7ed4b0a3e940021d",
+    "annotation_errors.csv": "fa54974683800850413496a05a682b25af1e2fe05faaebc68499122beb5aedea",
+}
+
+
+def test_annotate_outputs_are_pinned(tmp_path, refs_dir):
+    out, manifest = build_dataset(tmp_path, refs_dir, distortions=(5, 11, 17))
+    pl.cmd_score(out / "manifest.jsonl", tmp_path / "scores.csv")
+    plant_ratings(manifest, tmp_path / "subjective.csv")
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    pl.cmd_annotate(out / "manifest.jsonl", tmp_path / "scores.csv", tmp_path / "subjective.csv",
+                    reports / "annotated.jsonl", report_dir=reports, holdout_refs=("ref1",))
+    # the manifest header names the references by absolute path
+    got = {name: hashlib.sha256((reports / name).read_bytes().replace(
+        str(refs_dir).encode(), b"refs")).hexdigest() for name in ANNOTATE_DIGESTS}
+    assert got == ANNOTATE_DIGESTS
+
+
 def test_annotate_report_shows_fits_and_screening(tmp_path, refs_dir):
     out, manifest = build_dataset(tmp_path, refs_dir, distortions=(5, 17))
     pl.cmd_score(out / "manifest.jsonl", tmp_path / "scores.csv")
@@ -1041,10 +1064,15 @@ def test_annotate_takes_ratings_on_the_manifest_scale(tmp_path, refs_dir, capsys
     annotated = tmp_path / "annotated.jsonl"
     argv = ["annotate", "--manifest", str(path), "--scores", str(tmp_path / "scores.csv"),
             "--out", str(annotated), "--holdout-refs", "ref1"]
-    assert cli_main(argv + ["--subjective", str(tmp_path / "ten.csv")]) == 0, \
+    assert cli_main(argv + ["--subjective", str(tmp_path / "ten.csv"),
+                            "--report-dir", str(tmp_path / "reports")]) == 0, \
         capsys.readouterr().err
     mos = [r.mos for r in pl.Manifest.load(annotated).ok_rows() if r.mos is not None]
     assert max(mos) > 5.0 and min(mos) >= 1.0
+    # the error histogram's bins widen with the scale: +-2.5 * 9 / 4 on [1, 10]
+    hist = list(csv.DictReader(open(tmp_path / "reports" / "annotation_errors.csv")))
+    assert (hist[0]["bin_left"], hist[-1]["bin_right"]) == ("-5.625", "5.625")
+    assert sum(int(h["count"]) for h in hist) == 14  # the fit rows: ref0's 2 types x 7 levels
 
     with open(tmp_path / "ten.csv", "a") as g:  # one score past the manifest's scale
         g.write(f"{manifest.ok_rows()[0].sample_id},zextra,10.5\n")

@@ -410,6 +410,20 @@ def test_cli_annotate_bad_csv_value_exits_1_naming_the_line(tmp_path, inputs, ca
     assert err.strip().splitlines()[-1] == f"error: {tmp_path / name}:4: {message}"
 
 
+@pytest.mark.parametrize("target", ["scores", "ratings"])
+def test_cli_annotate_reads_a_csv_that_starts_with_a_utf8_bom(tmp_path, inputs, capsys, target):
+    # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+    root, _ = inputs
+    csvs = {"scores": _write_csv(tmp_path / "s.csv", VALID_SCORES),
+            "ratings": _write_csv(tmp_path / "r.csv", VALID_RATINGS)}
+    argv = ["annotate", "--manifest", str(root / "ds" / "labelled.jsonl"),
+            "--scores", str(csvs["scores"]), "--subjective", str(csvs["ratings"]), "--out"]
+    assert cli_main(argv + [str(tmp_path / "plain.jsonl")]) == 0
+    csvs[target].write_bytes(b"\xef\xbb\xbf" + csvs[target].read_bytes())
+    assert cli_main(argv + [str(tmp_path / "bom.jsonl")]) == 0, capsys.readouterr().err
+    assert (tmp_path / "bom.jsonl").read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # The schema itself
 # ---------------------------------------------------------------------------

@@ -185,3 +185,31 @@ def test_bench_pairs_parse_run_keeps_correctness():
     assert run["correct"] is False
     assert run["metrics"]["pass_s"] == (1.0, "s")
     assert run["metrics"]["annotate_s"] == (0.5, "s")
+
+
+def test_bench_pairs_runs_both_sides_from_sibling_copies(tmp_path, monkeypatch):
+    bp = _bench_pairs()
+    root = tmp_path / "repo"  # a working tree whose imports left bytecode behind
+    for name in ("src/pcqa", "benchmark"):
+        (root / name / "__pycache__").mkdir(parents=True)
+        (root / name / "__pycache__" / "m.cpython.pyc").write_bytes(b"")
+        (root / name / "m.py").write_text("")
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+    monkeypatch.setattr(bp, "ROOT", root)
+    monkeypatch.setattr(bp, "export_revision", lambda rev, dest: dest.mkdir() or "0" * 40)
+    runs = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        runs.append((checkout, sorted(p.relative_to(checkout).as_posix()
+                                      for p in checkout.rglob("*"))))
+        return bp.parse_run(_fake_run(1.0, 2.0, 0.5))
+
+    monkeypatch.setattr(bp, "run_benchmark", fake_run)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--workload", "dataset",
+                                      "--pairs", "2", "--out", str(tmp_path / "b.json")])
+    assert bp.main() == 0
+    parent, change = runs[0][0], runs[1][0]
+    assert [c for c, _ in runs] == [parent, change, change, parent]  # alternating
+    assert parent.parent == change.parent and root not in change.parents
+    assert runs[1][1] == ["benchmark", "benchmark/m.py", "src", "src/pcqa", "src/pcqa/m.py"]
+    assert not change.exists()  # the temporary directory is gone
