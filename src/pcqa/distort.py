@@ -123,7 +123,7 @@ def _neighbor8(cloud: PointCloud) -> np.ndarray:
     """Ids of the 8 nearest other points per point, shape (N, 8)."""
     if len(cloud) < 9:
         raise DistortionError("neighbor-based noise requires at least 9 points")
-    index = SpatialIndex.from_cloud(cloud)
+    index = SpatialIndex(cloud)
     ids = index.neighborhoods(cloud.positions, 9)
     return ids[:, 1:]
 
@@ -562,7 +562,7 @@ def external_codec(
     with tempfile.TemporaryDirectory(prefix="pcqa_adapter_") as tmp:
         in_path = Path(tmp) / "input.ply"
         out_path = Path(tmp) / "output.ply"
-        save_ply(cloud, in_path, mode="binary_le")
+        save_ply(cloud, in_path)
         subs = {"in": str(in_path), "out": str(out_path)}
         subs.update({f"p{i + 1}": p for i, p in enumerate(params)})
         try:

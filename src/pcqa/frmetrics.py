@@ -100,8 +100,8 @@ def _pair_errors(reference: PointCloud, degraded: PointCloud, kinds: set[str],
     reference vs degraded. Each cloud gets one tree, shared by its normal
     estimation (if it has no normals) and its nearest-neighbour query, and
     its colours are converted to YCbCr at most once."""
-    ref_index = SpatialIndex.from_cloud(reference)
-    deg_index = SpatialIndex.from_cloud(degraded) if symmetric else None
+    ref_index = SpatialIndex(reference)
+    deg_index = SpatialIndex(degraded) if symmetric else None
     if "plane" in kinds:
         reference = with_normals(reference, ref_index)
         if symmetric:

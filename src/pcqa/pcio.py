@@ -185,6 +185,9 @@ def _parse_header(f) -> tuple[str, int, list[tuple[str, str]]]:
             if not args:
                 raise PlyError(f"malformed header line '{line}': no element name")
             in_vertex = args[0] == "vertex"
+            if not in_vertex and vertex_count is None:  # its body would precede the vertices
+                raise PlyError(f"element '{args[0]}' comes before 'vertex'; vertex must be "
+                               "the first element")
             if in_vertex:
                 if len(args) < 2 or not args[1].isdecimal():
                     raise PlyError(f"malformed header line '{line}': vertex count must "
@@ -282,37 +285,19 @@ def read_csv_rows(path: str | Path, required: set[str], name: str) -> Iterator[t
             raise ValueError(f"{path}: {exc}") from None
 
 
-def save_ply(
-    cloud: PointCloud,
-    path: str | Path,
-    mode: str = "binary_le",
-    coord_dtype: str = "float",
-) -> None:
-    """Write the cloud as PLY; re-loadable by :func:`load_ply`.
-
-    mode is 'ascii' or 'binary_le'. coord_dtype 'float' matches the
-    conventional MPEG layout; 'double' preserves float64 positions
-    bit-exactly in binary mode.
-    """
-    if mode not in ("ascii", "binary_le"):
-        raise ValueError(f"unknown mode '{mode}'")
-    if coord_dtype not in ("float", "double"):
-        raise ValueError(f"coord_dtype must be 'float' or 'double', got '{coord_dtype}'")
-    props = [(name, coord_dtype) for name in _XYZ] + [(name, "uchar") for name in _RGB]
+def save_ply(cloud: PointCloud, path: str | Path) -> None:
+    """Write the cloud as binary little-endian PLY with float coordinates,
+    the conventional MPEG layout; re-loadable by :func:`load_ply`."""
+    props = [(name, "float") for name in _XYZ] + [(name, "uchar") for name in _RGB]
     rec = np.empty(len(cloud), dtype=_record_dtype(props))
     for (name, _), column in zip(props, [*cloud.positions.T, *cloud.colors.T]):
         rec[name] = column
-    fmt_line = "ascii 1.0" if mode == "ascii" else "binary_little_endian 1.0"
-    header = (f"ply\nformat {fmt_line}\nelement vertex {len(cloud)}\n"
+    header = (f"ply\nformat binary_little_endian 1.0\nelement vertex {len(cloud)}\n"
               + "".join(f"property {ptype} {name}\n" for name, ptype in props)
               + "end_header\n")
     with atomic_write(path, "wb") as f:
         f.write(header.encode("ascii"))
-        if mode == "binary_le":
-            f.write(rec.tobytes())
-        else:
-            digits = 9 if coord_dtype == "float" else 17
-            np.savetxt(f, rec, fmt=[f"%.{digits}g"] * 3 + ["%d"] * 3)
+        f.write(rec.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -327,60 +312,31 @@ class SpatialIndex:
     downstream correspondence is reproducible.
     """
 
-    def __init__(self, positions: np.ndarray):
+    def __init__(self, cloud: PointCloud):
         # SciPy loads with the first tree: only the full-reference stages build one
         from scipy.spatial import cKDTree
 
-        pts = np.asarray(positions, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
-            raise ValueError("positions must be a non-empty (N, 3) array")
-        self._points = pts
-        self._tree = cKDTree(pts)
-
-    @classmethod
-    def from_cloud(cls, cloud: PointCloud) -> "SpatialIndex":
-        return cls(cloud.positions)
+        self._tree = cKDTree(cloud.positions)
 
     def __len__(self) -> int:
-        return self._points.shape[0]
-
-    def k_nearest(self, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Ids and distances of the k nearest points, sorted by (distance, id)."""
-        n = len(self)
-        if not 1 <= k <= n:
-            raise ValueError(f"k={k} out of range [1, {n}]")
-        query = np.asarray(query, dtype=np.float64).reshape(3)
-        kk = min(n, k + 16)
-        while True:
-            dists, ids = self._tree.query(query, k=kk)
-            dists = np.atleast_1d(dists)
-            ids = np.atleast_1d(ids)
-            # all candidates tied with the k-th smallest must be present
-            if kk == n or dists[-1] > dists[k - 1]:
-                break
-            kk = min(n, kk * 2)
-        order = np.lexsort((ids, dists))
-        return ids[order][:k], dists[order][:k]
+        return self._tree.n
 
     def nearest(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized 1-NN of an (M, 3) query array, with the (distance, id)
         tie rule per query row."""
         queries = np.asarray(queries, dtype=np.float64)
         n = len(self)
-        k0 = min(n, 4)
-        dists, ids = self._tree.query(queries, k=k0)
-        if k0 == 1:
-            dists = dists[:, None]
-            ids = ids[:, None]
-        best_d = dists[:, 0].copy()
-        tied = dists == best_d[:, None]
-        # lower id wins among exact distance ties
-        id_pool = np.where(tied, ids, n)
-        best_i = id_pool.min(axis=1)
-        unresolved = np.flatnonzero((k0 < n) & tied.all(axis=1))
-        for row in unresolved:
-            rid, _ = self.k_nearest(queries[row], 1)
-            best_i[row] = rid[0]
+        best_i = np.empty(len(queries), dtype=np.intp)
+        best_d = np.empty(len(queries))
+        rows, k = np.arange(len(queries)), min(n, 4)
+        while len(rows):
+            dists, ids = self._tree.query(queries[rows], k=range(1, k + 1))
+            tied = dists == dists[:, :1]
+            best_d[rows] = dists[:, 0]
+            best_i[rows] = np.where(tied, ids, n).min(axis=1)  # lower id wins a tie
+            # a row whose k candidates all tie may hide a lower id past the k-th
+            rows = rows[(k < n) & tied.all(axis=1)]
+            k = min(n, 2 * k)
         return best_i, best_d
 
     def neighborhoods(self, queries: np.ndarray, k: int) -> np.ndarray:
@@ -388,10 +344,7 @@ class SpatialIndex:
         n = len(self)
         if not 1 <= k <= n:
             raise ValueError(f"k={k} out of range [1, {n}]")
-        _, ids = self._tree.query(np.atleast_2d(queries), k=k)
-        if k == 1:
-            ids = ids[:, None]
-        return ids
+        return self._tree.query(np.atleast_2d(queries), k=range(1, k + 1))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +369,7 @@ def estimate_normals(
     if not 3 <= k <= n:
         raise ValueError(f"k={k} out of range [3, {n}]")
     if index is None:
-        index = SpatialIndex.from_cloud(cloud)
+        index = SpatialIndex(cloud)
     elif len(index) != n:
         raise ValueError(f"index over {len(index)} points does not belong to a {n}-point cloud")
     nbr_ids = index.neighborhoods(cloud.positions, k)  # (N, k)

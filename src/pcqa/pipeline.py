@@ -172,8 +172,9 @@ class Manifest:
     def validate(self, base_dir: str | Path) -> None:
         """Every ok row's file exists under `base_dir`; construction checks the rest."""
         for row in self.ok_rows():
-            if not (Path(base_dir) / row.path).exists():
-                raise ValidationError(f"{row.sample_id}: missing file {row.path}")
+            path = Path(base_dir) / row.path
+            if not path.exists():
+                raise ValidationError(f"{row.sample_id}: missing file {path}")
 
     def ok_rows(self) -> list[ManifestRow]:
         return [r for r in self.rows if r.status == "ok"]
@@ -315,7 +316,7 @@ def _build_worker(args: tuple) -> dict:
         cloud = _load_ref(ref_path, False)
         spec = DistortionSpec(distortion_id=did, level=level, seed=seed)
         out = apply_distortion(cloud, spec, adapters=adapters)
-        save_ply(out, out_path, mode="binary_le")
+        save_ply(out, out_path)
         row["status"] = "ok"
         row["path"] = str(Path(out_path).name)
         info = REGISTRY[did]

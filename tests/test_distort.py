@@ -159,7 +159,7 @@ def test_correlated_noise_neighbor_correlation():
     out = REGISTRY[8].generate(cloud, 3, rng(13))
     noise = out.colors.astype(float) - 128.0
     from pcqa.pcio import SpatialIndex
-    index = SpatialIndex.from_cloud(cloud)
+    index = SpatialIndex(cloud)
     nbr = index.neighborhoods(cloud.positions, 2)[:, 1]
     a, b = noise[:, 0], noise[nbr, 0]
     corr = np.corrcoef(a, b)[0, 1]
@@ -207,7 +207,7 @@ def test_high_frequency_noise_is_high_frequency():
     out = REGISTRY[3].generate(cloud, 5, rng(21))
     noise = out.colors.astype(float) - 128.0
     from pcqa.pcio import SpatialIndex
-    index = SpatialIndex.from_cloud(cloud)
+    index = SpatialIndex(cloud)
     nbr = index.neighborhoods(cloud.positions, 9)[:, 1:]
     local_mean = noise[nbr, 0].mean(axis=1)
     assert np.abs(local_mean).mean() < 0.35 * noise[:, 0].std()

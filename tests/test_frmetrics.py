@@ -320,7 +320,7 @@ def _old_pool(errors, pooling):
 
 
 def _p2point_oneway(reference, degraded, pooling):
-    index = SpatialIndex.from_cloud(reference)
+    index = SpatialIndex(reference)
     _, dists = index.nearest(degraded.positions)
     return _old_pool(dists**2, pooling)
 
@@ -340,7 +340,7 @@ def _old_with_normals(cloud, k):
 
 
 def _p2plane_oneway(reference, degraded, pooling):
-    index = SpatialIndex.from_cloud(reference)
+    index = SpatialIndex(reference)
     ids, _ = index.nearest(degraded.positions)
     vectors = degraded.positions - reference.positions[ids]
     proj = np.einsum("ni,ni->n", vectors, reference.normals[ids])
@@ -357,7 +357,7 @@ def _old_p2plane(reference, degraded, pooling="mse", symmetric=False):
 
 
 def _yuv_errors_oneway(reference, degraded, pooling):
-    index = SpatialIndex.from_cloud(reference)
+    index = SpatialIndex(reference)
     ids, _ = index.nearest(degraded.positions)
     ref_ycc = rgb_to_ycbcr(reference.colors[ids].astype(np.float64))
     deg_ycc = rgb_to_ycbcr(degraded.colors.astype(np.float64))

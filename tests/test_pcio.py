@@ -43,6 +43,10 @@ def test_cloud_rejects_non_unit_normals():
 # ---------------------------------------------------------------------------
 
 
+VERTEX_PROPS = ("property float x\nproperty float y\nproperty float z\n"
+                "property uchar red\nproperty uchar green\nproperty uchar blue\n")
+
+
 def test_ascii_ply_known_values(tmp_path):
     text = (
         "ply\nformat ascii 1.0\nelement vertex 3\n"
@@ -64,29 +68,49 @@ def test_ascii_ply_known_values(tmp_path):
 def test_single_point_header_count(tmp_path):
     cloud = PointCloud([[1.0, 2.0, 3.0]], [[10, 20, 30]])
     path = tmp_path / "one.ply"
-    save_ply(cloud, path, mode="ascii")
+    save_ply(cloud, path)
     assert b"element vertex 1" in path.read_bytes()
     again = load_ply(path)
     assert len(again) == 1
 
 
+def _ascii_ply(cloud, coord="float"):
+    """ASCII PLY text of a cloud as another tool writes it; the shortest
+    decimal of each float64 coordinate reads back bit for bit."""
+    rows = [" ".join(map(repr, [*xyz, *rgb])) + "\n"
+            for xyz, rgb in zip(cloud.positions.tolist(), cloud.colors.tolist())]
+    return (f"ply\nformat ascii 1.0\nelement vertex {len(cloud)}\n"
+            + VERTEX_PROPS.replace("float", coord) + "end_header\n" + "".join(rows))
+
+
 @pytest.mark.parametrize("mode", ["ascii", "binary_le"])
 def test_roundtrip_float32_grid(tmp_path, rng, mode):
-    # float-precision storage: bit exact when inputs are f32 representable
+    # float-precision storage: bit exact when inputs are f32 representable;
+    # save_ply writes binary only, so the ASCII file is written as text
     for trial in range(20):
         cloud = grid_cloud(rng, n=50)
         path = tmp_path / f"{mode}_{trial}.ply"
-        save_ply(cloud, path, mode=mode)
+        if mode == "ascii":
+            path.write_text(_ascii_ply(cloud))
+        else:
+            save_ply(cloud, path)
         back = load_ply(path)
         np.testing.assert_array_equal(back.positions, cloud.positions)
         np.testing.assert_array_equal(back.colors, cloud.colors)
 
 
 def test_roundtrip_binary_double_bit_exact(tmp_path, rng):
+    header = ("ply\nformat binary_little_endian 1.0\nelement vertex 64\n"
+              + VERTEX_PROPS.replace("float", "double") + "end_header\n")
+    record = np.dtype([(name, "<f8") for name in "xyz"]
+                      + [(name, "u1") for name in ("red", "green", "blue")])
     for trial in range(20):
         cloud = random_cloud(rng, n=64)
+        rec = np.empty(64, dtype=record)
+        for name, column in zip(record.names, [*cloud.positions.T, *cloud.colors.T]):
+            rec[name] = column
         path = tmp_path / f"d{trial}.ply"
-        save_ply(cloud, path, mode="binary_le", coord_dtype="double")
+        path.write_bytes(header.encode("ascii") + rec.tobytes())
         back = load_ply(path)
         assert np.array_equal(back.positions, cloud.positions)  # bit exact
         np.testing.assert_array_equal(back.colors, cloud.colors)
@@ -95,9 +119,10 @@ def test_roundtrip_binary_double_bit_exact(tmp_path, rng):
 def test_roundtrip_ascii_close(tmp_path, rng):
     cloud = random_cloud(rng, n=100)
     path = tmp_path / "a.ply"
-    save_ply(cloud, path, mode="ascii")
+    path.write_text(_ascii_ply(cloud, coord="double"))
     back = load_ply(path)
-    np.testing.assert_allclose(back.positions, cloud.positions, atol=1e-4, rtol=1e-6)
+    assert np.array_equal(back.positions, cloud.positions)  # the text holds every bit
+    np.testing.assert_array_equal(back.colors, cloud.colors)
 
 
 def test_missing_color_property_errors(tmp_path):
@@ -128,7 +153,7 @@ def test_zero_vertices_errors(tmp_path):
 def test_truncated_body_errors(tmp_path, rng):
     cloud = grid_cloud(rng, n=40)
     path = tmp_path / "t.ply"
-    save_ply(cloud, path, mode="binary_le")
+    save_ply(cloud, path)
     data = path.read_bytes()
     path.write_bytes(data[:-7])
     with pytest.raises(PlyError, match="truncated"):
@@ -210,22 +235,48 @@ def test_ascii_body_ignores_blank_lines_and_extra_columns(tmp_path):
     np.testing.assert_array_equal(cloud.colors, [[1, 2, 3], [4, 5, 6]])
 
 
-# SHA-256 of what save_ply writes for one seeded cloud in each mode
-SAVED_PLY_SHA256 = {
-    ("ascii", "float"): "e4df9482756cdc24e0e20038c80d7628ea606f76a08db6b7816cfa3f3ccefbdb",
-    ("ascii", "double"): "f897c91cf46915a8772f62094ec470f832a80e73ae834834936dd5b74146b963",
-    ("binary_le", "float"): "fbe80569f7d9be0ec93e31059538a60009e46923a3db221847bf4f694395295d",
-    ("binary_le", "double"): "d6bb1053914fc64a095f24296dab477316707e5a2b6f2d25aa725c8bad4ef1cb",
-}
+def test_binary_element_before_vertex_errors_naming_it(tmp_path):
+    # read from the first byte, the camera's float would become vertex 0's x
+    vertices = np.array([(1, 1, 0, 1, 2, 3), (2, 2, 0, 4, 5, 6)],
+                        dtype="<f4, <f4, <f4, u1, u1, u1")
+    path = tmp_path / "camera.ply"
+    path.write_bytes(("ply\nformat binary_little_endian 1.0\nelement camera 1\n"
+                      "property float view\nelement vertex 2\n" + VERTEX_PROPS
+                      + "end_header\n").encode("ascii")
+                     + np.float32(7).tobytes() + vertices.tobytes())
+    with pytest.raises(PlyError, match="element 'camera' comes before 'vertex'"):
+        load_ply(path)
 
 
-@pytest.mark.parametrize("mode, coord_dtype", list(SAVED_PLY_SHA256))
-def test_save_ply_bytes_are_pinned(tmp_path, mode, coord_dtype):
+def test_ascii_element_before_vertex_errors_naming_it(tmp_path):
+    path = tmp_path / "face.ply"
+    path.write_text("ply\nformat ascii 1.0\nelement face 1\nproperty list uchar int "
+                    "vertex_indices\nelement vertex 2\n" + VERTEX_PROPS + "end_header\n"
+                    "3 0 1 1\n0 0 0 1 2 3\n1 1 1 4 5 6\n")
+    with pytest.raises(PlyError, match="element 'face' comes before 'vertex'"):
+        load_ply(path)
+
+
+def test_elements_after_vertex_still_load(tmp_path):
+    path = tmp_path / "mesh.ply"
+    path.write_text("ply\nformat ascii 1.0\nelement vertex 2\n" + VERTEX_PROPS
+                    + "element face 1\nproperty list uchar int vertex_indices\n"
+                    "end_header\n0 0 0 1 2 3\n1 1 1 4 5 6\n3 0 1 1\n")
+    cloud = load_ply(path)
+    np.testing.assert_array_equal(cloud.positions, [[0, 0, 0], [1, 1, 1]])
+    np.testing.assert_array_equal(cloud.colors, [[1, 2, 3], [4, 5, 6]])
+
+
+# SHA-256 of what save_ply writes for one seeded cloud; the id names the layout
+@pytest.mark.parametrize("sha256", [
+    "fbe80569f7d9be0ec93e31059538a60009e46923a3db221847bf4f694395295d",
+], ids=["binary_le-float"])
+def test_save_ply_bytes_are_pinned(tmp_path, sha256):
     cloud = random_cloud(np.random.default_rng(17), n=300, extent=50.0, jitter=5.0)
     assert cloud.positions.min() < 0  # the pin covers negative coordinates too
     path = tmp_path / "c.ply"
-    save_ply(cloud, path, mode=mode, coord_dtype=coord_dtype)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_PLY_SHA256[mode, coord_dtype]
+    save_ply(cloud, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 # ---------------------------------------------------------------------------
@@ -306,69 +357,86 @@ def test_box_matches_linear_scan(rng):
 
 def test_knn_self_query(rng):
     cloud = random_cloud(rng, n=50)
-    index = SpatialIndex.from_cloud(cloud)
-    ids, dists = index.k_nearest(cloud.positions[17], 1)
+    index = SpatialIndex(cloud)
+    ids, dists = index.nearest(cloud.positions[17:18])
     assert ids[0] == 17
     assert dists[0] == 0.0
 
 
 def test_knn_k_equals_n(rng):
     cloud = random_cloud(rng, n=30)
-    index = SpatialIndex.from_cloud(cloud)
-    ids, dists = index.k_nearest(np.zeros(3), len(cloud))
+    ids = SpatialIndex(cloud).neighborhoods(np.zeros(3), len(cloud))[0]
     assert sorted(ids) == list(range(len(cloud)))
-    assert np.all(np.diff(dists) >= 0)
+    assert np.all(np.diff(np.linalg.norm(cloud.positions[ids], axis=1)) >= 0)
 
 
 def test_knn_out_of_range_k(rng):
-    index = SpatialIndex.from_cloud(random_cloud(rng, n=10))
+    index = SpatialIndex(random_cloud(rng, n=10))
     with pytest.raises(ValueError):
-        index.k_nearest(np.zeros(3), 0)
+        index.neighborhoods(np.zeros(3), 0)
     with pytest.raises(ValueError):
-        index.k_nearest(np.zeros(3), 11)
+        index.neighborhoods(np.zeros(3), 11)
 
 
-def _brute_knn(positions, query, k):
-    d = np.linalg.norm(positions - query, axis=1)
-    order = np.lexsort((np.arange(len(positions)), d))
-    return order[:k]
+def _brute_nearest(positions, queries):
+    """Oracle: each query's lowest id among its exact-distance ties."""
+    d2 = ((positions[None] - queries[:, None]) ** 2).sum(axis=2)
+    return (d2 == d2.min(axis=1, keepdims=True)).argmax(axis=1), np.sqrt(d2.min(axis=1))
 
 
 def test_knn_matches_exhaustive_search(rng):
     cloud = random_cloud(rng, n=200)
-    index = SpatialIndex.from_cloud(cloud)
-    for _ in range(50):
-        q = rng.uniform(-5, 55, 3)
-        ids, _ = index.k_nearest(q, 5)
-        np.testing.assert_array_equal(ids, _brute_knn(cloud.positions, q, 5))
+    queries = rng.uniform(-5, 55, (50, 3))
+    ids, _ = SpatialIndex(cloud).nearest(queries)
+    np.testing.assert_array_equal(ids, _brute_nearest(cloud.positions, queries)[0])
+
+
+class _CountingTree:
+    """A k-d tree stand-in that counts the query rounds."""
+
+    def __init__(self, tree):
+        self.tree, self.n, self.rounds = tree, tree.n, 0
+
+    def query(self, *args, **kwargs):
+        self.rounds += 1
+        return self.tree.query(*args, **kwargs)
 
 
 def test_knn_tie_break_by_id_on_grid():
     # symmetric grid: many exact ties; the lower id must win
     pts = np.array([[x, y, z] for x in range(3) for y in range(3) for z in range(3)],
                    dtype=float)
-    cloud = PointCloud(pts, np.zeros_like(pts))
-    index = SpatialIndex.from_cloud(cloud)
-    ids, dists = index.k_nearest(np.array([1.0, 1.0, 1.0]), 7)
-    assert ids[0] == 13  # the center itself
-    # six face neighbors tie at distance 1; ids ascending
-    assert list(dists[1:]) == [1.0] * 6
-    assert list(ids[1:]) == sorted(ids[1:])
-    nearest_id, _ = index.nearest(np.array([[1.0, 1.0, 1.0]]))
-    assert nearest_id[0] == 13
+    index = SpatialIndex(PointCloud(pts, np.zeros_like(pts)))
+    index._tree = tree = _CountingTree(index._tree)
+    ids, dists = index.nearest(np.array([[1.0, 1.0, 1.0], [1.5, 1.5, 1.5], [0.5, 1.0, 1.0]]))
+    assert tree.rounds == 3  # the cell centre ties 8 ways: 4, then 8 candidates all tie
+    # the centre itself; the lowest of 8 cube corners, (1, 1, 1); of 2 face neighbours, (0, 1, 1)
+    assert list(ids) == [13, 13, 4]
+    assert list(dists) == [0.0, np.sqrt(0.75), 0.5]
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 60), st.integers(0, 10_000))
-def test_knn_property_vs_exhaustive(n, seed):
-    r = np.random.default_rng(seed)
-    pts = np.floor(r.uniform(0, 8, (n, 3)) * 2) / 2  # coarse grid forces ties
-    cloud = PointCloud(pts, np.zeros((n, 3)))
-    index = SpatialIndex.from_cloud(cloud)
-    k = int(r.integers(1, n + 1))
-    q = r.uniform(0, 8, 3)
-    ids, _ = index.k_nearest(q, k)
-    np.testing.assert_array_equal(ids, _brute_knn(pts, q, k))
+@st.composite
+def tie_cases(draw):
+    """Points on an integer grid, repeated when there are more than the grid
+    holds, and half-integer queries: a query at a cell centre ties with up to
+    8 corners, more than the first round's 4 candidates. Clouds of 1 and 2
+    points included."""
+    n = draw(st.one_of(st.sampled_from([1, 2]), st.integers(3, 80)))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    side = draw(st.integers(1, 4))
+    pts = r.integers(0, side + 1, (n, 3)).astype(float)
+    queries = r.integers(-1, 2 * side + 2, (draw(st.integers(1, 40)), 3)) / 2
+    return pts, queries
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_cases())
+def test_knn_property_vs_exhaustive(case):
+    pts, queries = case
+    ids, dists = SpatialIndex(PointCloud(pts, np.zeros_like(pts))).nearest(queries)
+    want_ids, want_dists = _brute_nearest(pts, queries)
+    np.testing.assert_array_equal(ids, want_ids)
+    np.testing.assert_array_equal(dists, want_dists)
 
 
 # ---------------------------------------------------------------------------
@@ -435,14 +503,14 @@ def test_normals_over_the_clouds_own_index_are_byte_equal(n, seed, on_grid):
     assume(len(cloud) >= 3)
     k = int(r.integers(3, min(len(cloud), 16) + 1))
     plain, plain_degenerate = estimate_normals(cloud, k)
-    shared, shared_degenerate = estimate_normals(cloud, k, index=SpatialIndex.from_cloud(cloud))
+    shared, shared_degenerate = estimate_normals(cloud, k, index=SpatialIndex(cloud))
     assert shared.normals.tobytes() == plain.normals.tobytes()
     assert shared_degenerate.tobytes() == plain_degenerate.tobytes()
 
 
 def test_normals_reject_an_index_of_another_cloud(rng):
     cloud = random_cloud(rng, n=20)
-    other = SpatialIndex.from_cloud(random_cloud(rng, n=21))
+    other = SpatialIndex(random_cloud(rng, n=21))
     with pytest.raises(ValueError, match="21 points .* 20-point cloud"):
         estimate_normals(cloud, k=8, index=other)
 
@@ -463,10 +531,9 @@ def test_atomic_write_failure_mid_write_keeps_previous_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]
 
 
-@pytest.mark.parametrize("mode", ["ascii", "binary_le"])
-def test_save_ply_failure_mid_write_keeps_previous_file(tmp_path, rng, monkeypatch, mode):
+def test_save_ply_failure_mid_write_keeps_previous_file(tmp_path, rng, monkeypatch):
     path = tmp_path / "cloud.ply"
-    save_ply(grid_cloud(rng, n=50), path, mode=mode)
+    save_ply(grid_cloud(rng, n=50), path)
     before = path.read_bytes()
     real_open = open
 
@@ -491,6 +558,6 @@ def test_save_ply_failure_mid_write_keeps_previous_file(tmp_path, rng, monkeypat
     monkeypatch.setattr(pcio, "open", lambda *a, **k: FailsAfterHeader(real_open(*a, **k)),
                         raising=False)
     with pytest.raises(OSError, match="disk full"):
-        save_ply(grid_cloud(rng, n=80), path, mode=mode)
+        save_ply(grid_cloud(rng, n=80), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["cloud.ply"]

@@ -40,6 +40,11 @@ def build_dataset(tmp_path, refs_dir, distortions=(5, 11, 17), seed=3, jobs=1):
     return out, manifest
 
 
+def read_csv(path):
+    """The rows of a headed CSV, read with the file closed again."""
+    return list(csv.DictReader(Path(path).read_text().splitlines()))
+
+
 def plant_ratings(manifest, path, noise=0.55, n_subjects=18, seed=5):
     # hidden monotone function of level plus noise; the score range and
     # noise keep honest subjects inside the beta2 in [2, 4] screening band
@@ -137,7 +142,7 @@ def test_score_applicability_and_counts(tmp_path, refs_dir):
     out, manifest = build_dataset(tmp_path, refs_dir)
     n = pl.cmd_score(out / "manifest.jsonl", tmp_path / "scores.csv", jobs=1)
     # color metrics on all 42; geometry metrics only on ids 11 and 17 (28 rows)
-    rows = list(csv.DictReader(open(tmp_path / "scores.csv")))
+    rows = read_csv(tmp_path / "scores.csv")
     assert n == len(rows)
     per_metric = {}
     for r in rows:
@@ -154,7 +159,7 @@ def test_score_identical_reference_rows_capped(tmp_path, refs_dir):
     out = tmp_path / "ds"
     pl.cmd_build(refs_dir, out, cfg, jobs=1)
     pl.cmd_score(out / "manifest.jsonl", tmp_path / "scores.csv")
-    for r in csv.DictReader(open(tmp_path / "scores.csv")):
+    for r in read_csv(tmp_path / "scores.csv"):
         assert float(r["value"]) == 100.0
 
 
@@ -336,7 +341,7 @@ def test_eval_report_reproducible_from_predictions(tmp_path, refs_dir):
                              scale_range=(1.0, 1.0), rotation_range=(0.0, 0.0)),
                  ckpt)
     report = pl.cmd_eval(out / "manifest.jsonl", split, ckpt, tmp_path / "eval")
-    rows = list(csv.DictReader(open(tmp_path / "eval" / "predictions.csv")))
+    rows = read_csv(tmp_path / "eval" / "predictions.csv")
     labels = [float(r["label"]) for r in rows]
     preds = [float(r["prediction"]) for r in rows]
     assert report.overall_plcc == pytest.approx(scipy.stats.pearsonr(labels, preds)[0], abs=1e-9)
@@ -696,7 +701,7 @@ def test_eval_per_type_cells_reproducible(tmp_path, refs_dir):
                              scale_range=(1.0, 1.0), rotation_range=(0.0, 0.0)),
                  ckpt)
     report = pl.cmd_eval(out / "manifest.jsonl", split, ckpt, tmp_path / "eval")
-    rows = list(csv.DictReader(open(tmp_path / "eval" / "predictions.csv")))
+    rows = read_csv(tmp_path / "eval" / "predictions.csv")
     for did, (plcc_cell, srocc_cell) in report.per_type.items():
         sel = [r for r in rows if int(r["distortion_id"]) == did]
         labels = [float(r["label"]) for r in sel]
@@ -739,7 +744,7 @@ def test_score_rereads_a_changed_reference(tmp_path, refs_dir):
     want = fr.score_pair(load_ply(refs_dir / "ref0.ply"),
                          load_ply(out / "clouds" / "ref0__d05_l1.ply"), ("PSNRyuv",))
     rows = {(r["metric_name"], r["degraded_id"]): r["value"]
-            for r in csv.DictReader(open(tmp_path / "after.csv"))}
+            for r in read_csv(tmp_path / "after.csv")}
     assert rows[("PSNRyuv", "ref0__d05_l1")] == repr(want["PSNRyuv"])
 
 
@@ -815,7 +820,7 @@ def test_score_worker_estimates_reference_normals_once(tmp_path, monkeypatch):
 
 
 def _score_rows(path):
-    return {(r["metric_name"], r["degraded_id"]): r["value"] for r in csv.DictReader(open(path))}
+    return {(r["metric_name"], r["degraded_id"]): r["value"] for r in read_csv(path)}
 
 
 def test_score_is_fresh_score_pair_at_any_jobs(tmp_path, refs_dir):
@@ -923,6 +928,26 @@ def test_annotate_out_may_be_its_input_manifest(tmp_path, refs_dir):
     assert sorted(p.name for p in out.iterdir()) == ["clouds", "manifest.jsonl"]
 
 
+def test_cli_train_on_a_manifest_written_elsewhere_names_the_path_it_searched(
+        tmp_path, refs_dir, capsys):
+    # a manifest finds its samples in the clouds/ beside it, so one annotated
+    # into another directory finds none there; the error says where it looked
+    out, manifest = build_dataset(tmp_path, refs_dir, distortions=(5, 17))
+    pl.cmd_score(out / "manifest.jsonl", tmp_path / "scores.csv")
+    plant_ratings(manifest, tmp_path / "subjective.csv")
+    elsewhere = tmp_path / "elsewhere" / "annotated.jsonl"
+    elsewhere.parent.mkdir()
+    assert cli_main(["annotate", "--manifest", str(out / "manifest.jsonl"),
+                     "--scores", str(tmp_path / "scores.csv"),
+                     "--subjective", str(tmp_path / "subjective.csv"),
+                     "--out", str(elsewhere), "--holdout-refs", ""]) == 0
+    first = pl.Manifest.load(elsewhere).ok_rows()[0]
+    _assert_cli_error(["train", "--manifest", str(elsewhere), "--split", "test=ref1",
+                       "--out", str(tmp_path / "m.ckpt")], capsys,
+                      f"{first.sample_id}: missing file {elsewhere.parent / 'clouds' / first.path}")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_cli_annotate_checks_the_manifest_rows(tmp_path, refs_dir, capsys):
     # a duplicated row and a scored row on an unknown reference: every command
     # that loads the manifest refuses it, annotate included
@@ -953,7 +978,7 @@ def test_cli_score_two_point_sample_gets_default_normals(tmp_path, refs_dir):
     assert cli_main(["score", "--manifest", str(out / "manifest.jsonl"),
                      "--out", str(tmp_path / "scores.csv")]) == 0
     rows = {r["metric_name"]: float(r["value"])
-            for r in csv.DictReader(open(tmp_path / "scores.csv"))
+            for r in read_csv(tmp_path / "scores.csv")
             if r["degraded_id"] == "ref0__d17_l1"}
     assert sorted(rows) == sorted(fr.BUILTIN_METRICS)
     assert all(np.isfinite(v) for v in rows.values())
@@ -1070,7 +1095,7 @@ def test_annotate_takes_ratings_on_the_manifest_scale(tmp_path, refs_dir, capsys
     mos = [r.mos for r in pl.Manifest.load(annotated).ok_rows() if r.mos is not None]
     assert max(mos) > 5.0 and min(mos) >= 1.0
     # the error histogram's bins widen with the scale: +-2.5 * 9 / 4 on [1, 10]
-    hist = list(csv.DictReader(open(tmp_path / "reports" / "annotation_errors.csv")))
+    hist = read_csv(tmp_path / "reports" / "annotation_errors.csv")
     assert (hist[0]["bin_left"], hist[-1]["bin_right"]) == ("-5.625", "5.625")
     assert sum(int(h["count"]) for h in hist) == 14  # the fit rows: ref0's 2 types x 7 levels
 
