@@ -36,6 +36,12 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 MOS_MIN, MOS_MAX = 1.0, 5.0
+MIN_KEPT_SCORES = 16  # ratings per stimulus below which compute_mos warns
+
+# the simplex search stops after MAX_ITER iterations per start, or once its
+# vertices lie within XATOL and their values within FATOL of the best one
+MAX_ITER, XATOL, FATOL = 10_000, 1e-10, 1e-12
+_TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float
 
 
 class DegenerateCorrelationError(ValueError):
@@ -48,19 +54,27 @@ class DegenerateCorrelationError(ValueError):
 
 
 def plcc(p: Sequence[float], q: Sequence[float]) -> float:
-    """Pearson linear correlation coefficient."""
+    """Pearson linear correlation coefficient of two finite vectors, of any
+    magnitude from the smallest normal float to the largest."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape or p.ndim != 1:
         raise ValueError("inputs must be equal-length vectors")
     if len(p) < 2:
         raise ValueError("need at least 2 samples")
-    pc = p - p.mean()
-    qc = q - q.mean()
-    ssp = float((pc * pc).sum())
-    ssq = float((qc * qc).sum())
-    if ssp == 0.0 or ssq == 0.0:
-        raise DegenerateCorrelationError("undefined correlation")
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise ValueError("inputs must be finite")
+    with np.errstate(all="ignore"):
+        pc = p - p.mean()
+        qc = q - q.mean()
+        ssp = float((pc * pc).sum())
+        ssq = float((qc * qc).sum())
+    if not all(_TINY <= v < math.inf for v in (ssp, ssq, ssp * ssq)):
+        # a sum of squares or their product left the normal floats: unless
+        # a vector is constant, its scaled copy in [-1, 1] keeps them there
+        if p.min() == p.max() or q.min() == q.max():
+            raise DegenerateCorrelationError("undefined correlation")
+        return plcc(p / np.abs(p).max(), q / np.abs(q).max())
     r = float((pc * qc).sum()) / math.sqrt(ssp * ssq)
     return min(1.0, max(-1.0, r))
 
@@ -163,14 +177,10 @@ def screen_subjects(ratings: RatingMatrix) -> ScreeningResult:
     return ScreeningResult(kept=kept, rejected=rejected)
 
 
-def compute_mos(
-    ratings: RatingMatrix,
-    kept_subjects: Sequence[str],
-    min_scores: int = 16,
-) -> dict[str, float]:
+def compute_mos(ratings: RatingMatrix, kept_subjects: Sequence[str]) -> dict[str, float]:
     """Arithmetic mean of kept scores per stimulus.
 
-    Stimuli retaining fewer than `min_scores` ratings log a warning (desk
+    Stimuli retaining fewer than MIN_KEPT_SCORES ratings log a warning (desk
     scale rarely reaches the recommended count); zero kept scores is an error.
     """
     per_stimulus = ratings.by_stimulus(set(kept_subjects))
@@ -181,11 +191,11 @@ def compute_mos(
     mos = {}
     below = 0
     for stim, scores in per_stimulus.items():
-        if len(scores) < min_scores:
+        if len(scores) < MIN_KEPT_SCORES:
             below += 1
         mos[stim] = float(scores.mean())
     if below:
-        log.warning("%d stimuli have fewer than %d kept scores", below, min_scores)
+        log.warning("%d stimuli have fewer than %d kept scores", below, MIN_KEPT_SCORES)
     return mos
 
 
@@ -286,8 +296,8 @@ def _record(results: list, ids: np.ndarray, sim: np.ndarray, fsim: np.ndarray,
         results[r] = (vertices[best], float(values[best]), it, converged)
 
 
-def _simplex_batch(x0s, score, max_iter: int = 10_000, xatol: float = 1e-10,
-                   fatol: float = 1e-12) -> list[tuple[np.ndarray, float, int, bool]]:
+def _simplex_batch(x0s, score,
+                   max_iter: int = MAX_ITER) -> list[tuple[np.ndarray, float, int, bool]]:
     """Derivative-free simplex descent (reflection/expansion/contraction/shrink)
     from each row of the (R, n) starts `x0s`, returning (best point, best
     value, iterations, converged flag) per start.
@@ -323,9 +333,9 @@ def _simplex_batch(x0s, score, max_iter: int = 10_000, xatol: float = 1e-10,
         sim = sim.reshape(-1, n).take(rows, axis=0).reshape(sim.shape)
         fsim = fsim.take(rows).reshape(fsim.shape)
         # `max(...) <= tol` is False on a NaN
-        done = np.abs(fsim[:, 1:] - fsim[:, :1]).max(axis=1) <= fatol
+        done = np.abs(fsim[:, 1:] - fsim[:, :1]).max(axis=1) <= FATOL
         if np.count_nonzero(done):
-            done &= np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol
+            done &= np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= XATOL
         if np.count_nonzero(done):
             _record(results, ids[done], sim[done], fsim[done], it, True)
             keep = ~done
@@ -367,13 +377,8 @@ def _simplex_batch(x0s, score, max_iter: int = 10_000, xatol: float = 1e-10,
     return results
 
 
-def nelder_mead(
-    f,
-    x0: np.ndarray,
-    max_iter: int = 10_000,
-    xatol: float = 1e-10,
-    fatol: float = 1e-12,
-) -> tuple[np.ndarray, float, int, bool]:
+def nelder_mead(f, x0: np.ndarray,
+                max_iter: int = MAX_ITER) -> tuple[np.ndarray, float, int, bool]:
     """Minimise the scalar function `f` by simplex descent from `x0`.
 
     Returns (best point, best value, iterations, converged flag). The
@@ -387,8 +392,7 @@ def nelder_mead(
     if x0.ndim != 1 or not len(x0):
         raise ValueError(f"x0 must be a non-empty 1-D vector, got shape {x0.shape}")
     [result] = _simplex_batch(
-        x0[None], lambda _, points: np.array([float(f(x)) for x in points]),
-        max_iter, xatol, fatol)
+        x0[None], lambda _, points: np.array([float(f(x)) for x in points]), max_iter)
     return result
 
 
@@ -440,25 +444,13 @@ def _start_points(kind: str, qs: np.ndarray, targets: np.ndarray) -> list[np.nda
     return [np.asarray(s, dtype=np.float64) for s in starts]
 
 
-def _rmse_objective(kind: str, qs: np.ndarray, targets: np.ndarray):
-    """RMSE of the `kind` curve over (qs, targets) as a function of its
-    parameters; a non-finite RMSE reads as +inf. Run it under
-    `np.errstate(all="ignore")`: the search probes overflowing curves."""
-    n = len(targets)
-
-    def objective(params: np.ndarray) -> float:
-        d = _eval_kind(kind, params, qs) - targets
-        # bit-equal to np.sqrt(np.mean(d**2)): the same pairwise sum over d*d
-        rmse = math.sqrt(np.add.reduce(d * d) / n)
-        return rmse if math.isfinite(rmse) else math.inf
-
-    return objective
-
-
 def _rmse_rows(kind: str, params: np.ndarray, qs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """`_rmse_objective` of each row of `params` over the same row of `qs`
-    and `targets`, bit for bit: each row is reduced on its own, with the
-    pairwise sum a 1-D reduction of its length performs."""
+    """RMSE of the `kind` curve of each row of `params` over the same row of
+    `qs` and `targets`; a non-finite RMSE reads as +inf. Each row is reduced
+    on its own, with the pairwise sum a 1-D reduction of its length
+    performs, so it is bit-equal to `np.sqrt(np.mean(d**2))` of that row.
+    Run it under `np.errstate(all="ignore")`: the search probes overflowing
+    curves."""
     d = _eval_kind(kind, params, qs) - targets
     rmse = np.sqrt(np.add.reduce(d * d, axis=1) / qs.shape[1])
     rmse[~np.isfinite(rmse)] = np.inf
@@ -489,8 +481,7 @@ def fit_regressions(
     `_rmse_rows` call per sample count, over (qs, targets) stacks built
     once with a row per search (rows are never padded: padding would
     change the pairwise sums), so each model is bit-identical to the best
-    of its starts run one by one through `nelder_mead` on
-    `_rmse_objective`.
+    of its starts run one by one through `nelder_mead` on its RMSE.
     """
     if kind not in _PARAM_COUNT:
         raise ValueError(f"unknown regression kind '{kind}'")

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Annotated, Literal
 
-import numpy as np
-
 from . import annotate as ann
 from . import frmetrics as fr
 from .distort import (
@@ -169,15 +167,19 @@ class Manifest:
         except ValidationError as exc:
             raise ValidationError(f"{path}:1: {exc}") from None
 
-    def validate(self, base_dir: str | Path) -> None:
-        """Every ok row's file exists under `base_dir`; construction checks the rest."""
-        for row in self.ok_rows():
-            path = Path(base_dir) / row.path
-            if not path.exists():
-                raise ValidationError(f"{row.sample_id}: missing file {path}")
-
     def ok_rows(self) -> list[ManifestRow]:
         return [r for r in self.rows if r.status == "ok"]
+
+
+def _open_dataset(manifest_path: str | Path) -> tuple[Manifest, Path]:
+    """The manifest and the clouds/ beside it, which must hold every ok row's file."""
+    manifest_path = Path(manifest_path)
+    manifest = Manifest.load(manifest_path)
+    clouds_dir = manifest_path.parent / "clouds"
+    for row in manifest.ok_rows():
+        if not (clouds_dir / row.path).exists():
+            raise ValidationError(f"{row.sample_id}: missing file {clouds_dir / row.path}")
+    return manifest, clouds_dir
 
 
 @dataclass(frozen=True)
@@ -392,10 +394,7 @@ def cmd_score(
 ) -> int:
     """One score row per applicable (metric, sample); returns the row count."""
     _load_ref.cache_clear()
-    manifest_path = Path(manifest_path)
-    manifest = Manifest.load(manifest_path)
-    base = manifest_path.parent
-    manifest.validate(base_dir=base / "clouds")
+    manifest, clouds_dir = _open_dataset(manifest_path)
     unknown = [m for m in metrics if m not in fr.BUILTIN_METRICS]
     if unknown:
         raise ValidationError(f"unknown builtin metrics: {unknown}")
@@ -407,7 +406,7 @@ def cmd_score(
         skipped += len(metrics) - len(applicable)
         tasks.append((
             manifest.references[row.reference_id], row.reference_id,
-            str(base / "clouds" / row.path), row.sample_id, applicable))
+            str(clouds_dir / row.path), row.sample_id, applicable))
     scores = sorted(
         (s for chunk in _map(_score_worker, tasks, jobs) for s in chunk),
         key=lambda s: (fr.metric_order_key(s[0]), s[2]))
@@ -427,7 +426,6 @@ def cmd_score(
 @dataclass
 class AnnotateResult:
     manifest: Manifest
-    selection: dict[int, str]
     fit_srocc: float
     fit_plcc: float
     holdout_srocc: float | None
@@ -506,21 +504,15 @@ def cmd_annotate(
         raise ValidationError(f"distortion types without labeled fit samples, or with "
                               f"fewer than {need} (type: count): {short}")
 
-    # per-type score vectors over the fit rows, restricted to metrics
-    # scored for every sample of that type
+    # per type, the fit rows' MOS and each metric that scores every one of them
+    metric_names = sorted({m for m, _ in scores}, key=fr.metric_order_key)
     scores_by_type: dict[int, dict[str, list[float]]] = {}
     mos_by_type: dict[int, list[float]] = {}
     for did in present_types:
         type_rows = sorted((r for r in fit_rows if r.distortion_id == did),
                            key=lambda r: r.sample_id)
-        type_ids = {r.sample_id for r in type_rows}
-        metrics_here = sorted(
-            {m for (m, s) in scores if s in type_ids}, key=fr.metric_order_key)
-        table: dict[str, list[float]] = {}
-        for metric in metrics_here:
-            vals = [scores.get((metric, r.sample_id)) for r in type_rows]
-            if all(v is not None for v in vals):
-                table[metric] = [float(v) for v in vals]
+        columns = {m: [scores.get((m, r.sample_id)) for r in type_rows] for m in metric_names}
+        table = {m: vals for m, vals in columns.items() if None not in vals}
         if not table:
             raise ValidationError(f"no scored metric covers distortion type {did}")
         scores_by_type[did] = table
@@ -564,8 +556,7 @@ def cmd_annotate(
         holdout_stats = None
 
     result = AnnotateResult(
-        manifest=manifest, selection=selection,
-        fit_srocc=fit_srocc, fit_plcc=fit_plcc,
+        manifest=manifest, fit_srocc=fit_srocc, fit_plcc=fit_plcc,
         holdout_srocc=holdout_srocc, holdout_plcc=holdout_plcc,
         holdout_refs=tuple(holdout_refs), fit_stats=fit_stats,
         holdout_stats=holdout_stats, fits=fits, screening=screening)
@@ -578,8 +569,7 @@ def _write_annotate_reports(report_dir, result, scores_by_type, mos_by_type):
     report_dir.mkdir(parents=True, exist_ok=True)
     lines = ["distortion_id,name,metric,srocc,plcc"]
     txt = [f"{'id':>3} {'type':<28} {'metric':<12} {'SROCC':>10} {'PLCC':>10}"]
-    for did in sorted(result.selection):
-        metric = result.selection[did]
+    for did, (metric, _) in sorted(result.fits.items()):
         s = ann.srocc(mos_by_type[did], scores_by_type[did][metric])
         p = ann.plcc(mos_by_type[did], scores_by_type[did][metric])
         name = REGISTRY[did].name
@@ -653,11 +643,9 @@ def cmd_train(
     out_checkpoint: str | Path,
     loss_csv: str | Path | None = None,
 ) -> Model:
-    manifest_path = Path(manifest_path)
-    manifest = Manifest.load(manifest_path)
-    manifest.validate(base_dir=manifest_path.parent / "clouds")
+    manifest, clouds_dir = _open_dataset(manifest_path)
     samples = [TrainSample(sample_id=r.sample_id, label=float(r.label),
-                           cloud=_load_sample(manifest_path.parent / "clouds" / r.path))
+                           cloud=_load_sample(clouds_dir / r.path))
                for r in _split_rows(manifest, split.train, "training")]
     model = init_model(model_config, seed=train_config.seed)
     log.info("training %d samples, %d parameters", len(samples), param_count(model))
@@ -694,9 +682,7 @@ def cmd_eval(
     model_config: ModelConfig | None = None,
 ) -> EvalReport:
     """Predict the test split and report PLCC/SROCC overall and per type."""
-    manifest_path = Path(manifest_path)
-    manifest = Manifest.load(manifest_path)
-    manifest.validate(base_dir=manifest_path.parent / "clouds")
+    manifest, clouds_dir = _open_dataset(manifest_path)
     model = load_checkpoint(checkpoint_path)
     if model_config is not None and model_config != model.config:
         raise ValidationError("checkpoint/config mismatch")
@@ -704,7 +690,7 @@ def cmd_eval(
     labels, preds, types = [], [], []
     pred_lines = ["sample_id,distortion_id,level,label,prediction"]
     for row in test_rows:
-        q = predict(model, _load_sample(manifest_path.parent / "clouds" / row.path))
+        q = predict(model, _load_sample(clouds_dir / row.path))
         labels.append(float(row.label))
         preds.append(q)
         types.append(row.distortion_id)
@@ -738,20 +724,22 @@ def _cell(x: float) -> str:
     return "NaN" if math.isnan(x) else f"{x:.4f}"
 
 
+def _table(header: str, rows) -> str:
+    """A label column as wide as `header`, then PLCC and SROCC columns."""
+    out = [f"{header} {'PLCC':>8} {'SROCC':>8}"]
+    out += [f"{label:<{len(header)}} {_cell(p):>8} {_cell(s):>8}" for label, p, s in rows]
+    return "\n".join(out)
+
+
 def format_overall_table(rows: list[tuple[str, float, float]]) -> str:
     """Overall metric performance: one row per metric, PLCC and SROCC columns."""
-    out = [f"{'metric':<24} {'PLCC':>8} {'SROCC':>8}"]
-    out += [f"{name:<24} {_cell(p):>8} {_cell(s):>8}" for name, p, s in rows]
-    return "\n".join(out)
+    return _table(f"{'metric':<24}", rows)
 
 
 def format_pertype_table(per_type: dict[int, tuple[float, float]]) -> str:
     """Per-distortion-type breakdown, one row per type."""
-    out = [f"{'id':>3} {'distortion':<32} {'PLCC':>8} {'SROCC':>8}"]
-    for did in sorted(per_type):
-        p, s = per_type[did]
-        out.append(f"{did:>3} {REGISTRY[did].name:<32} {_cell(p):>8} {_cell(s):>8}")
-    return "\n".join(out)
+    return _table(f"{'id':>3} {'distortion':<32}",
+                  [(f"{did:>3} {REGISTRY[did].name}", *per_type[did]) for did in sorted(per_type)])
 
 
 def format_depth_table(results: dict[int, tuple[float, float]]) -> str:
@@ -773,11 +761,8 @@ RESIDUAL_DESCRIPTIONS = {
 
 def format_residual_table(results: dict[str, tuple[float, float]]) -> str:
     """Residual-scheme ablation: one row per variant."""
-    out = [f"{'variant':<40} {'PLCC':>8} {'SROCC':>8}"]
-    for v in sorted(results):
-        p, s = results[v]
-        out.append(f"{v}: {RESIDUAL_DESCRIPTIONS[v]:<38} {_cell(p):>8} {_cell(s):>8}")
-    return "\n".join(out)
+    return _table(f"{'variant':<41}",
+                  [(f"{v}: {RESIDUAL_DESCRIPTIONS[v]}", *results[v]) for v in sorted(results)])
 
 
 # ablation kind -> (ModelConfig field it varies, its values, report table)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pcqa import annotate as ann
 
@@ -95,6 +95,78 @@ def test_plcc_affine_invariance():
     assert ann.plcc(list(2.5 * np.asarray(p) + 7), q) == pytest.approx(base, abs=1e-12)
 
 
+@pytest.mark.parametrize("p, q, want", [
+    ([1e160, 2e160, 3e160], [1, 2, 3], 1.0),  # the sum of squares overflows
+    ([1e-200, 2e-200, 3e-200], [1, 2, 3], 1.0),  # ... or underflows to 0
+    ([1e-160, 2e-160, 3e-160], [1e-160, 2e-160, 4e-160], math.sqrt(27 / 28)),  # product 0
+    ([1, 2, 3, 1e200], [1, 2, 3, 4], math.sqrt(0.6)),
+    ([1e308, 1e308, -1e308], [1, 2, 3], -math.sqrt(0.75)),  # the mean overflows
+])
+def test_plcc_of_sums_outside_the_normal_floats(p, q, want):
+    assert ann.plcc(p, q) == pytest.approx(want, rel=1e-12)
+    assert ann.plcc(q, p) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [[1e-200] * 3, [1e300] * 3, [-1e308] * 3])
+def test_plcc_constant_raises_at_any_magnitude(p):
+    with pytest.raises(ann.DegenerateCorrelationError, match="undefined correlation"):
+        ann.plcc(p, [1, 2, 3])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_plcc_rejects_non_finite_input(bad):
+    for p, q in (([1, bad, 3], [1, 2, 3]), ([1, 2, 3], [1, 2, bad])):
+        with pytest.raises(ValueError, match="inputs must be finite"):
+            ann.plcc(p, q)
+
+
+def _frozen_plcc(p, q):
+    """`plcc` before it handled sums of squares outside the normal floats, on
+    inputs whose two sums of squares and their product are normal; None on
+    any other input."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    pc = p - p.mean()
+    qc = q - q.mean()
+    ssp = float((pc * pc).sum())
+    ssq = float((qc * qc).sum())
+    if not all(np.finfo(np.float64).tiny <= v < math.inf for v in (ssp, ssq, ssp * ssq)):
+        return None
+    r = float((pc * qc).sum()) / math.sqrt(ssp * ssq)
+    return min(1.0, max(-1.0, r))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from([0.0, 1.0, 40.0, 1e6]), st.integers(-150, 150), st.integers(-150, 150))
+def test_plcc_keeps_its_bits_where_the_sums_stay_normal(n, seed, quantize, offset, ep, eq):
+    # the metric selection's PLCC tie-break and selection.csv's digits read these bits
+    r = np.random.default_rng(seed)
+    p, q = r.normal(size=n) * 3, r.normal(size=n) * 3
+    if quantize:  # ties, as in rank vectors
+        p, q = np.round(p), np.round(q)
+    p, q = (offset + p) * 10.0 ** ep, q * 10.0 ** eq
+    with np.errstate(all="ignore"):
+        want = _frozen_plcc(p, q)
+    assume(want is not None)
+    assert _bits(ann.plcc(p, q)) == _bits(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 2**32 - 1),
+       st.integers(-300, 299), st.integers(-300, 299),
+       st.floats(1.0, 9.99), st.floats(1.0, 9.99), st.booleans(), st.booleans())
+def test_plcc_is_scale_free_from_1e_300_to_1e300(n, seed, ep, eq, mp, mq, flip_p, flip_q):
+    r = np.random.default_rng(seed)
+    p = r.integers(-100, 101, n).astype(np.float64)
+    q = r.integers(-100, 101, n).astype(np.float64)
+    assume(p.min() < p.max() and q.min() < q.max())
+    a = (-1.0 if flip_p else 1.0) * mp * 10.0 ** ep
+    b = (-1.0 if flip_q else 1.0) * mq * 10.0 ** eq
+    want = ann.plcc(p, q) * (-1.0 if flip_p != flip_q else 1.0)
+    assert ann.plcc(a * p, b * q) == pytest.approx(want, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Subject screening
 # ---------------------------------------------------------------------------
@@ -149,14 +221,14 @@ def test_rating_range_enforced():
 
 def test_mos_simple_mean():
     ratings = _matrix([("a", f"u{i}", v) for i, v in enumerate((3.0, 4.0, 5.0))])
-    mos = ann.compute_mos(ratings, [f"u{i}" for i in range(3)], min_scores=1)
+    mos = ann.compute_mos(ratings, [f"u{i}" for i in range(3)])
     assert mos["a"] == pytest.approx(4.0)
 
 
 def test_mos_single_score_warns(caplog):
     ratings = _matrix([("a", "u0", 2.0)])
     with caplog.at_level("WARNING"):
-        mos = ann.compute_mos(ratings, ["u0"], min_scores=16)
+        mos = ann.compute_mos(ratings, ["u0"])
     assert mos["a"] == 2.0
     assert "fewer than 16" in caplog.text
 
@@ -164,7 +236,7 @@ def test_mos_single_score_warns(caplog):
 def test_mos_zero_kept_scores_errors():
     ratings = _matrix([("a", "u0", 2.0), ("b", "u1", 3.0)])
     with pytest.raises(ValueError, match="zero kept scores"):
-        ann.compute_mos(ratings, ["u0"], min_scores=1)
+        ann.compute_mos(ratings, ["u0"])
 
 
 def test_mos_matches_independent_mean(rng):
@@ -176,7 +248,7 @@ def test_mos_matches_independent_mean(rng):
         vals = rng.uniform(1, 5, len(subjects))
         table[s] = vals.mean()
         rows += [(s, subj, v) for subj, v in zip(subjects, vals)]
-    mos = ann.compute_mos(_matrix(rows), subjects, min_scores=1)
+    mos = ann.compute_mos(_matrix(rows), subjects)
     for s in stimuli:
         assert mos[s] == pytest.approx(table[s])
 
@@ -550,7 +622,7 @@ def test_nelder_mead_matches_array_form_logistic5(seed, n_samples, start):
     qs = np.sort(r.uniform(0, 100, n_samples))
     targets = np.clip(4.5 - 0.035 * qs + r.normal(0, 0.3, n_samples), 1, 5)
     x0 = ann._start_points("logistic5", qs, targets)[start]
-    _assert_same_search(ann._rmse_objective("logistic5", qs, targets), x0, max_iter=3000)
+    _assert_same_search(_reference_rmse("logistic5", qs, targets), x0, max_iter=3000)
 
 
 def test_nelder_mead_matches_array_form_on_shrink_and_cap():
@@ -671,6 +743,14 @@ def _reference_eval_kind(kind, params, qs):
     return a * qs**3 + b * qs**2 + c * qs + d
 
 
+def _reference_rmse(kind, qs, targets):
+    """The scalar RMSE objective of one problem; a non-finite RMSE reads as +inf."""
+    def objective(params):
+        rmse = float(np.sqrt(np.mean((_reference_eval_kind(kind, params, qs) - targets) ** 2)))
+        return rmse if math.isfinite(rmse) else math.inf
+    return objective
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["logistic4", "logistic5", "cubic4"]), st.integers(0, 2**32 - 1),
        st.lists(st.one_of(st.floats(-1e3, 1e3), st.floats(-1e200, 1e200),
@@ -682,10 +762,8 @@ def test_rmse_objective_matches_array_form(kind, seed, raw):
     targets = r.uniform(1, 5, 14)
     params = np.array(raw[:ann._PARAM_COUNT[kind]])
     with np.errstate(all="ignore"):
-        got = ann._rmse_objective(kind, qs, targets)(params)
-        pred = _reference_eval_kind(kind, params, qs)
-        want = float(np.sqrt(np.mean((pred - targets) ** 2)))
-    want = want if math.isfinite(want) else float("inf")
+        [got] = ann._rmse_rows(kind, params[None], qs[None], targets[None])
+        want = _reference_rmse(kind, qs, targets)(params)
     assert _bits(got) == _bits(want)
 
 
@@ -707,7 +785,7 @@ def test_rmse_rows_match_the_scalar_objective(kind, seed, n, raw):
     owner = r.integers(0, 3, len(params))
     with np.errstate(all="ignore"):
         got = ann._rmse_rows(kind, params, qs[owner], targets[owner])
-        want = [ann._rmse_objective(kind, qs[o], targets[o])(x) for x, o in zip(params, owner)]
+        want = [_reference_rmse(kind, qs[o], targets[o])(x) for x, o in zip(params, owner)]
     assert [_bits(v) for v in got] == [_bits(v) for v in want]
 
 
@@ -728,7 +806,7 @@ def _one_start_at_a_time(kind, qs, targets):
     """The best of the starts, each run alone through `nelder_mead` on the
     scalar objective, as (params bytes, rmse bytes, summed iterations,
     converged); None when every start diverged."""
-    objective = ann._rmse_objective(kind, qs, targets)
+    objective = _reference_rmse(kind, qs, targets)
     best, total = None, 0
     for x0 in ann._start_points(kind, qs, targets):
         with np.errstate(all="ignore"):

@@ -75,10 +75,10 @@ def test_build_combinatorics(tmp_path, refs_dir):
 
 def test_manifest_roundtrip_and_validation(tmp_path, refs_dir):
     out, manifest = build_dataset(tmp_path, refs_dir)
-    loaded = pl.Manifest.load(out / "manifest.jsonl")
+    loaded, clouds_dir = pl._open_dataset(out / "manifest.jsonl")
     assert loaded.seed == manifest.seed
     assert len(loaded.rows) == len(manifest.rows)
-    loaded.validate(base_dir=out / "clouds")
+    assert clouds_dir == out / "clouds"
 
 
 def test_manifest_rejects_out_of_scale_labels(tmp_path, refs_dir):
@@ -87,7 +87,7 @@ def test_manifest_rejects_out_of_scale_labels(tmp_path, refs_dir):
     path = out / "bad.jsonl"
     manifest.save(path)
     with pytest.raises(pl.ValidationError, match="outside scale"):
-        pl.Manifest.load(path).validate(base_dir=out / "clouds")
+        pl.Manifest.load(path)
 
 
 def test_manifest_rejects_missing_file(tmp_path, refs_dir):
@@ -95,7 +95,7 @@ def test_manifest_rejects_missing_file(tmp_path, refs_dir):
     manifest = pl.Manifest.load(out / "manifest.jsonl")
     (out / "clouds" / manifest.rows[0].path).unlink()
     with pytest.raises(pl.ValidationError, match="missing file"):
-        manifest.validate(base_dir=out / "clouds")
+        pl._open_dataset(out / "manifest.jsonl")
 
 
 def test_rerun_same_seed_byte_identical_manifest(tmp_path, refs_dir):
@@ -229,7 +229,6 @@ def test_annotate_report_shows_fits_and_screening(tmp_path, refs_dir):
     assert sorted(result.fits) == [5, 17]
     assert any(ln.split()[-2:] == ["rmse", "starts_converged"] for ln in lines), lines
     for did, (metric, model) in result.fits.items():
-        assert metric == result.selection[did]
         assert len(model.starts_converged) == 8
         want = [str(did), metric, "logistic5", str(model.iterations),
                 "yes" if model.converged else "NO"]
@@ -402,6 +401,35 @@ def test_format_tables_shape():
     assert "2, 3-layers residual connection" in residual
     nan_table = pl.format_overall_table([("model", float("nan"), 0.4)])
     assert "NaN" in nan_table
+
+
+def test_score_tables_end_each_plcc_cell_under_its_header():
+    nan = float("nan")
+    tables = [
+        pl.format_overall_table([("model", 0.5, nan), ("M-p2po", -0.25, 1.0)]),
+        pl.format_pertype_table({5: (0.5, 0.6), 17: (-0.25, nan), 25: (nan, -1.0)}),
+        pl.format_residual_table({"A": (0.5, -0.6), "B": (nan, 0.1), "C": (-1.0, nan),
+                                  "D": (0.25, 0.5)}),
+    ]
+    for table in tables:
+        header, *rows = table.splitlines()
+        end = header.index("PLCC") + len("PLCC")
+        for row in rows:
+            assert row[end - 1] != " " and row[end] == " ", (header, row)
+            assert len(row) == len(header), (header, row)
+
+
+def test_overall_and_pertype_table_bytes_are_pinned():
+    nan = float("nan")
+    assert pl.format_overall_table(
+        [("model", 0.5, nan), ("a label wider than twenty-four", -0.25, 1.0)]) == (
+        "metric                       PLCC    SROCC\n"
+        "model                      0.5000      NaN\n"
+        "a label wider than twenty-four  -0.2500   1.0000")
+    assert pl.format_pertype_table({5: (0.5, 0.6), 17: (-0.25, nan)}) == (
+        " id distortion                           PLCC    SROCC\n"
+        "  5 MeanShift                          0.5000   0.6000\n"
+        " 17 GaussianShifting                  -0.2500      NaN")
 
 
 def test_run_ablation_unknown_kind_errors(tmp_path):

@@ -11,6 +11,7 @@ import os
 import struct
 import tempfile
 import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -408,6 +409,21 @@ def test_cli_annotate_bad_csv_value_exits_1_naming_the_line(tmp_path, inputs, ca
     assert "Traceback" not in err
     name = {"scores": "s.csv", "ratings": "r.csv"}[target]
     assert err.strip().splitlines()[-1] == f"error: {tmp_path / name}:4: {message}"
+
+
+@pytest.mark.parametrize("value", ["1e308", "-1e308", "1e200", "1e160", "1e-170"])
+@pytest.mark.parametrize("index", range(1, len(VALID_SCORES)))
+def test_cli_annotate_extreme_score_exits_0_or_1_without_a_warning(tmp_path, inputs, capsys,
+                                                                   index, value):
+    # a finite score whose square overflows float64 once made PLCC overflow
+    root, _ = inputs
+    rows = copy.deepcopy(VALID_SCORES)
+    rows[index][-1] = value
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = _run_corrupted("scores", rows, root, tmp_path)
+    assert code in (0, 1), capsys.readouterr().err
+    assert [str(w.message) for w in seen if issubclass(w.category, RuntimeWarning)] == []
 
 
 @pytest.mark.parametrize("target", ["scores", "ratings"])
