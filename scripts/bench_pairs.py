@@ -3,8 +3,9 @@
 
 Runs `benchmark/run.py --trace 0` N times on the parent revision and N
 times on the working tree, alternating which side goes first, and writes
-for each workload and metric both medians, the parent's quartiles and the
-number of pairs the change won (ties count for neither side).
+for each workload and metric both medians, the parent's quartiles, the
+number of pairs the change won (ties count for neither side) and the
+acceptance rule's verdict: `gain`, `regression`, `unresolved` or `flat`.
 
 Example, before committing a change (the parent is then HEAD):
     python3 scripts/bench_pairs.py --workload dataset --pairs 10 --seed 1 \
@@ -46,11 +47,41 @@ def parse_run(stdout: str) -> dict:
     return {"correct": result["correct"], "metrics": metrics}
 
 
-def summarise(pairs: list[tuple[dict, dict]], directions: dict[str, str]) -> dict:
-    """Per metric: both medians, the parent's quartiles and the change's
-    win count over `pairs` of parsed (parent, change) runs. `directions`
-    names the better side of the metrics that declare one; rates and
-    ratios are otherwise better higher, everything else lower."""
+def verdict(parent: list[float], change: list[float], better: str, wins: int, iqr: float,
+            bound: float | None) -> str:
+    """The acceptance rule's reading of one metric's pairs.
+
+    `gain`: the change wins at least 9 of 10 pairs and its median is better
+    than the parent's by more than the parent's quartile distance `iqr`.
+    For an end-to-end metric, one with a relative `bound`: `regression`
+    when the change's median is worse than the parent's by more than the
+    bound, `unresolved` when `iqr` exceeds the bound and not every change
+    run beats every parent run. `flat` otherwise.
+    """
+    p_med = statistics.median(parent)
+    better_by = statistics.median(change) - p_med
+    if better == "lower":
+        better_by, every_run_better = -better_by, max(change) < min(parent)
+    else:
+        every_run_better = min(change) > max(parent)
+    if wins >= 0.9 * len(parent) and better_by > iqr:
+        return "gain"
+    if bound is not None:
+        if better_by < -bound * abs(p_med):
+            return "regression"
+        if iqr > bound * abs(p_med) and not every_run_better:
+            return "unresolved"
+    return "flat"
+
+
+def summarise(pairs: list[tuple[dict, dict]], directions: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
+    """Per metric: both medians, the parent's quartiles, the change's win
+    count over `pairs` of parsed (parent, change) runs and its `verdict`.
+    `directions` names the better side of the metrics that declare one;
+    rates and ratios are otherwise better higher, everything else lower.
+    `bounds` gives the end-to-end metrics' relative bounds."""
+    bounds = bounds or {}
     out = {}
     names = [n for n in pairs[0][0]["metrics"] if all(
         n in p["metrics"] and n in c["metrics"] for p, c in pairs)]
@@ -69,6 +100,7 @@ def summarise(pairs: list[tuple[dict, dict]], directions: dict[str, str]) -> dic
             "parent_median": statistics.median(parent), "parent_q1": q1, "parent_q3": q3,
             "change_median": statistics.median(change),
             "wins": wins, "pairs": len(pairs),
+            "verdict": verdict(parent, change, better, wins, q3 - q1, bounds.get(name)),
             "parent": parent, "change": change,
         }
     return out
@@ -118,6 +150,7 @@ def main() -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     report = {"parent": None, "change": "working tree", "pairs": args.pairs,
               "seed": args.seed, "seconds": args.seconds, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -144,7 +177,7 @@ def main() -> int:
                       f"{pair[0]['correct']}/{pair[1]['correct']}", file=sys.stderr)
             report["workloads"][workload] = {
                 "correct": all(p["correct"] and c["correct"] for p, c in pairs),
-                "metrics": summarise(pairs, directions),
+                "metrics": summarise(pairs, directions, bounds),
             }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0

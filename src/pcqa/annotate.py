@@ -64,16 +64,17 @@ def plcc(p: Sequence[float], q: Sequence[float]) -> float:
         raise ValueError("need at least 2 samples")
     if not (np.isfinite(p).all() and np.isfinite(q).all()):
         raise ValueError("inputs must be finite")
+    # before the sums: the mean of a constant vector can round away from its value
+    if p.min() == p.max() or q.min() == q.max():
+        raise DegenerateCorrelationError("undefined correlation")
     with np.errstate(all="ignore"):
         pc = p - p.mean()
         qc = q - q.mean()
         ssp = float((pc * pc).sum())
         ssq = float((qc * qc).sum())
     if not all(_TINY <= v < math.inf for v in (ssp, ssq, ssp * ssq)):
-        # a sum of squares or their product left the normal floats: unless
-        # a vector is constant, its scaled copy in [-1, 1] keeps them there
-        if p.min() == p.max() or q.min() == q.max():
-            raise DegenerateCorrelationError("undefined correlation")
+        # a sum of squares or their product left the normal floats: the
+        # scaled copies in [-1, 1] of non-constant vectors keep them there
         return plcc(p / np.abs(p).max(), q / np.abs(q).max())
     r = float((pc * qc).sum()) / math.sqrt(ssp * ssq)
     return min(1.0, max(-1.0, r))

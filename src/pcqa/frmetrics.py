@@ -16,7 +16,8 @@ import numpy as np
 from .colors import rgb_to_ycbcr
 from .distort import REGISTRY
 from .pcio import (
-    DEFAULT_NORMAL_K, PointCloud, SpatialIndex, bounding_box, estimate_normals, read_csv_rows,
+    DEFAULT_NORMAL_K, PointCloud, SpatialIndex, bounding_box, coincident_nearest,
+    estimate_normals, read_csv_rows,
 )
 
 __all__ = [
@@ -76,12 +77,12 @@ def with_normals(cloud: PointCloud, index: SpatialIndex | None = None) -> PointC
     return estimate_normals(cloud, k=min(DEFAULT_NORMAL_K, len(cloud)), index=index)[0]
 
 
-def _errors_oneway(index: SpatialIndex, reference: PointCloud, degraded: PointCloud,
-                   kinds: set[str], ycc: list) -> dict[str, np.ndarray]:
-    """Each kind's per-point errors of `degraded` against its nearest
-    `reference` points, all from one nearest-neighbour query on `index`,
-    the reference's tree."""
-    ids, dists = index.nearest(degraded.positions)
+def _errors_oneway(nearest: tuple[np.ndarray, np.ndarray], reference: PointCloud,
+                   degraded: PointCloud, kinds: set[str], ycc: list) -> dict[str, np.ndarray]:
+    """Each kind's per-point errors of `degraded` against its `nearest`
+    `reference` points, given as the (ids, distances) of one
+    nearest-neighbour query."""
+    ids, dists = nearest
     errors = {}
     if "point" in kinds:
         errors["point"] = dists**2
@@ -97,21 +98,31 @@ def _errors_oneway(index: SpatialIndex, reference: PointCloud, degraded: PointCl
 def _pair_errors(reference: PointCloud, degraded: PointCloud, kinds: set[str],
                  symmetric: bool) -> list[dict[str, np.ndarray]]:
     """Per-point errors of degraded vs reference and, when symmetric, of
-    reference vs degraded. Each cloud gets one tree, shared by its normal
-    estimation (if it has no normals) and its nearest-neighbour query, and
-    its colours are converted to YCbCr at most once."""
-    ref_index = SpatialIndex(reference)
-    deg_index = SpatialIndex(degraded) if symmetric else None
-    if "plane" in kinds:
-        reference = with_normals(reference, ref_index)
-        if symmetric:
-            degraded = with_normals(degraded, deg_index)
+    reference vs degraded, from one nearest-neighbour pass per direction;
+    each cloud's colours are converted to YCbCr at most once.
+
+    A pair with identical positions (a colour-only distortion) and no
+    p2plane errors needs no tree: both ways, each point's nearest neighbour
+    is the lowest id at its own position. Otherwise each cloud gets one
+    tree, shared by its normal estimation (if it has no normals, which is
+    why p2plane errors keep the trees) and its nearest-neighbour query."""
     ycc = [rgb_to_ycbcr(c.colors.astype(np.float64)) if "yuv" in kinds else None
            for c in (reference, degraded)]
-    fwd = _errors_oneway(ref_index, reference, degraded, kinds, ycc)
-    if not symmetric:
-        return [fwd]
-    return [fwd, _errors_oneway(deg_index, degraded, reference, kinds, ycc[::-1])]
+    if "plane" not in kinds and np.array_equal(reference.positions, degraded.positions):
+        fwd = bwd = coincident_nearest(reference.positions)
+    else:
+        ref_index = SpatialIndex(reference)
+        deg_index = SpatialIndex(degraded) if symmetric else None
+        if "plane" in kinds:
+            reference = with_normals(reference, ref_index)
+            if symmetric:
+                degraded = with_normals(degraded, deg_index)
+        fwd = ref_index.nearest(degraded.positions)
+        bwd = deg_index.nearest(reference.positions) if symmetric else None
+    errors = [_errors_oneway(fwd, reference, degraded, kinds, ycc)]
+    if symmetric:
+        errors.append(_errors_oneway(bwd, degraded, reference, kinds, ycc[::-1]))
+    return errors
 
 
 def _pool(directions: list[dict[str, np.ndarray]], kind: str, pooling: str) -> np.ndarray:
@@ -166,7 +177,10 @@ def psnr_yuv(reference: PointCloud, degraded: PointCloud, pooling: str = "mse") 
 def score_pair(reference: PointCloud, degraded: PointCloud,
                metrics: tuple[str, ...] = BUILTIN_METRICS) -> dict[str, float]:
     """The requested builtin metrics of one (reference, degraded) pair, all
-    from one nearest-neighbour query per direction."""
+    from one nearest-neighbour pass per direction: a k-d tree query, or,
+    when the two clouds have identical positions and no p2plane metric is
+    asked for, a tree-free lookup of each point's lowest-id twin (see
+    `pcio.coincident_nearest`)."""
     unknown = [m for m in metrics if m not in _METRICS]
     if unknown:
         raise ValueError(f"unknown builtin metric '{unknown[0]}'")

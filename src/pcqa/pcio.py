@@ -21,6 +21,7 @@ __all__ = [
     "PointCloud",
     "BoundingBox",
     "SpatialIndex",
+    "coincident_nearest",
     "PlyError",
     "load_ply",
     "save_ply",
@@ -118,19 +119,27 @@ def bounding_box(cloud: PointCloud) -> BoundingBox:
     return BoundingBox(cloud.positions.min(axis=0), cloud.positions.max(axis=0))
 
 
+def _equal_row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable lexicographic order of the (N, 3) `rows` (by column 0, then
+    1, then 2), and a mask over that order that marks the first row of each
+    run of equal rows; within a run the ids ascend."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    return order, first
+
+
 def voxel_means(
     positions: np.ndarray, size: float, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Occupied cells of a grid of side `size` (int64, sorted) and the mean
     of the `values` rows that fall in each cell."""
     cells = np.floor(positions / size).astype(np.int64)
-    order = np.lexsort(cells.T[::-1])  # rows by column 0, then 1, then 2
-    ordered = cells[order]
-    first = np.ones(len(cells), dtype=bool)  # the first row of each cell in `ordered`
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    order, first = _equal_row_runs(cells)
     inverse = np.empty(len(cells), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    uniq = ordered[first]
+    uniq = cells[order[first]]
     sums = np.stack([np.bincount(inverse, weights=column) for column in values.T], axis=1)
     return uniq, sums / np.bincount(inverse)[:, None]
 
@@ -345,6 +354,23 @@ class SpatialIndex:
         if not 1 <= k <= n:
             raise ValueError(f"k={k} out of range [1, {n}]")
         return self._tree.query(np.atleast_2d(queries), k=range(1, k + 1))[1]
+
+
+def coincident_nearest(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`SpatialIndex(cloud).nearest(cloud.positions)` without a tree: each
+    point's nearest neighbour among the points themselves is the lowest id
+    at exactly its position (-0.0 equal to +0.0), at distance 0.0.
+
+    The tree agrees wherever distinct positions have a nonzero squared
+    distance, as all float32 positions (every PLY this package writes) do.
+    Only two positions that differ solely in coordinates below about 1e-146
+    in magnitude have a squared distance that underflows to 0: the tree
+    ties them and may return the other one.
+    """
+    order, first = _equal_row_runs(positions)  # the sort compares values: -0.0 ties +0.0
+    ids = np.empty(len(order), dtype=np.intp)
+    ids[order] = order[first][np.cumsum(first) - 1]  # each run's first id is its lowest
+    return ids, np.zeros(len(order))
 
 
 # ---------------------------------------------------------------------------

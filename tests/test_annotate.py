@@ -107,10 +107,13 @@ def test_plcc_of_sums_outside_the_normal_floats(p, q, want):
     assert ann.plcc(q, p) == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("p", [[1e-200] * 3, [1e300] * 3, [-1e308] * 3])
+@pytest.mark.parametrize("p", [[1e-200] * 3, [1e300] * 3, [-1e308] * 3, [0.1] * 3])
 def test_plcc_constant_raises_at_any_magnitude(p):
+    # [0.1] * 3 has the mean 0.10000000000000002, so its centred values are not 0
     with pytest.raises(ann.DegenerateCorrelationError, match="undefined correlation"):
         ann.plcc(p, [1, 2, 3])
+    with pytest.raises(ann.DegenerateCorrelationError, match="undefined correlation"):
+        ann.plcc([1, 2, 3], p)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -146,6 +149,7 @@ def test_plcc_keeps_its_bits_where_the_sums_stay_normal(n, seed, quantize, offse
     if quantize:  # ties, as in rank vectors
         p, q = np.round(p), np.round(q)
     p, q = (offset + p) * 10.0 ** ep, q * 10.0 ** eq
+    assume(p.min() < p.max() and q.min() < q.max())  # a constant vector raises
     with np.errstate(all="ignore"):
         want = _frozen_plcc(p, q)
     assume(want is not None)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcqa.colors import rgb_to_ycbcr
+from pcqa.distort import DistortionSpec, apply_distortion
 from pcqa import frmetrics as fr
 from pcqa.pcio import DEFAULT_NORMAL_K, PointCloud, SpatialIndex, bounding_box, estimate_normals
 
@@ -459,6 +460,22 @@ def test_score_pair_every_metric_subset(rng):
         for pooling in ("mse", "hausdorff"):
             for symmetric in (False, True):
                 _assert_public_match_oracle(ref, deg, pooling, symmetric)
+
+
+@pytest.mark.parametrize("did", [2, 5, 10])
+def test_score_pair_of_a_colour_only_distortion_matches_the_tree_oracle(rng, monkeypatch, did):
+    # repeated positions, some with a signed zero, get different colours:
+    # each point must take its lowest-id twin's colour, as the tree does
+    pos = grid_cloud(rng, n=80, extent=5).positions[rng.integers(0, 80, 240)]
+    pos[(pos == 0.0) & (rng.random(pos.shape) < 0.5)] = -0.0
+    ref = PointCloud(pos, rng.integers(0, 256, pos.shape))
+    deg = apply_distortion(ref, DistortionSpec(did, 3, 1))
+    assert np.array_equal(deg.positions, ref.positions) and np.signbit(deg.positions).any()
+    no_plane = tuple(m for m in fr.BUILTIN_METRICS if m not in fr.PLANE_METRICS)
+    monkeypatch.setattr(fr, "SpatialIndex", None)  # score_pair may build no tree
+    for r in range(1, len(no_plane) + 1):
+        for metrics in combinations(no_plane, r):
+            _assert_matches_oracle(ref, deg, metrics)
 
 
 def test_score_pair_rejects_unknown_metric(rng):

@@ -439,6 +439,19 @@ def test_knn_property_vs_exhaustive(case):
     np.testing.assert_array_equal(dists, want_dists)
 
 
+@settings(max_examples=200, deadline=None)
+@given(tie_cases(), st.integers(0, 2**32 - 1))
+def test_coincident_nearest_is_the_trees_self_query(case, seed):
+    # grid points repeat; a signed zero must tie with its unsigned twin
+    pts, _ = case
+    pts[(pts == 0.0) & (np.random.default_rng(seed).random(pts.shape) < 0.5)] = -0.0
+    cloud = PointCloud(pts, np.zeros_like(pts))
+    ids, dists = pcio.coincident_nearest(cloud.positions)
+    np.testing.assert_array_equal(ids, _brute_nearest(pts, pts)[0])
+    np.testing.assert_array_equal(ids, SpatialIndex(cloud).nearest(cloud.positions)[0])
+    assert dists.shape == (len(pts),) and not np.signbit(dists).any() and not dists.any()
+
+
 # ---------------------------------------------------------------------------
 # Normal estimation
 # ---------------------------------------------------------------------------

@@ -695,6 +695,14 @@ def test_eval_constant_prediction_nan_flagged(tmp_path, refs_dir):
     assert "NaN" in text
 
 
+@pytest.mark.parametrize("preds", [[0.0] * 3, [0.1] * 3, [4.3] * 5])
+def test_safe_corr_of_a_constant_prediction_is_nan(preds):
+    # the mean of [0.1] * 3 rounds to 0.10000000000000002: still no PLCC
+    labels = [1.0, 2.5, 4.0, 3.0, 2.0][:len(preds)]
+    plcc, srocc = pl._safe_corr(labels, preds)
+    assert np.isnan(plcc) and np.isnan(srocc)
+
+
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({
@@ -776,11 +784,13 @@ def test_score_rereads_a_changed_reference(tmp_path, refs_dir):
     assert rows[("PSNRyuv", "ref0__d05_l1")] == repr(want["PSNRyuv"])
 
 
-@pytest.mark.parametrize("did, builds, normals", [(17, 3, 2), (5, 2, 0)])
+@pytest.mark.parametrize("did, builds, normals", [(17, 3, 2), (5, 0, 0)])
 def test_score_worker_one_nn_pass_per_direction(tmp_path, monkeypatch, did, builds, normals):
     # one tree per cloud, shared by its normal estimation and its
     # nearest-neighbour query, plus the tree of the reference's own normal
-    # estimation, made once per worker, when a p2plane metric applies
+    # estimation, made once per worker, when a p2plane metric applies; a
+    # colour-only distortion keeps every position, so it needs no tree and
+    # queries none
     ref = textured_ref(np.random.default_rng(9), n=300, extent=40)
     save_ply(ref, tmp_path / "ref.ply")
     save_ply(apply_distortion(ref, DistortionSpec(did, 4, 1)), tmp_path / "deg.ply")
@@ -801,7 +811,7 @@ def test_score_worker_one_nn_pass_per_direction(tmp_path, monkeypatch, did, buil
     rows = pl._score_worker(
         (str(tmp_path / "ref.ply"), "ref", str(tmp_path / "deg.ply"), "deg", metrics))
     assert [r[0] for r in rows] == list(metrics)
-    assert counts == {"builds": builds, "queries": 2, "normals": normals}
+    assert counts == {"builds": builds, "queries": 2 if builds else 0, "normals": normals}
 
 
 def _count_score_work(monkeypatch):
@@ -841,10 +851,11 @@ def test_score_worker_estimates_reference_normals_once(tmp_path, monkeypatch):
         pl._score_worker(_score_task(tmp_path / "ref.ply", tmp_path / f"{name}.ply", did))
         per_task.append({k: counts[k] - before[k] for k in counts})
     # the reference's normals come from the worker's cache after the first
-    # d17 sample; the colour-only d05 sample estimates no normals at all
+    # d17 sample; the colour-only d05 sample keeps every position, so it
+    # builds no tree, queries none and estimates no normals at all
     assert per_task == [{"builds": 3, "queries": 2, "normals": 2},
                         {"builds": 2, "queries": 2, "normals": 1},
-                        {"builds": 2, "queries": 2, "normals": 0}]
+                        {"builds": 0, "queries": 0, "normals": 0}]
 
 
 def _score_rows(path):

@@ -8,11 +8,13 @@ what a user's process loads is checked here, in subprocesses.
 import importlib.util
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pcqa import pipeline as pl
 from pcqa.pcio import save_ply
@@ -177,6 +179,49 @@ def test_bench_pairs_summary_medians_quartiles_and_wins():
     assert summary["pool_busy_frac"]["better"] == "higher"
     assert summary["pool_busy_frac"]["wins"] == 0
     assert summary["setup_s"]["parent_median"] == 0.2
+
+
+_SPREAD = [5.0, 15.0, 6.0, 14.0, 10.0, 7.0, 13.0, 8.0, 12.0, 9.0]  # quartiles 6.75, 13.25
+
+
+@pytest.mark.parametrize("parent, change, better, bound, want", [
+    # 10 of 10 wins by 2, more than the parent's quartile distance of 0.4
+    ([10.0, 10.2, 9.8, 10.3, 9.7, 10.1, 9.9, 10.4, 9.6, 10.0],
+     [8.0, 8.2, 7.8, 8.3, 7.7, 8.1, 7.9, 8.4, 7.6, 8.0], "lower", 0.25, "gain"),
+    ([100.0, 102.0, 98.0, 101.0, 99.0], [130.0, 131.0, 129.0, 128.0, 132.0],
+     "higher", 0.25, "gain"),
+    # 8 of 10 wins is too few, however large the difference
+    ([10.0] * 10, [5.0] * 8 + [11.0] * 2, "lower", 0.25, "flat"),
+    # 10 of 10 wins, but by less than the parent's quartile distance
+    ([10.0, 11.0, 9.0, 10.5, 9.5, 10.0, 11.0, 9.0, 10.5, 9.5], [9.9] * 10, "lower", 0.25, "flat"),
+    # the change's median is 30% worse, beyond the 25% bound
+    ([10.0] * 10, [13.0] * 10, "lower", 0.25, "regression"),
+    ([100.0] * 5, [70.0] * 5, "higher", 0.25, "regression"),
+    # 20% worse is inside the bound; a per-layer metric has no bound at all
+    ([10.0] * 10, [12.0] * 10, "lower", 0.25, "flat"),
+    ([10.0] * 10, [30.0] * 10, "lower", None, "flat"),
+    # the parent's quartile distance, 6.5, exceeds 25% of its median, 10
+    (_SPREAD, _SPREAD[::-1], "lower", 0.25, "unresolved"),
+    # ... unless every change run beats every parent run
+    (_SPREAD, [4.9] * 10, "lower", 0.25, "flat"),
+])
+def test_bench_pairs_verdict(parent, change, better, bound, want):
+    bp = _bench_pairs()
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    assert bp.verdict(parent, change, better, wins, q3 - q1, bound) == want
+
+
+def test_bench_pairs_summary_verdicts_use_the_end_to_end_bounds():
+    bp = _bench_pairs()
+    parent = [bp.parse_run(_fake_run(10.0 + i % 2, 100.0, 6.0)) for i in range(10)]
+    change = [bp.parse_run(_fake_run(13.5, 100.0, 9.0)) for _ in range(10)]
+    summary = bp.summarise(list(zip(parent, change)), {}, {"pass_s": 0.25})
+    assert summary["pass_s"]["verdict"] == "regression"  # 10.5 -> 13.5 s, +29%
+    assert summary["annotate_s"]["verdict"] == "flat"  # +50%, but no bound
+    assert summary["items_per_s"]["verdict"] == "flat"
+    assert bp.summarise(list(zip(change, parent)), {})["pass_s"]["verdict"] == "gain"
 
 
 def test_bench_pairs_parse_run_keeps_correctness():
