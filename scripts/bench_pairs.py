@@ -11,6 +11,9 @@ Example, before committing a change (the parent is then HEAD):
     python3 scripts/bench_pairs.py --workload dataset --pairs 10 --seed 1 \
         --out BENCH_19.json
 
+Each run lasts `--seconds`, by default BENCHMARK.json's `run_seconds`:
+pairs of one pass each (`--seconds 0`) are too noisy to resolve a gain.
+
 The parent is exported with `git archive`, and the working tree's `src/`
 and `benchmark/` are copied without `__pycache__`, into two sibling
 directories of one temporary directory that is removed afterwards. Both
@@ -135,20 +138,21 @@ def copy_working_tree(dest: Path) -> None:
 
 
 def main() -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", action="append", required=True,
                         choices=("dataset", "train", "infer"))
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=0.0,
-                        help="run.py --seconds: 0 runs one pass per run")
+    parser.add_argument("--seconds", type=float, default=spec.get("run_seconds", 0.0),
+                        help="run.py --seconds: 0 runs one pass per run (default: "
+                             "BENCHMARK.json's run_seconds, the length of the gate's runs)")
     parser.add_argument("--parent", default="HEAD", help="parent revision (default HEAD)")
     parser.add_argument("--out", required=True, help="BENCH_<PR>.json to write")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     report = {"parent": None, "change": "working tree", "pairs": args.pairs,

@@ -8,6 +8,7 @@ tools) are ingested from CSV and carried alongside.
 
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 from .colors import rgb_to_ycbcr
 from .distort import REGISTRY
 from .pcio import (
-    DEFAULT_NORMAL_K, PointCloud, SpatialIndex, bounding_box, coincident_nearest,
+    DEFAULT_NORMAL_K, PointCloud, SpatialIndex, bounding_box, coincident_twins,
     estimate_normals, read_csv_rows,
 )
 
@@ -78,50 +79,91 @@ def with_normals(cloud: PointCloud, index: SpatialIndex | None = None) -> PointC
 
 
 def _errors_oneway(nearest: tuple[np.ndarray, np.ndarray], reference: PointCloud,
-                   degraded: PointCloud, kinds: set[str], ycc: list) -> dict[str, np.ndarray]:
+                   normals: np.ndarray | None, degraded: PointCloud, kinds: set[str],
+                   ycc: list) -> dict[str, np.ndarray]:
     """Each kind's per-point errors of `degraded` against its `nearest`
     `reference` points, given as the (ids, distances) of one
-    nearest-neighbour query."""
+    nearest-neighbour query; the plane errors project on the reference
+    `normals`, of which they read only the rows at a nonzero distance."""
     ids, dists = nearest
     errors = {}
     if "point" in kinds:
         errors["point"] = dists**2
     if "plane" in kinds:
         vectors = degraded.positions - reference.positions[ids]
-        errors["plane"] = np.einsum("ni,ni->n", vectors, reference.normals[ids]) ** 2
+        errors["plane"] = np.einsum("ni,ni->n", vectors, normals[ids]) ** 2
     if "yuv" in kinds:
         ref_ycc, deg_ycc = ycc
         errors["yuv"] = (deg_ycc - ref_ycc[ids]) ** 2
     return errors
 
 
+def _lazy_index(cloud: PointCloud, index: SpatialIndex | None = None):
+    """A callable giving `index`, or else the cloud's tree, built on the first call."""
+    return functools.cache(lambda: index if index is not None else SpatialIndex(cloud))
+
+
+def _nearest(queries: np.ndarray, twins: np.ndarray | None,
+             index) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, distances) of each query's nearest neighbour: its exact
+    `twins` id (-1: none) at distance 0.0, or else a query of `index()`."""
+    if twins is None:
+        return index().nearest(queries)
+    ids, dists = twins.copy(), np.zeros(len(twins))
+    missing = np.flatnonzero(twins < 0)
+    if len(missing):
+        ids[missing], dists[missing] = index().nearest(queries[missing])
+    return ids, dists
+
+
+def _normals_read(cloud: PointCloud, index, nearest: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The normals that the plane errors of `nearest`, (ids, distances)
+    into `cloud`, read: the cloud's own, or the default of a cloud too small
+    for a plane fit, or else estimates over `index()` at just the rows
+    reached at a nonzero distance and zeros at the rest. At distance 0 the
+    error is (0 * n)^2 = +0.0 for any finite normal n."""
+    if cloud.normals is not None or len(cloud) < 3:
+        return with_normals(cloud).normals
+    ids, dists = nearest
+    rows = np.unique(ids[dists > 0])
+    normals = np.zeros((len(cloud), 3))
+    if len(rows):
+        normals[rows] = estimate_normals(cloud, k=min(DEFAULT_NORMAL_K, len(cloud)),
+                                         index=index(), rows=rows)[0]
+    return normals
+
+
 def _pair_errors(reference: PointCloud, degraded: PointCloud, kinds: set[str],
-                 symmetric: bool) -> list[dict[str, np.ndarray]]:
+                 symmetric: bool, index: SpatialIndex | None = None,
+                 ) -> list[dict[str, np.ndarray]]:
     """Per-point errors of degraded vs reference and, when symmetric, of
     reference vs degraded, from one nearest-neighbour pass per direction;
-    each cloud's colours are converted to YCbCr at most once.
+    each cloud's colours are converted to YCbCr at most once. `index`, if
+    given, is the reference's own tree.
 
     A pair with identical positions (a colour-only distortion) and no
-    p2plane errors needs no tree: both ways, each point's nearest neighbour
-    is the lowest id at its own position. Otherwise each cloud gets one
-    tree, shared by its normal estimation (if it has no normals, which is
-    why p2plane errors keep the trees) and its nearest-neighbour query."""
+    p2plane errors, or whose degraded cloud has fewer points (a distortion
+    that drops points), first gets one lookup of each point's exact twin in
+    the other cloud; only the points without one are queried in a tree.
+    Each tree is built at most once, when a query or a normal estimate
+    first needs it. The reference's normals are estimated in full (the
+    score stage keeps them per worker), the degraded cloud's only at the
+    rows that the backward plane errors read."""
     ycc = [rgb_to_ycbcr(c.colors.astype(np.float64)) if "yuv" in kinds else None
            for c in (reference, degraded)]
-    if "plane" not in kinds and np.array_equal(reference.positions, degraded.positions):
-        fwd = bwd = coincident_nearest(reference.positions)
-    else:
-        ref_index = SpatialIndex(reference)
-        deg_index = SpatialIndex(degraded) if symmetric else None
-        if "plane" in kinds:
-            reference = with_normals(reference, ref_index)
-            if symmetric:
-                degraded = with_normals(degraded, deg_index)
-        fwd = ref_index.nearest(degraded.positions)
-        bwd = deg_index.nearest(reference.positions) if symmetric else None
-    errors = [_errors_oneway(fwd, reference, degraded, kinds, ycc)]
+    ref_index, deg_index = _lazy_index(reference, index), _lazy_index(degraded)
+    lookup = len(degraded) < len(reference) or (
+        "plane" not in kinds and np.array_equal(reference.positions, degraded.positions))
+    fwd_twins, bwd_twins = (coincident_twins(degraded.positions, reference.positions)
+                            if lookup else (None, None))
+    if "plane" in kinds and reference.normals is None:
+        reference = with_normals(reference, ref_index())
+    fwd = _nearest(degraded.positions, fwd_twins, ref_index)
+    errors = [_errors_oneway(fwd, reference, reference.normals, degraded, kinds, ycc)]
     if symmetric:
-        errors.append(_errors_oneway(bwd, degraded, reference, kinds, ycc[::-1]))
+        bwd = _nearest(reference.positions, bwd_twins, deg_index)
+        deg_normals = _normals_read(degraded, deg_index, bwd) if "plane" in kinds else None
+        errors.append(_errors_oneway(bwd, degraded, deg_normals, reference, kinds, ycc[::-1]))
     return errors
 
 
@@ -175,18 +217,32 @@ def psnr_yuv(reference: PointCloud, degraded: PointCloud, pooling: str = "mse") 
 
 
 def score_pair(reference: PointCloud, degraded: PointCloud,
-               metrics: tuple[str, ...] = BUILTIN_METRICS) -> dict[str, float]:
+               metrics: tuple[str, ...] = BUILTIN_METRICS,
+               index: SpatialIndex | None = None) -> dict[str, float]:
     """The requested builtin metrics of one (reference, degraded) pair, all
-    from one nearest-neighbour pass per direction: a k-d tree query, or,
-    when the two clouds have identical positions and no p2plane metric is
-    asked for, a tree-free lookup of each point's lowest-id twin (see
-    `pcio.coincident_nearest`)."""
+    from one nearest-neighbour pass per direction. `index`, if given, must
+    be the reference's own SpatialIndex; a caller that scores many samples
+    of one reference builds it once.
+
+    The pass searches only what the errors read. When the two clouds have
+    identical positions and no p2plane metric is asked for, or the degraded
+    cloud has fewer points, each point's lowest-id exact twin in the other
+    cloud is found by one sort of both (`pcio.coincident_twins`), at
+    distance 0.0, and only the points without one are queried in a k-d
+    tree; otherwise each direction is one k-d tree query. The degraded
+    cloud's normals are estimated only at the rows that a reference point
+    reaches at a nonzero distance. For float32 positions every score is
+    bit-identical to that of one tree query per direction with full
+    normals (see `pcio.coincident_twins` for the exception)."""
+    if index is not None and len(index) != len(reference):
+        raise ValueError(f"index over {len(index)} points does not belong to a "
+                         f"{len(reference)}-point reference")
     unknown = [m for m in metrics if m not in _METRICS]
     if unknown:
         raise ValueError(f"unknown builtin metric '{unknown[0]}'")
     if not metrics:
         return {}
-    errors = _pair_errors(reference, degraded, {_METRICS[m][0] for m in metrics}, True)
+    errors = _pair_errors(reference, degraded, {_METRICS[m][0] for m in metrics}, True, index)
     scores = {}
     for metric in metrics:
         kind, pooling = _METRICS[metric]

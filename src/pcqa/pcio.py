@@ -21,6 +21,7 @@ __all__ = [
     "PointCloud",
     "BoundingBox",
     "SpatialIndex",
+    "coincident_twins",
     "coincident_nearest",
     "PlyError",
     "load_ply",
@@ -239,22 +240,28 @@ def load_ply(path: str | Path) -> PointCloud:
                     raise PlyError(f"missing attribute '{name}'")
                 if _PLY_NP_TYPES[types[name]] not in allowed:
                     raise PlyError(f"property '{name}' must be {kind}, got {types[name]}")
+        # the count sizes the read below: check it against the bytes that follow the header
+        left = os.fstat(f.fileno()).st_size - f.tell()
         if fmt == "binary_le":
             dtype = _record_dtype(props)
-            body = f.read(dtype.itemsize * n)
-            if len(body) != dtype.itemsize * n:
-                raise PlyError("truncated body")
-            rec = np.frombuffer(body, dtype=dtype, count=n)
+            if dtype.itemsize * n > left:
+                raise PlyError(f"truncated body: {n} vertices need {dtype.itemsize * n} "
+                               f"bytes, but {left} follow the header")
+            rec = np.frombuffer(f.read(dtype.itemsize * n), dtype=dtype, count=n)
         else:
+            # a row takes at least 2 bytes per property (1 digit, 1 separator),
+            # bar the last newline: read (and allocate) no more rows than fit
+            fit = (left + 1) // (2 * len(props))
             try:
                 with warnings.catch_warnings():  # blank lines are skipped, not counted
                     warnings.simplefilter("ignore", UserWarning)
-                    rows = np.loadtxt(f, max_rows=n, usecols=range(len(props)), ndmin=2,
-                                      comments=None)
+                    rows = np.loadtxt(f, max_rows=min(n, fit), usecols=range(len(props)),
+                                      ndmin=2, comments=None)
             except ValueError as exc:
                 raise PlyError(f"truncated or non-numeric body: {exc}") from None
             if len(rows) < n:
-                raise PlyError(f"truncated body: {len(rows)} of {n} vertex rows")
+                raise PlyError(f"truncated body: {len(rows)} of {n} vertex rows; the {left} "
+                               f"bytes after the header hold at most {fit}")
             rec = dict(zip([name for name, _ in props], rows.T))
     return PointCloud(positions=np.stack([rec[name] for name in _XYZ], axis=1),
                       colors=np.stack([rec[name] for name in _RGB], axis=1))
@@ -332,12 +339,17 @@ class SpatialIndex:
 
     def nearest(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized 1-NN of an (M, 3) query array, with the (distance, id)
-        tie rule per query row."""
+        tie rule per query row.
+
+        Each round asks for k candidates, from k = 2. A row whose k
+        candidates all tie at one distance goes to the next round with twice
+        the k, until a farther candidate shows that no lower id is hidden
+        (few rows do: ties at k = 2 are rare off a lattice)."""
         queries = np.asarray(queries, dtype=np.float64)
         n = len(self)
         best_i = np.empty(len(queries), dtype=np.intp)
         best_d = np.empty(len(queries))
-        rows, k = np.arange(len(queries)), min(n, 4)
+        rows, k = np.arange(len(queries)), min(n, 2)
         while len(rows):
             dists, ids = self._tree.query(queries[rows], k=range(1, k + 1))
             tied = dists == dists[:, :1]
@@ -356,21 +368,40 @@ class SpatialIndex:
         return self._tree.query(np.atleast_2d(queries), k=range(1, k + 1))[1]
 
 
-def coincident_nearest(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`SpatialIndex(cloud).nearest(cloud.positions)` without a tree: each
-    point's nearest neighbour among the points themselves is the lowest id
-    at exactly its position (-0.0 equal to +0.0), at distance 0.0.
+def coincident_twins(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of `a`'s lowest id among the rows of `b` at exactly its
+    position (-0.0 equal to +0.0), and each row of `b`'s lowest id among the
+    rows of `a`; -1 where there is none. One stable sort of both clouds.
 
-    The tree agrees wherever distinct positions have a nonzero squared
+    Where a twin exists it is what `SpatialIndex(b).nearest(a)` returns,
+    at distance 0.0, wherever distinct positions have a nonzero squared
     distance, as all float32 positions (every PLY this package writes) do.
     Only two positions that differ solely in coordinates below about 1e-146
     in magnitude have a squared distance that underflows to 0: the tree
     ties them and may return the other one.
     """
-    order, first = _equal_row_runs(positions)  # the sort compares values: -0.0 ties +0.0
-    ids = np.empty(len(order), dtype=np.intp)
-    ids[order] = order[first][np.cumsum(first) - 1]  # each run's first id is its lowest
-    return ids, np.zeros(len(order))
+    n = len(a)
+    order, first = _equal_row_runs(np.concatenate([a, b]))  # -0.0 ties +0.0
+    run = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    in_a = order < n
+    none = len(order)  # above every id: no twin in that run
+    lowest_a = np.minimum.reduceat(np.where(in_a, order, none), starts)
+    lowest_b = np.minimum.reduceat(np.where(in_a, none, order - n), starts)
+    a_twins = np.empty(n, dtype=np.intp)
+    b_twins = np.empty(len(b), dtype=np.intp)
+    a_twins[order[in_a]] = lowest_b[run[in_a]]
+    b_twins[order[~in_a] - n] = lowest_a[run[~in_a]]
+    a_twins[a_twins == none] = -1
+    b_twins[b_twins == none] = -1
+    return a_twins, b_twins
+
+
+def coincident_nearest(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`SpatialIndex(cloud).nearest(cloud.positions)` without a tree: each
+    point's nearest neighbour among the points themselves is the lowest id
+    at exactly its position, at distance 0.0 (see `coincident_twins`)."""
+    return coincident_twins(positions, positions)[0], np.zeros(len(positions))
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +410,9 @@ def coincident_nearest(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def estimate_normals(
-    cloud: PointCloud, k: int = DEFAULT_NORMAL_K, index: SpatialIndex | None = None
-) -> tuple[PointCloud, np.ndarray]:
+    cloud: PointCloud, k: int = DEFAULT_NORMAL_K, index: SpatialIndex | None = None,
+    rows: np.ndarray | None = None,
+) -> tuple[PointCloud | np.ndarray, np.ndarray]:
     """PCA plane-fit normals from each point's k-neighborhood (self included).
 
     `index`, if given, must be the cloud's own SpatialIndex; it saves
@@ -390,6 +422,11 @@ def estimate_normals(
     oriented away from the neighborhood centroid. Degenerate neighborhoods
     (coincident or collinear points) receive the default normal (0, 0, 1)
     and are flagged in the returned boolean mask.
+
+    `rows`, if given, are the point ids to estimate at, for a caller that
+    reads no others: the result is then the bare (len(rows), 3) normals,
+    bit-equal to the full estimate's rows (each row's neighbourhood and
+    arithmetic are its own), and the mask covers those rows only.
     """
     n = len(cloud)
     if not 3 <= k <= n:
@@ -398,9 +435,10 @@ def estimate_normals(
         index = SpatialIndex(cloud)
     elif len(index) != n:
         raise ValueError(f"index over {len(index)} points does not belong to a {n}-point cloud")
-    nbr_ids = index.neighborhoods(cloud.positions, k)  # (N, k)
-    nbrs = cloud.positions[nbr_ids]  # (N, k, 3)
-    centroids = nbrs.mean(axis=1)  # (N, 3)
+    positions = cloud.positions if rows is None else cloud.positions[rows]
+    nbr_ids = index.neighborhoods(positions, k)  # (M, k)
+    nbrs = cloud.positions[nbr_ids]  # (M, k, 3)
+    centroids = nbrs.mean(axis=1)  # (M, 3)
     centered = nbrs - centroids[:, None, :]
     cov = np.einsum("nki,nkj->nij", centered, centered) / k
     eigvals, eigvecs = np.linalg.eigh(cov)  # ascending eigenvalues
@@ -410,7 +448,7 @@ def estimate_normals(
     degenerate = (eigvals[:, 1] <= 1e-12 * scale) | (eigvals[:, 2] <= 1e-30)
 
     # orient away from the neighborhood centroid; canonical sign when ambiguous
-    outward = np.einsum("ni,ni->n", normals, cloud.positions - centroids)
+    outward = np.einsum("ni,ni->n", normals, positions - centroids)
     flip = outward < 0
     ambiguous = np.abs(outward) <= 1e-12 * np.sqrt(scale)
     if np.any(ambiguous):
@@ -423,4 +461,4 @@ def estimate_normals(
     ok = lens > 0
     normals[ok] /= lens[ok, None]
     normals[degenerate] = (0.0, 0.0, 1.0)
-    return cloud.with_normals(normals), degenerate
+    return (cloud.with_normals(normals) if rows is None else normals), degenerate

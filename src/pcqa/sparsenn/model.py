@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -267,6 +268,10 @@ def load_checkpoint(path: str | Path) -> Model:
         version, header_len = struct.unpack_from("<II", head, len(_MAGIC))
         if version != _VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if header_len > left:  # the length sizes the read below
+            raise CheckpointError(f"checkpoint header declares {header_len} bytes, but "
+                                  f"{left} follow")
         try:
             header = json.loads(f.read(header_len).decode("utf-8"))
             arrays = [(str(name), tuple(shape)) for name, shape in header["arrays"]]

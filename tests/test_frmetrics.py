@@ -478,6 +478,32 @@ def test_score_pair_of_a_colour_only_distortion_matches_the_tree_oracle(rng, mon
             _assert_matches_oracle(ref, deg, metrics)
 
 
+@pytest.mark.parametrize("did", [11, 17, 19, 24])
+@pytest.mark.parametrize("level", [1, 4, 7])
+def test_score_pair_of_a_geometry_distortion_matches_the_tree_oracle(rng, did, level):
+    # downsampling (11) and local missing (19) keep a subset of the points,
+    # octree (24) part of them, Gaussian shifting (17) moves them all; the
+    # reference repeats positions, some with a signed zero, so twin lookups
+    # must find the lowest id as the tree does
+    pos = grid_cloud(rng, n=200, extent=40).positions[rng.integers(0, 200, 260)]
+    pos[(pos == 0.0) & (rng.random(pos.shape) < 0.5)] = -0.0
+    ref = PointCloud(pos, rng.integers(0, 256, pos.shape))
+    deg = apply_distortion(ref, DistortionSpec(did, level, 1))
+    _assert_matches_oracle(ref, deg, fr.BUILTIN_METRICS)
+    # as the score stage calls it: the reference's normals and tree made once
+    index = SpatialIndex(ref)
+    with_normals = fr.with_normals(ref, index)
+    got = fr.score_pair(with_normals, deg, fr.BUILTIN_METRICS, index)
+    for m in fr.BUILTIN_METRICS:
+        assert repr(got[m]) == repr(_old_compute_metric(m, with_normals, deg)), m
+
+
+def test_score_pair_rejects_an_index_of_another_cloud(rng):
+    ref = random_cloud(rng, n=20)
+    with pytest.raises(ValueError, match="21 points .* 20-point reference"):
+        fr.score_pair(ref, ref, index=SpatialIndex(random_cloud(rng, n=21)))
+
+
 def test_score_pair_rejects_unknown_metric(rng):
     cloud = random_cloud(rng, n=10)
     with pytest.raises(ValueError, match="unknown builtin metric 'PCQM'"):

@@ -267,6 +267,26 @@ def test_elements_after_vertex_still_load(tmp_path):
     np.testing.assert_array_equal(cloud.colors, [[1, 2, 3], [4, 5, 6]])
 
 
+@pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+def test_vertex_count_past_the_body_errors_naming_count_and_bytes(tmp_path, fmt):
+    # 10^12 rows would need terabytes: the bytes after the header bound the claim
+    n = 999_999_999_999
+    body = (b"0 0 0 1 2 3\n" if fmt == "ascii"
+            else np.zeros(1, dtype="<f4, <f4, <f4, u1, u1, u1").tobytes())
+    path = tmp_path / "huge.ply"
+    path.write_bytes(f"ply\nformat {fmt} 1.0\nelement vertex {n}\n{VERTEX_PROPS}"
+                     "end_header\n".encode("ascii") + body)
+    with pytest.raises(PlyError, match=f"truncated body: .*{n}.* {len(body)} "):
+        load_ply(path)
+
+
+def test_ascii_body_of_the_fewest_bytes_its_rows_can_take_loads(tmp_path):
+    # 2 bytes per property and row, less the last newline: the bound is tight
+    path = tmp_path / "tight.ply"
+    path.write_text(ASCII_HEADER + "0 0 0 1 2 3\n1 1 1 4 5 6")
+    np.testing.assert_array_equal(load_ply(path).colors, [[1, 2, 3], [4, 5, 6]])
+
+
 # SHA-256 of what save_ply writes for one seeded cloud; the id names the layout
 @pytest.mark.parametrize("sha256", [
     "fbe80569f7d9be0ec93e31059538a60009e46923a3db221847bf4f694395295d",
@@ -409,7 +429,7 @@ def test_knn_tie_break_by_id_on_grid():
     index = SpatialIndex(PointCloud(pts, np.zeros_like(pts)))
     index._tree = tree = _CountingTree(index._tree)
     ids, dists = index.nearest(np.array([[1.0, 1.0, 1.0], [1.5, 1.5, 1.5], [0.5, 1.0, 1.0]]))
-    assert tree.rounds == 3  # the cell centre ties 8 ways: 4, then 8 candidates all tie
+    assert tree.rounds == 4  # the cell centre ties 8 ways: 2, 4, then 8 candidates all tie
     # the centre itself; the lowest of 8 cube corners, (1, 1, 1); of 2 face neighbours, (0, 1, 1)
     assert list(ids) == [13, 13, 4]
     assert list(dists) == [0.0, np.sqrt(0.75), 0.5]
@@ -450,6 +470,40 @@ def test_coincident_nearest_is_the_trees_self_query(case, seed):
     np.testing.assert_array_equal(ids, _brute_nearest(pts, pts)[0])
     np.testing.assert_array_equal(ids, SpatialIndex(cloud).nearest(cloud.positions)[0])
     assert dists.shape == (len(pts),) and not np.signbit(dists).any() and not dists.any()
+
+
+@st.composite
+def twin_cases(draw):
+    """Two clouds on `tie_cases` grids, points repeated: the second is a
+    shuffled subset of the first, a partial overlap (part of the first plus
+    points of its own) or drawn on its own. A random part of the zero
+    coordinates are -0.0, which must equal +0.0."""
+    a, _ = draw(tie_cases())
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    relation = draw(st.sampled_from(["subset", "overlap", "own"]))
+    keep = a[r.permutation(len(a))[:r.integers(1, len(a) + 1)]]
+    if relation == "subset":
+        b = keep
+    else:
+        own, _ = draw(tie_cases())
+        b = own if relation == "own" else r.permutation(np.concatenate([keep, own]))
+    for pts in (a, b):
+        pts[(pts == 0.0) & (r.random(pts.shape) < 0.5)] = -0.0
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(twin_cases())
+def test_coincident_twins_are_the_exact_matches_of_search(case):
+    a, b = case
+    a_twins, b_twins = pcio.coincident_twins(a, b)
+    for queries, targets, twins in ((a, b, a_twins), (b, a, b_twins)):
+        want, dists = _brute_nearest(targets, queries)
+        tree = SpatialIndex(PointCloud(targets, np.zeros_like(targets))).nearest(queries)[0]
+        has = dists == 0.0
+        np.testing.assert_array_equal(twins[has], want[has])
+        np.testing.assert_array_equal(twins[has], tree[has])
+        np.testing.assert_array_equal(twins[~has], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +573,26 @@ def test_normals_over_the_clouds_own_index_are_byte_equal(n, seed, on_grid):
     shared, shared_degenerate = estimate_normals(cloud, k, index=SpatialIndex(cloud))
     assert shared.normals.tobytes() == plain.normals.tobytes()
     assert shared_degenerate.tobytes() == plain_degenerate.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 80), st.integers(0, 10_000), st.booleans())
+def test_normals_at_rows_are_the_full_estimates_rows_bit_for_bit(n, seed, on_grid):
+    # each row's neighbourhood, mean, covariance and eigensolve must not
+    # depend on which other rows are estimated with it
+    r = np.random.default_rng(seed)
+    cloud = grid_cloud(r, n=n, extent=6) if on_grid else random_cloud(r, n=n)
+    assume(len(cloud) >= 3)
+    k = int(r.integers(3, min(len(cloud), 16) + 1))
+    full, full_degenerate = estimate_normals(cloud, k)
+    index = SpatialIndex(cloud)
+    m = len(cloud)
+    for rows in (np.array([], dtype=np.intp), r.integers(0, m, 1), r.choice(m, 2, replace=False),
+                 r.choice(m, r.integers(1, m + 1), replace=False), np.arange(m)):
+        normals, degenerate = estimate_normals(cloud, k, index=index, rows=rows)
+        assert normals.shape == (len(rows), 3)
+        assert normals.tobytes() == full.normals[rows].tobytes()
+        assert degenerate.tobytes() == full_degenerate[rows].tobytes()
 
 
 def test_normals_reject_an_index_of_another_cloud(rng):

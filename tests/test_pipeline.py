@@ -784,13 +784,12 @@ def test_score_rereads_a_changed_reference(tmp_path, refs_dir):
     assert rows[("PSNRyuv", "ref0__d05_l1")] == repr(want["PSNRyuv"])
 
 
-@pytest.mark.parametrize("did, builds, normals", [(17, 3, 2), (5, 0, 0)])
+@pytest.mark.parametrize("did, builds, normals", [(17, 2, 2), (5, 0, 0)])
 def test_score_worker_one_nn_pass_per_direction(tmp_path, monkeypatch, did, builds, normals):
     # one tree per cloud, shared by its normal estimation and its
-    # nearest-neighbour query, plus the tree of the reference's own normal
-    # estimation, made once per worker, when a p2plane metric applies; a
-    # colour-only distortion keeps every position, so it needs no tree and
-    # queries none
+    # nearest-neighbour query: the reference's is made once per worker,
+    # with its normals, when a p2plane metric applies; a colour-only
+    # distortion keeps every position, so it needs no tree and queries none
     ref = textured_ref(np.random.default_rng(9), n=300, extent=40)
     save_ply(ref, tmp_path / "ref.ply")
     save_ply(apply_distortion(ref, DistortionSpec(did, 4, 1)), tmp_path / "deg.ply")
@@ -850,11 +849,13 @@ def test_score_worker_estimates_reference_normals_once(tmp_path, monkeypatch):
         before = dict(counts)
         pl._score_worker(_score_task(tmp_path / "ref.ply", tmp_path / f"{name}.ply", did))
         per_task.append({k: counts[k] - before[k] for k in counts})
-    # the reference's normals come from the worker's cache after the first
-    # d17 sample; the colour-only d05 sample keeps every position, so it
-    # builds no tree, queries none and estimates no normals at all
-    assert per_task == [{"builds": 3, "queries": 2, "normals": 2},
-                        {"builds": 2, "queries": 2, "normals": 1},
+    # the reference's tree and normals come from the worker's cache after
+    # the first d17 sample, which builds both; each d17 sample builds its own
+    # tree for its normals and the backward query; the colour-only d05 sample
+    # keeps every position, so it builds no tree, queries none and estimates
+    # no normals at all
+    assert per_task == [{"builds": 2, "queries": 2, "normals": 2},
+                        {"builds": 1, "queries": 2, "normals": 1},
                         {"builds": 0, "queries": 0, "normals": 0}]
 
 

@@ -278,6 +278,62 @@ def test_cli_build_fails_the_rows_of_a_reference_with_a_malformed_header(tmp_pat
         ("good", "ok", None)}
 
 
+def _ply_claiming(n: int, fmt: str) -> bytes:
+    """A one-vertex PLY whose header claims `n` vertices."""
+    text = _one_point_ply(red="0").replace("element vertex 1", f"element vertex {n}")
+    if fmt == "ascii":
+        return text.encode("ascii")
+    header = text[:text.index("end_header\n") + len("end_header\n")]
+    return (header.replace("format ascii", "format binary_little_endian").encode("ascii")
+            + np.zeros(1, dtype="<f4, <f4, <f4, u1, u1, u1").tobytes())
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "binary"])
+@pytest.mark.parametrize("command", ["build", "score", "eval"])
+def test_cli_ply_claiming_more_vertices_than_its_bytes_exits_cleanly(tmp_path, inputs, capsys,
+                                                                      command, fmt):
+    # 10^12 vertices would need terabytes: the file's size refuses the claim
+    # before anything is allocated. Build fails the reference's rows and goes
+    # on; score and eval exit 1 naming the file
+    root, header = inputs
+    claim = "truncated body"
+    if command == "build":
+        refs = tmp_path / "refs"
+        refs.mkdir()
+        (refs / "bad.ply").write_bytes(_ply_claiming(999_999_999_999, fmt))
+        assert cli_main(["build", "--refs", str(refs), "--out", str(tmp_path / "ds"),
+                         "--subset", CHEAP_ID]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        manifest = pl.Manifest.load(tmp_path / "ds" / "manifest.jsonl")
+        assert manifest.references == {"bad": str(refs / "bad.ply")}
+        assert {(r.status, r.error.startswith(f"PlyError: {claim}")) for r in manifest.rows} \
+            == {("failed", True)}
+        return
+    (tmp_path / "clouds").mkdir()
+    cloud = tmp_path / "clouds" / "s0.ply"
+    cloud.write_bytes(_ply_claiming(999_999_999_999, fmt))
+    path = _write_manifest(tmp_path / "m.jsonl", [header, VALID_ROW])
+    out = str(tmp_path / "out")
+    argv = {"score": ["--out", out],
+            "eval": ["--split", "test=ref0", "--checkpoint", str(root / "m.ckpt"), "--out", out],
+            }[command]
+    _assert_one_line_error([command, "--manifest", str(path), *argv], capsys,
+                           f"error: {cloud}: {claim}", "999999999999")
+    assert not Path(out).exists()
+
+
+def test_cli_checkpoint_header_longer_than_the_file_exits_1(tmp_path, inputs, capsys):
+    root, _ = inputs
+    raw = (root / "m.ckpt").read_bytes()
+    ckpt = tmp_path / "m.ckpt"
+    ckpt.write_bytes(raw[:12] + struct.pack("<I", 2**32 - 1) + raw[16:])
+    _assert_one_line_error(["eval", "--manifest", str(root / "ds" / "manifest.jsonl"),
+                            "--split", "test=ref0", "--checkpoint", str(ckpt),
+                            "--out", str(tmp_path / "out")], capsys,
+                           f"checkpoint header declares {2**32 - 1} bytes, but "
+                           f"{len(raw) - 16} follow")
+
+
 def test_cli_non_json_manifest_header_names_the_file(tmp_path, capsys):
     path = tmp_path / "m.jsonl"
     path.write_text("not json\n")

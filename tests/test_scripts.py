@@ -258,3 +258,32 @@ def test_bench_pairs_runs_both_sides_from_sibling_copies(tmp_path, monkeypatch):
     assert parent.parent == change.parent and root not in change.parents
     assert runs[1][1] == ["benchmark", "benchmark/m.py", "src", "src/pcqa", "src/pcqa/m.py"]
     assert not change.exists()  # the temporary directory is gone
+
+
+def test_bench_pairs_runs_as_long_as_the_benchmark_by_default(tmp_path, monkeypatch):
+    bp = _bench_pairs()
+    run_seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    assert run_seconds > 0
+    root = tmp_path / "repo"
+    for name in ("src", "benchmark"):
+        (root / name).mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [],
+                                                     "run_seconds": run_seconds}))
+    monkeypatch.setattr(bp, "ROOT", root)
+    monkeypatch.setattr(bp, "export_revision", lambda rev, dest: dest.mkdir() or "0" * 40)
+    seconds = []
+
+    def fake_run(checkout, workload, seed, s):
+        seconds.append(s)
+        return bp.parse_run(_fake_run(1.0, 2.0, 0.5))
+
+    monkeypatch.setattr(bp, "run_benchmark", fake_run)
+    argv = ["bench_pairs.py", "--workload", "dataset", "--pairs", "1",
+            "--out", str(tmp_path / "b.json")]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert bp.main() == 0
+    assert seconds == [run_seconds] * 2
+    assert json.loads((tmp_path / "b.json").read_text())["seconds"] == run_seconds
+    monkeypatch.setattr(sys, "argv", argv + ["--seconds", "0"])
+    assert bp.main() == 0
+    assert seconds[2:] == [0.0] * 2
