@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .colors import finalize_colors, rgb_to_hsl, hsl_to_rgb, rgb_to_ycbcr, ycbcr_to_rgb
-from .pcio import PointCloud, SpatialIndex, bounding_box, load_ply, save_ply, voxel_means
+from .pcio import PointCloud, bounding_box, load_ply, save_ply, voxel_means
 from .schema import check
 
 __all__ = [
@@ -123,9 +123,7 @@ def _neighbor8(cloud: PointCloud) -> np.ndarray:
     """Ids of the 8 nearest other points per point, shape (N, 8)."""
     if len(cloud) < 9:
         raise DistortionError("neighbor-based noise requires at least 9 points")
-    index = SpatialIndex(cloud)
-    ids = index.neighborhoods(cloud.positions, 9)
-    return ids[:, 1:]
+    return cloud.index.neighborhoods(cloud.positions, 9)[:, 1:]
 
 
 def gaussian_snr_sigma(colors: np.ndarray, snr_db: float) -> float:

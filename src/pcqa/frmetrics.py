@@ -8,7 +8,6 @@ tools) are ingested from CSV and carried alongside.
 
 from __future__ import annotations
 
-import functools
 import math
 from pathlib import Path
 
@@ -17,8 +16,8 @@ import numpy as np
 from .colors import rgb_to_ycbcr
 from .distort import REGISTRY
 from .pcio import (
-    DEFAULT_NORMAL_K, PointCloud, SpatialIndex, bounding_box, coincident_twins,
-    estimate_normals, read_csv_rows,
+    DEFAULT_NORMAL_K, PointCloud, bounding_box, coincident_twins, estimate_normals,
+    read_csv_rows,
 )
 
 __all__ = [
@@ -68,14 +67,13 @@ _METRICS = {
 _POOLINGS = {"mse": np.mean, "hausdorff": np.max}
 
 
-def with_normals(cloud: PointCloud, index: SpatialIndex | None = None) -> PointCloud:
-    """The cloud with p2plane normals: its own if it has them, else estimated
-    (over `index`, the cloud's own tree, when given)."""
+def with_normals(cloud: PointCloud) -> PointCloud:
+    """The cloud with p2plane normals: its own if it has them, else estimated."""
     if cloud.normals is not None:
         return cloud
     if len(cloud) < 3:  # too few points for a plane fit: the degenerate-case normal
         return cloud.with_normals(np.tile((0.0, 0.0, 1.0), (len(cloud), 1)))
-    return estimate_normals(cloud, k=min(DEFAULT_NORMAL_K, len(cloud)), index=index)[0]
+    return estimate_normals(cloud, k=min(DEFAULT_NORMAL_K, len(cloud)))[0]
 
 
 def _errors_oneway(nearest: tuple[np.ndarray, np.ndarray], reference: PointCloud,
@@ -98,30 +96,26 @@ def _errors_oneway(nearest: tuple[np.ndarray, np.ndarray], reference: PointCloud
     return errors
 
 
-def _lazy_index(cloud: PointCloud, index: SpatialIndex | None = None):
-    """A callable giving `index`, or else the cloud's tree, built on the first call."""
-    return functools.cache(lambda: index if index is not None else SpatialIndex(cloud))
-
-
 def _nearest(queries: np.ndarray, twins: np.ndarray | None,
-             index) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, distances) of each query's nearest neighbour: its exact
-    `twins` id (-1: none) at distance 0.0, or else a query of `index()`."""
+             cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, distances) of each query's nearest neighbour in `cloud`: its
+    exact `twins` id (-1: none) at distance 0.0, or else a query of the
+    cloud's tree."""
     if twins is None:
-        return index().nearest(queries)
+        return cloud.index.nearest(queries)
     ids, dists = twins.copy(), np.zeros(len(twins))
     missing = np.flatnonzero(twins < 0)
     if len(missing):
-        ids[missing], dists[missing] = index().nearest(queries[missing])
+        ids[missing], dists[missing] = cloud.index.nearest(queries[missing])
     return ids, dists
 
 
-def _normals_read(cloud: PointCloud, index, nearest: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _normals_read(cloud: PointCloud, nearest: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The normals that the plane errors of `nearest`, (ids, distances)
     into `cloud`, read: the cloud's own, or the default of a cloud too small
-    for a plane fit, or else estimates over `index()` at just the rows
-    reached at a nonzero distance and zeros at the rest. At distance 0 the
-    error is (0 * n)^2 = +0.0 for any finite normal n."""
+    for a plane fit, or else estimates at just the rows reached at a nonzero
+    distance and zeros at the rest. At distance 0 the error is
+    (0 * n)^2 = +0.0 for any finite normal n."""
     if cloud.normals is not None or len(cloud) < 3:
         return with_normals(cloud).normals
     ids, dists = nearest
@@ -129,40 +123,38 @@ def _normals_read(cloud: PointCloud, index, nearest: tuple[np.ndarray, np.ndarra
     normals = np.zeros((len(cloud), 3))
     if len(rows):
         normals[rows] = estimate_normals(cloud, k=min(DEFAULT_NORMAL_K, len(cloud)),
-                                         index=index(), rows=rows)[0]
+                                         rows=rows)[0]
     return normals
 
 
 def _pair_errors(reference: PointCloud, degraded: PointCloud, kinds: set[str],
-                 symmetric: bool, index: SpatialIndex | None = None,
-                 ) -> list[dict[str, np.ndarray]]:
+                 symmetric: bool) -> list[dict[str, np.ndarray]]:
     """Per-point errors of degraded vs reference and, when symmetric, of
     reference vs degraded, from one nearest-neighbour pass per direction;
-    each cloud's colours are converted to YCbCr at most once. `index`, if
-    given, is the reference's own tree.
+    each cloud's colours are converted to YCbCr at most once.
 
     A pair with identical positions (a colour-only distortion) and no
     p2plane errors, or whose degraded cloud has fewer points (a distortion
     that drops points), first gets one lookup of each point's exact twin in
     the other cloud; only the points without one are queried in a tree.
-    Each tree is built at most once, when a query or a normal estimate
-    first needs it. The reference's normals are estimated in full (the
-    score stage keeps them per worker), the degraded cloud's only at the
-    rows that the backward plane errors read."""
+    Each cloud's tree is built when a query or a normal estimate first
+    needs it, and kept with the cloud (`PointCloud.index`). The reference's
+    normals are estimated in full (the score stage keeps them per worker),
+    the degraded cloud's only at the rows that the backward plane errors
+    read."""
     ycc = [rgb_to_ycbcr(c.colors.astype(np.float64)) if "yuv" in kinds else None
            for c in (reference, degraded)]
-    ref_index, deg_index = _lazy_index(reference, index), _lazy_index(degraded)
     lookup = len(degraded) < len(reference) or (
         "plane" not in kinds and np.array_equal(reference.positions, degraded.positions))
     fwd_twins, bwd_twins = (coincident_twins(degraded.positions, reference.positions)
                             if lookup else (None, None))
-    if "plane" in kinds and reference.normals is None:
-        reference = with_normals(reference, ref_index())
-    fwd = _nearest(degraded.positions, fwd_twins, ref_index)
+    if "plane" in kinds:
+        reference = with_normals(reference)
+    fwd = _nearest(degraded.positions, fwd_twins, reference)
     errors = [_errors_oneway(fwd, reference, reference.normals, degraded, kinds, ycc)]
     if symmetric:
-        bwd = _nearest(reference.positions, bwd_twins, deg_index)
-        deg_normals = _normals_read(degraded, deg_index, bwd) if "plane" in kinds else None
+        bwd = _nearest(reference.positions, bwd_twins, degraded)
+        deg_normals = _normals_read(degraded, bwd) if "plane" in kinds else None
         errors.append(_errors_oneway(bwd, degraded, deg_normals, reference, kinds, ycc[::-1]))
     return errors
 
@@ -217,12 +209,12 @@ def psnr_yuv(reference: PointCloud, degraded: PointCloud, pooling: str = "mse") 
 
 
 def score_pair(reference: PointCloud, degraded: PointCloud,
-               metrics: tuple[str, ...] = BUILTIN_METRICS,
-               index: SpatialIndex | None = None) -> dict[str, float]:
+               metrics: tuple[str, ...] = BUILTIN_METRICS) -> dict[str, float]:
     """The requested builtin metrics of one (reference, degraded) pair, all
-    from one nearest-neighbour pass per direction. `index`, if given, must
-    be the reference's own SpatialIndex; a caller that scores many samples
-    of one reference builds it once.
+    from one nearest-neighbour pass per direction. A cloud keeps the tree
+    built for it (`PointCloud.index`), so a caller that scores many samples
+    of one reference object builds its tree once; given `with_normals` of
+    the reference, it estimates the reference's normals once too.
 
     The pass searches only what the errors read. When the two clouds have
     identical positions and no p2plane metric is asked for, or the degraded
@@ -234,15 +226,12 @@ def score_pair(reference: PointCloud, degraded: PointCloud,
     reaches at a nonzero distance. For float32 positions every score is
     bit-identical to that of one tree query per direction with full
     normals (see `pcio.coincident_twins` for the exception)."""
-    if index is not None and len(index) != len(reference):
-        raise ValueError(f"index over {len(index)} points does not belong to a "
-                         f"{len(reference)}-point reference")
     unknown = [m for m in metrics if m not in _METRICS]
     if unknown:
         raise ValueError(f"unknown builtin metric '{unknown[0]}'")
     if not metrics:
         return {}
-    errors = _pair_errors(reference, degraded, {_METRICS[m][0] for m in metrics}, True, index)
+    errors = _pair_errors(reference, degraded, {_METRICS[m][0] for m in metrics}, True)
     scores = {}
     for metric in metrics:
         kind, pooling = _METRICS[metric]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import os
 import warnings
 from collections.abc import Iterator
@@ -22,7 +23,6 @@ __all__ = [
     "BoundingBox",
     "SpatialIndex",
     "coincident_twins",
-    "coincident_nearest",
     "PlyError",
     "load_ply",
     "save_ply",
@@ -43,7 +43,11 @@ class PlyError(ValueError):
 
 @dataclass(frozen=True)
 class PointCloud:
-    """N points with XYZ positions, 8-bit RGB colors and optional unit normals."""
+    """N points with XYZ positions, 8-bit RGB colors and optional unit normals.
+
+    `index` is the cloud's k-d tree, built on first use and kept: every
+    query and normal estimate on the cloud shares one tree.
+    """
 
     positions: np.ndarray  # (N, 3) float64
     colors: np.ndarray  # (N, 3) uint8
@@ -62,12 +66,12 @@ class PointCloud:
             )
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
-        col_int = np.asarray(col, dtype=np.int64)
-        if np.any(col != col_int):
+        # checked before the cast, which would warn on NaN, inf or a huge value
+        if np.any(col != np.round(col)):  # NaN too
             raise ValueError("color components must be integers")
-        if col_int.min() < 0 or col_int.max() > 255:
+        if not (col.min() >= 0 and col.max() <= 255):
             raise ValueError("color components must lie in [0, 255]")
-        col8 = np.ascontiguousarray(col_int.astype(np.uint8))
+        col8 = np.ascontiguousarray(col.astype(np.uint8))
         nrm = self.normals
         if nrm is not None:
             nrm = np.ascontiguousarray(np.asarray(nrm, dtype=np.float64))
@@ -87,14 +91,26 @@ class PointCloud:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
+    @functools.cached_property
+    def index(self) -> "SpatialIndex":
+        return SpatialIndex(self)
+
+    def _same_positions(self, **changes) -> "PointCloud":
+        """A copy with `changes` that keeps the positions array, and so
+        this cloud's tree if it is built."""
+        cloud = dataclasses.replace(self, **changes)
+        if "index" in self.__dict__:
+            cloud.__dict__["index"] = self.index
+        return cloud
+
     def with_positions(self, positions: np.ndarray) -> "PointCloud":
         return dataclasses.replace(self, positions=positions, normals=None)
 
     def with_colors(self, colors: np.ndarray) -> "PointCloud":
-        return dataclasses.replace(self, colors=colors)
+        return self._same_positions(colors=colors)
 
     def with_normals(self, normals: np.ndarray) -> "PointCloud":
-        return dataclasses.replace(self, normals=normals)
+        return self._same_positions(normals=normals)
 
 
 @dataclass(frozen=True)
@@ -397,26 +413,16 @@ def coincident_twins(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return a_twins, b_twins
 
 
-def coincident_nearest(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`SpatialIndex(cloud).nearest(cloud.positions)` without a tree: each
-    point's nearest neighbour among the points themselves is the lowest id
-    at exactly its position, at distance 0.0 (see `coincident_twins`)."""
-    return coincident_twins(positions, positions)[0], np.zeros(len(positions))
-
-
 # ---------------------------------------------------------------------------
 # Normal estimation
 # ---------------------------------------------------------------------------
 
 
 def estimate_normals(
-    cloud: PointCloud, k: int = DEFAULT_NORMAL_K, index: SpatialIndex | None = None,
-    rows: np.ndarray | None = None,
+    cloud: PointCloud, k: int = DEFAULT_NORMAL_K, rows: np.ndarray | None = None,
 ) -> tuple[PointCloud | np.ndarray, np.ndarray]:
-    """PCA plane-fit normals from each point's k-neighborhood (self included).
-
-    `index`, if given, must be the cloud's own SpatialIndex; it saves
-    building a second tree over the same positions.
+    """PCA plane-fit normals from each point's k-neighborhood (self
+    included), found in the cloud's own tree.
 
     The normal is the eigenvector of the smallest covariance eigenvalue,
     oriented away from the neighborhood centroid. Degenerate neighborhoods
@@ -431,12 +437,8 @@ def estimate_normals(
     n = len(cloud)
     if not 3 <= k <= n:
         raise ValueError(f"k={k} out of range [3, {n}]")
-    if index is None:
-        index = SpatialIndex(cloud)
-    elif len(index) != n:
-        raise ValueError(f"index over {len(index)} points does not belong to a {n}-point cloud")
     positions = cloud.positions if rows is None else cloud.positions[rows]
-    nbr_ids = index.neighborhoods(positions, k)  # (M, k)
+    nbr_ids = cloud.index.neighborhoods(positions, k)  # (M, k)
     nbrs = cloud.positions[nbr_ids]  # (M, k, 3)
     centroids = nbrs.mean(axis=1)  # (M, 3)
     centered = nbrs - centroids[:, None, :]

@@ -26,7 +26,7 @@ from .distort import (
     REGISTRY, NATIVE_IDS, AdapterConfig, AdapterError, DistortionError,
     DistortionSpec, apply_distortion,
 )
-from .pcio import PointCloud, SpatialIndex, atomic_write, load_ply, save_ply
+from .pcio import PointCloud, atomic_write, load_ply, save_ply
 from .schema import ValidationError, build, check
 from .sparsenn import (
     Model, ModelConfig, TrainConfig, TrainSample,
@@ -290,18 +290,14 @@ def _map(worker, tasks: list, jobs: int) -> list:
 
 
 @functools.cache
-def _load_ref(path: str, normals: bool) -> tuple[PointCloud, SpatialIndex | None]:
-    """A reference cloud, read once per worker process; with `normals`, with
-    its p2plane normals and the k-d tree they were estimated over, both made
-    once per worker, the tree then serving every sample's queries. Build
-    must get the plain cloud: distortions would carry the normals along.
-    Pass `normals` positionally: the cache keys `f(p, x)` and
-    `f(p, normals=x)` apart."""
-    if normals:
-        cloud = _load_ref(path, False)[0]
-        index = SpatialIndex(cloud)
-        return fr.with_normals(cloud, index), index
-    return load_ply(path), None
+def _load_ref(path: str, normals: bool) -> PointCloud:
+    """A reference cloud, read once per worker process, so that its k-d
+    tree (`PointCloud.index`) is built at most once per worker and serves
+    every sample; with `normals`, with its p2plane normals, estimated once
+    over that tree. Build must get the plain cloud: distortions would carry
+    the normals along. Pass `normals` positionally: the cache keys
+    `f(p, x)` and `f(p, normals=x)` apart."""
+    return fr.with_normals(_load_ref(path, False)) if normals else load_ply(path)
 
 
 def _load_sample(path: str | Path) -> PointCloud:
@@ -319,7 +315,7 @@ def _build_worker(args: tuple) -> dict:
         "distortion_id": did, "level": level, "seed": seed,
     }
     try:
-        cloud = _load_ref(ref_path, False)[0]
+        cloud = _load_ref(ref_path, False)
         spec = DistortionSpec(distortion_id=did, level=level, seed=seed)
         out = apply_distortion(cloud, spec, adapters=adapters)
         save_ply(out, out_path)
@@ -383,14 +379,10 @@ def cmd_build(
 def _score_worker(args: tuple) -> list[tuple[str, str, str, float]]:
     ref_path, ref_id, degraded_path, degraded_id, metrics = args
     try:
-        reference, index = _load_ref(ref_path, not fr.PLANE_METRICS.isdisjoint(metrics))
+        reference = _load_ref(ref_path, not fr.PLANE_METRICS.isdisjoint(metrics))
     except ValueError as exc:  # build's rows quote _load_ref's message as it is
         raise ValidationError(f"{ref_path}: {exc}") from None
-    degraded = _load_sample(degraded_path)
-    # lend the reference's tree where there is one; otherwise keep the
-    # three-argument call, the form that wrappers of score_pair take
-    scores = (fr.score_pair(reference, degraded, metrics) if index is None
-              else fr.score_pair(reference, degraded, metrics, index))
+    scores = fr.score_pair(reference, _load_sample(degraded_path), metrics)
     return [(metric, ref_id, degraded_id, value) for metric, value in scores.items()]
 
 

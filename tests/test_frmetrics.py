@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pcqa.colors import rgb_to_ycbcr
 from pcqa.distort import DistortionSpec, apply_distortion
-from pcqa import frmetrics as fr
+from pcqa import frmetrics as fr, pcio
 from pcqa.pcio import DEFAULT_NORMAL_K, PointCloud, SpatialIndex, bounding_box, estimate_normals
 
 from conftest import grid_cloud, random_cloud
@@ -472,7 +472,7 @@ def test_score_pair_of_a_colour_only_distortion_matches_the_tree_oracle(rng, mon
     deg = apply_distortion(ref, DistortionSpec(did, 3, 1))
     assert np.array_equal(deg.positions, ref.positions) and np.signbit(deg.positions).any()
     no_plane = tuple(m for m in fr.BUILTIN_METRICS if m not in fr.PLANE_METRICS)
-    monkeypatch.setattr(fr, "SpatialIndex", None)  # score_pair may build no tree
+    monkeypatch.setattr(pcio, "SpatialIndex", None)  # score_pair may build no tree
     for r in range(1, len(no_plane) + 1):
         for metrics in combinations(no_plane, r):
             _assert_matches_oracle(ref, deg, metrics)
@@ -490,18 +490,12 @@ def test_score_pair_of_a_geometry_distortion_matches_the_tree_oracle(rng, did, l
     ref = PointCloud(pos, rng.integers(0, 256, pos.shape))
     deg = apply_distortion(ref, DistortionSpec(did, level, 1))
     _assert_matches_oracle(ref, deg, fr.BUILTIN_METRICS)
-    # as the score stage calls it: the reference's normals and tree made once
-    index = SpatialIndex(ref)
-    with_normals = fr.with_normals(ref, index)
-    got = fr.score_pair(with_normals, deg, fr.BUILTIN_METRICS, index)
+    # as the score stage calls it: the reference's normals made once, over
+    # the tree that then serves the forward query
+    with_normals = fr.with_normals(ref)
+    got = fr.score_pair(with_normals, deg, fr.BUILTIN_METRICS)
     for m in fr.BUILTIN_METRICS:
         assert repr(got[m]) == repr(_old_compute_metric(m, with_normals, deg)), m
-
-
-def test_score_pair_rejects_an_index_of_another_cloud(rng):
-    ref = random_cloud(rng, n=20)
-    with pytest.raises(ValueError, match="21 points .* 20-point reference"):
-        fr.score_pair(ref, ref, index=SpatialIndex(random_cloud(rng, n=21)))
 
 
 def test_score_pair_rejects_unknown_metric(rng):

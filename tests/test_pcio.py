@@ -1,10 +1,14 @@
 import hashlib
+import inspect
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pcqa import pcio
+from pcqa import frmetrics as fr, pcio
 from pcqa.pcio import (
     PointCloud, PlyError, SpatialIndex, atomic_write, bounding_box, estimate_normals,
     load_ply, save_ply,
@@ -26,6 +30,16 @@ def test_cloud_requires_matching_shapes():
 def test_cloud_rejects_out_of_range_color():
     with pytest.raises(ValueError, match=r"\[0, 255\]"):
         PointCloud(np.zeros((1, 3)), [[0, 0, 256]])
+
+
+@pytest.mark.parametrize("value, match", [
+    (np.nan, "integers"), (np.inf, r"\[0, 255\]"), (-np.inf, r"\[0, 255\]"),
+    (1e30, r"\[0, 255\]"), (-1e30, r"\[0, 255\]"),
+], ids=["nan", "inf", "minus-inf", "huge", "minus-huge"])
+def test_cloud_refuses_a_colour_that_the_integer_cast_cannot_hold(value, match):
+    # checked before the cast, which would warn (an error under pytest)
+    with pytest.raises(ValueError, match=f"color components must .*{match}"):
+        PointCloud(np.zeros((2, 3)), [[0, 0, 0], [1, value, 2]])
 
 
 def test_cloud_rejects_empty():
@@ -218,13 +232,68 @@ ASCII_HEADER = (
     ("0 0 0 1 2 3\n1 1 1 4 5\n", PlyError, "truncated"),
     ("0 0 0 1 2 3\n", PlyError, "truncated body: 1 of 2 vertex rows"),
     ("0 0 0 1 2 3\n1 1 one 4 5 6\n", PlyError, "non-numeric body: could not convert string 'one'"),
+    ("0 0 0 1 2 3\n1 1 1 nan 5 6\n", ValueError, "color components must be integers"),
+    ("0 0 0 1 2 3\n1 1 1 inf 5 6\n", ValueError, r"color components must lie in \[0, 255\]"),
+    ("0 0 0 1 2 3\n1 1 1 -inf 5 6\n", ValueError, r"color components must lie in \[0, 255\]"),
+    ("0 0 0 1 2 3\n1 1 1 1e30 5 6\n", ValueError, r"color components must lie in \[0, 255\]"),
+    ("0 0 0 1 2 3\n1 1 1 1e400 5 6\n", ValueError, r"color components must lie in \[0, 255\]"),
 ], ids=["fractional-colour", "negative-colour", "colour-256", "short-row", "missing-row",
-        "non-numeric-token"])
+        "non-numeric-token", "nan-colour", "inf-colour", "minus-inf-colour", "huge-colour",
+        "overflowing-colour"])
 def test_bad_ascii_body_errors(tmp_path, body, error, match):
     path = tmp_path / "bad.ply"
     path.write_text(ASCII_HEADER + body)
     with pytest.raises(error, match=match):
         load_ply(path)
+
+
+_HOSTILE_TOKENS = (b"nan", b"inf", b"1e400", b"256", b"-1", b"3.5", b"", b"list", b"face")
+
+
+def _mutate(data: bytes, draw) -> bytes:
+    """1-4 mutations of `data`: a byte flip, a truncation, a duplicated
+    span or a whitespace-separated token swapped for a hostile one."""
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["flip", "truncate", "duplicate", "token"]))
+        if kind == "token":
+            tokens = re.split(rb"(\s+)", data)  # the separators at the odd positions
+            tokens[draw(st.sampled_from(range(0, len(tokens), 2)))] = draw(
+                st.sampled_from(_HOSTILE_TOKENS))
+            data = b"".join(tokens)
+        elif data:
+            i = draw(st.integers(0, len(data) - 1))
+            if kind == "flip":
+                data = data[:i] + bytes([data[i] ^ draw(st.integers(1, 255))]) + data[i + 1:]
+            elif kind == "truncate":
+                data = data[:i]
+            else:
+                j = draw(st.integers(i, len(data)))
+                data = data[:j] + data[i:j] + data[j:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["ascii", "binary_le"]), st.data())
+def test_a_mutated_ply_loads_or_raises_a_value_error(fuzz_dir, mode, data):
+    cloud = PointCloud([[0.0, 0.0, 0.0], [1.5, 2.0, 3.0], [4.0, 5.0, 6.25]],
+                       [[0, 1, 2], [250, 251, 255], [7, 8, 9]])
+    path = fuzz_dir / "mutated.ply"
+    if mode == "ascii":
+        path.write_text(_ascii_ply(cloud))
+    else:
+        save_ply(cloud, path)
+    path.write_bytes(_mutate(path.read_bytes(), data.draw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning is an escape too
+        try:
+            assert isinstance(load_ply(path), PointCloud)
+        except ValueError:  # PlyError is one
+            pass
 
 
 def test_ascii_body_ignores_blank_lines_and_extra_columns(tmp_path):
@@ -466,10 +535,9 @@ def test_coincident_nearest_is_the_trees_self_query(case, seed):
     pts, _ = case
     pts[(pts == 0.0) & (np.random.default_rng(seed).random(pts.shape) < 0.5)] = -0.0
     cloud = PointCloud(pts, np.zeros_like(pts))
-    ids, dists = pcio.coincident_nearest(cloud.positions)
+    ids = pcio.coincident_twins(cloud.positions, cloud.positions)[0]
     np.testing.assert_array_equal(ids, _brute_nearest(pts, pts)[0])
     np.testing.assert_array_equal(ids, SpatialIndex(cloud).nearest(cloud.positions)[0])
-    assert dists.shape == (len(pts),) and not np.signbit(dists).any() and not dists.any()
 
 
 @st.composite
@@ -569,10 +637,13 @@ def test_normals_over_the_clouds_own_index_are_byte_equal(n, seed, on_grid):
         cloud = random_cloud(r, n=n)
     assume(len(cloud) >= 3)
     k = int(r.integers(3, min(len(cloud), 16) + 1))
-    plain, plain_degenerate = estimate_normals(cloud, k)
-    shared, shared_degenerate = estimate_normals(cloud, k, index=SpatialIndex(cloud))
-    assert shared.normals.tobytes() == plain.normals.tobytes()
-    assert shared_degenerate.tobytes() == plain_degenerate.tobytes()
+    # a cloud whose tree served a query first, against a fresh copy's
+    cloud.index.nearest(cloud.positions[:1])
+    shared, shared_degenerate = estimate_normals(cloud, k)
+    assert shared.index is cloud.index
+    fresh, fresh_degenerate = estimate_normals(PointCloud(cloud.positions.copy(), cloud.colors), k)
+    assert shared.normals.tobytes() == fresh.normals.tobytes()
+    assert shared_degenerate.tobytes() == fresh_degenerate.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -585,21 +656,50 @@ def test_normals_at_rows_are_the_full_estimates_rows_bit_for_bit(n, seed, on_gri
     assume(len(cloud) >= 3)
     k = int(r.integers(3, min(len(cloud), 16) + 1))
     full, full_degenerate = estimate_normals(cloud, k)
-    index = SpatialIndex(cloud)
     m = len(cloud)
     for rows in (np.array([], dtype=np.intp), r.integers(0, m, 1), r.choice(m, 2, replace=False),
                  r.choice(m, r.integers(1, m + 1), replace=False), np.arange(m)):
-        normals, degenerate = estimate_normals(cloud, k, index=index, rows=rows)
+        normals, degenerate = estimate_normals(cloud, k, rows=rows)
         assert normals.shape == (len(rows), 3)
         assert normals.tobytes() == full.normals[rows].tobytes()
         assert degenerate.tobytes() == full_degenerate[rows].tobytes()
 
 
-def test_normals_reject_an_index_of_another_cloud(rng):
-    cloud = random_cloud(rng, n=20)
-    other = SpatialIndex(random_cloud(rng, n=21))
-    with pytest.raises(ValueError, match="21 points .* 20-point cloud"):
-        estimate_normals(cloud, k=8, index=other)
+# ---------------------------------------------------------------------------
+# A cloud's own tree
+# ---------------------------------------------------------------------------
+
+
+def test_a_cloud_builds_its_tree_once_and_copies_with_its_positions_keep_it(rng, monkeypatch):
+    builds = []
+    build = SpatialIndex.__init__
+
+    def counted(self, cloud):
+        builds.append(len(cloud))
+        build(self, cloud)
+    monkeypatch.setattr(SpatialIndex, "__init__", counted)
+    cloud = random_cloud(rng, n=40)
+    assert builds == []  # built on first use only
+    ids, _ = cloud.index.nearest(cloud.positions[:3])
+    with_normals, _ = estimate_normals(cloud, k=8)
+    assert builds == [40] and list(ids) == [0, 1, 2]
+    assert with_normals.index is cloud.index
+    assert with_normals.with_colors(255 - cloud.colors).index is cloud.index
+    assert cloud.with_normals(with_normals.normals).index is cloud.index
+    moved = with_normals.with_positions(cloud.positions[::-1])
+    assert moved.index is not cloud.index and builds == [40, 40]
+    assert list(moved.index.nearest(cloud.positions[:3])[0]) == [39, 38, 37]
+
+
+def test_no_function_takes_a_tree_as_an_argument():
+    # a tree is only ever its cloud's `index`: a second path that lends one
+    # would have to check that it belongs to the cloud
+    for f in (fr.score_pair, fr.with_normals, estimate_normals):
+        assert "index" not in inspect.signature(f).parameters, f.__name__
+    for path in sorted(Path(pcio.__file__).parent.rglob("*.py")):
+        text = path.read_text()
+        assert "index=" not in text and "_lazy_index" not in text, path
+        assert not re.search(r"\w+: SpatialIndex", text), path
 
 
 def test_atomic_write_failure_mid_write_keeps_previous_file(tmp_path):

@@ -793,18 +793,7 @@ def test_score_worker_one_nn_pass_per_direction(tmp_path, monkeypatch, did, buil
     ref = textured_ref(np.random.default_rng(9), n=300, extent=40)
     save_ply(ref, tmp_path / "ref.ply")
     save_ply(apply_distortion(ref, DistortionSpec(did, 4, 1)), tmp_path / "deg.ply")
-    counts = {"builds": 0, "queries": 0, "normals": 0}
-
-    def counted(key, f):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return f(*args, **kwargs)
-        return wrapper
-    monkeypatch.setattr(pcio.SpatialIndex, "__init__",
-                        counted("builds", pcio.SpatialIndex.__init__))
-    monkeypatch.setattr(pcio.SpatialIndex, "nearest",
-                        counted("queries", pcio.SpatialIndex.nearest))
-    monkeypatch.setattr(fr, "estimate_normals", counted("normals", fr.estimate_normals))
+    counts = _count_score_work(monkeypatch)
 
     metrics = tuple(m for m in fr.BUILTIN_METRICS if fr.metric_applicable(m, did))
     rows = pl._score_worker(
@@ -857,6 +846,31 @@ def test_score_worker_estimates_reference_normals_once(tmp_path, monkeypatch):
     assert per_task == [{"builds": 2, "queries": 2, "normals": 2},
                         {"builds": 1, "queries": 2, "normals": 1},
                         {"builds": 0, "queries": 0, "normals": 0}]
+
+
+def test_score_worker_keeps_the_reference_tree_without_a_plane_metric(tmp_path, monkeypatch):
+    ref = textured_ref(np.random.default_rng(9), n=300, extent=40)
+    save_ply(ref, tmp_path / "ref.ply")
+    for level in (2, 5):
+        save_ply(apply_distortion(ref, DistortionSpec(17, level, 1)),
+                 tmp_path / f"d17_l{level}.ply")
+    counts = _count_score_work(monkeypatch)
+    for level in (2, 5):
+        task = _score_task(tmp_path / "ref.ply", tmp_path / f"d17_l{level}.ply", 17)
+        pl._score_worker(task[:4] + ((fr.M_P2PO, fr.PSNR_YUV),))
+    # the reference's tree once, each sample's own once
+    assert counts == {"builds": 3, "queries": 4, "normals": 0}
+
+
+def test_build_makes_one_tree_per_reference(tmp_path, monkeypatch):
+    refs = tmp_path / "refs"
+    refs.mkdir()
+    save_ply(grid_cloud(np.random.default_rng(8), n=300, extent=50), refs / "ref0.ply")
+    counts = _count_score_work(monkeypatch)
+    # correlated noise reads each point's 8 neighbours at all 7 levels
+    manifest = pl.cmd_build(refs, tmp_path / "ds", pl.Config(seed=0, distortions=(8,)))
+    assert [r.status for r in manifest.rows] == ["ok"] * 7
+    assert counts["builds"] == 1
 
 
 def _score_rows(path):
