@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .colors import rgb_to_ycbcr
 from .distort import REGISTRY
 from .pcio import (
     DEFAULT_NORMAL_K, PointCloud, bounding_box, coincident_twins, estimate_normals,
@@ -24,7 +23,7 @@ __all__ = [
     "M_P2PO", "M_P2PL", "H_P2PO", "H_P2PL", "PSNR_YUV", "H_PSNR_YUV",
     "BUILTIN_METRICS", "GEOMETRY_METRICS", "PLANE_METRICS", "PSNR_CAP_DB",
     "metric_order_key", "metric_applicable",
-    "with_normals", "p2point", "p2plane", "psnr_from_geometry", "psnr_yuv",
+    "p2point", "p2plane", "psnr_from_geometry", "psnr_yuv",
     "compute_metric", "score_pair", "ingest_external_scores",
 ]
 
@@ -67,18 +66,9 @@ _METRICS = {
 _POOLINGS = {"mse": np.mean, "hausdorff": np.max}
 
 
-def with_normals(cloud: PointCloud) -> PointCloud:
-    """The cloud with p2plane normals: its own if it has them, else estimated."""
-    if cloud.normals is not None:
-        return cloud
-    if len(cloud) < 3:  # too few points for a plane fit: the degenerate-case normal
-        return cloud.with_normals(np.tile((0.0, 0.0, 1.0), (len(cloud), 1)))
-    return estimate_normals(cloud, k=min(DEFAULT_NORMAL_K, len(cloud)))[0]
-
-
 def _errors_oneway(nearest: tuple[np.ndarray, np.ndarray], reference: PointCloud,
-                   normals: np.ndarray | None, degraded: PointCloud, kinds: set[str],
-                   ycc: list) -> dict[str, np.ndarray]:
+                   normals: np.ndarray | None, degraded: PointCloud,
+                   kinds: set[str]) -> dict[str, np.ndarray]:
     """Each kind's per-point errors of `degraded` against its `nearest`
     `reference` points, given as the (ids, distances) of one
     nearest-neighbour query; the plane errors project on the reference
@@ -91,8 +81,7 @@ def _errors_oneway(nearest: tuple[np.ndarray, np.ndarray], reference: PointCloud
         vectors = degraded.positions - reference.positions[ids]
         errors["plane"] = np.einsum("ni,ni->n", vectors, normals[ids]) ** 2
     if "yuv" in kinds:
-        ref_ycc, deg_ycc = ycc
-        errors["yuv"] = (deg_ycc - ref_ycc[ids]) ** 2
+        errors["yuv"] = (degraded.ycbcr - reference.ycbcr[ids]) ** 2
     return errors
 
 
@@ -112,12 +101,12 @@ def _nearest(queries: np.ndarray, twins: np.ndarray | None,
 
 def _normals_read(cloud: PointCloud, nearest: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The normals that the plane errors of `nearest`, (ids, distances)
-    into `cloud`, read: the cloud's own, or the default of a cloud too small
-    for a plane fit, or else estimates at just the rows reached at a nonzero
+    into `cloud`, read: its `plane_normals` if they are given or need no
+    estimate, or else estimates at just the rows reached at a nonzero
     distance and zeros at the rest. At distance 0 the error is
     (0 * n)^2 = +0.0 for any finite normal n."""
     if cloud.normals is not None or len(cloud) < 3:
-        return with_normals(cloud).normals
+        return cloud.plane_normals
     ids, dists = nearest
     rows = np.unique(ids[dists > 0])
     normals = np.zeros((len(cloud), 3))
@@ -130,32 +119,27 @@ def _normals_read(cloud: PointCloud, nearest: tuple[np.ndarray, np.ndarray]) -> 
 def _pair_errors(reference: PointCloud, degraded: PointCloud, kinds: set[str],
                  symmetric: bool) -> list[dict[str, np.ndarray]]:
     """Per-point errors of degraded vs reference and, when symmetric, of
-    reference vs degraded, from one nearest-neighbour pass per direction;
-    each cloud's colours are converted to YCbCr at most once.
+    reference vs degraded, from one nearest-neighbour pass per direction.
 
     A pair with identical positions (a colour-only distortion) and no
     p2plane errors, or whose degraded cloud has fewer points (a distortion
     that drops points), first gets one lookup of each point's exact twin in
     the other cloud; only the points without one are queried in a tree.
-    Each cloud's tree is built when a query or a normal estimate first
-    needs it, and kept with the cloud (`PointCloud.index`). The reference's
-    normals are estimated in full (the score stage keeps them per worker),
-    the degraded cloud's only at the rows that the backward plane errors
-    read."""
-    ycc = [rgb_to_ycbcr(c.colors.astype(np.float64)) if "yuv" in kinds else None
-           for c in (reference, degraded)]
+    Each cloud owns and keeps its tree, normals and YCbCr colours once
+    built (`PointCloud.index`, `plane_normals`, `ycbcr`). The reference's
+    normals are estimated in full, the degraded cloud's only at the rows
+    that the backward plane errors read."""
     lookup = len(degraded) < len(reference) or (
         "plane" not in kinds and np.array_equal(reference.positions, degraded.positions))
     fwd_twins, bwd_twins = (coincident_twins(degraded.positions, reference.positions)
                             if lookup else (None, None))
-    if "plane" in kinds:
-        reference = with_normals(reference)
     fwd = _nearest(degraded.positions, fwd_twins, reference)
-    errors = [_errors_oneway(fwd, reference, reference.normals, degraded, kinds, ycc)]
+    ref_normals = reference.plane_normals if "plane" in kinds else None
+    errors = [_errors_oneway(fwd, reference, ref_normals, degraded, kinds)]
     if symmetric:
         bwd = _nearest(reference.positions, bwd_twins, degraded)
         deg_normals = _normals_read(degraded, bwd) if "plane" in kinds else None
-        errors.append(_errors_oneway(bwd, degraded, deg_normals, reference, kinds, ycc[::-1]))
+        errors.append(_errors_oneway(bwd, degraded, deg_normals, reference, kinds))
     return errors
 
 
@@ -211,10 +195,11 @@ def psnr_yuv(reference: PointCloud, degraded: PointCloud, pooling: str = "mse") 
 def score_pair(reference: PointCloud, degraded: PointCloud,
                metrics: tuple[str, ...] = BUILTIN_METRICS) -> dict[str, float]:
     """The requested builtin metrics of one (reference, degraded) pair, all
-    from one nearest-neighbour pass per direction. A cloud keeps the tree
-    built for it (`PointCloud.index`), so a caller that scores many samples
-    of one reference object builds its tree once; given `with_normals` of
-    the reference, it estimates the reference's normals once too.
+    from one nearest-neighbour pass per direction. A cloud owns and keeps
+    its tree, p2plane normals and YCbCr colours (`PointCloud.index`,
+    `plane_normals`, `ycbcr`), so scoring many samples against one reference
+    object, as a `pcqa score` worker does with the one cloud it keeps per
+    reference path, derives each once.
 
     The pass searches only what the errors read. When the two clouds have
     identical positions and no p2plane metric is asked for, or the degraded

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .colors import rgb_to_ycbcr
+
 __all__ = [
     "PointCloud",
     "BoundingBox",
@@ -45,8 +47,9 @@ class PlyError(ValueError):
 class PointCloud:
     """N points with XYZ positions, 8-bit RGB colors and optional unit normals.
 
-    `index` is the cloud's k-d tree, built on first use and kept: every
-    query and normal estimate on the cloud shares one tree.
+    Its k-d tree `index` (shared by every query and normal estimate on
+    it), p2plane `plane_normals` and `ycbcr` colours are built on first use
+    and kept.
     """
 
     positions: np.ndarray  # (N, 3) float64
@@ -95,9 +98,22 @@ class PointCloud:
     def index(self) -> "SpatialIndex":
         return SpatialIndex(self)
 
+    @functools.cached_property
+    def plane_normals(self) -> np.ndarray:
+        """Its own normals, else (0, 0, 1) below 3 points, else estimated."""
+        if self.normals is not None:
+            return self.normals
+        if len(self) < 3:
+            return np.tile((0.0, 0.0, 1.0), (len(self), 1))
+        return estimate_normals(self, k=min(DEFAULT_NORMAL_K, len(self)))[0].normals
+
+    @functools.cached_property
+    def ycbcr(self) -> np.ndarray:
+        return rgb_to_ycbcr(self.colors.astype(np.float64))
+
     def _same_positions(self, **changes) -> "PointCloud":
         """A copy with `changes` that keeps the positions array, and so
-        this cloud's tree if it is built."""
+        this cloud's tree if it is built; nothing else built is carried."""
         cloud = dataclasses.replace(self, **changes)
         if "index" in self.__dict__:
             cloud.__dict__["index"] = self.index
@@ -151,8 +167,17 @@ def voxel_means(
     positions: np.ndarray, size: float, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Occupied cells of a grid of side `size` (int64, sorted) and the mean
-    of the `values` rows that fall in each cell."""
-    cells = np.floor(positions / size).astype(np.int64)
+    of the `values` rows that fall in each cell.
+
+    A cell index must lie within +-2**62, the range a `SparseTensor` can
+    index; a coordinate whose cell does not raises ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked before the cast
+        floored = np.floor(positions / size)
+    outside = ~(np.abs(floored) <= 2**62)  # inf and NaN too
+    if np.any(outside):
+        raise ValueError(f"coordinate {float(positions[outside][0])!r} at voxel size "
+                         f"{float(size)!r} lies outside the +-2**62 cells a grid can index")
+    cells = floored.astype(np.int64)
     order, first = _equal_row_runs(cells)
     inverse = np.empty(len(cells), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1

@@ -278,7 +278,10 @@ def job_seed(dataset_seed: int, reference_id: str, distortion_id: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _map(worker, tasks: list, jobs: int) -> list:
-    """worker over tasks in order, in a pool of `jobs` processes when jobs > 1."""
+    """worker over tasks in order, in a pool of up to `jobs` processes, no
+    more than there are tasks (a forking pool starts all its workers at
+    once); in this process when that is one or none."""
+    jobs = min(jobs, len(tasks))
     if jobs <= 1:
         return [worker(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
@@ -290,14 +293,11 @@ def _map(worker, tasks: list, jobs: int) -> list:
 
 
 @functools.cache
-def _load_ref(path: str, normals: bool) -> PointCloud:
-    """A reference cloud, read once per worker process, so that its k-d
-    tree (`PointCloud.index`) is built at most once per worker and serves
-    every sample; with `normals`, with its p2plane normals, estimated once
-    over that tree. Build must get the plain cloud: distortions would carry
-    the normals along. Pass `normals` positionally: the cache keys
-    `f(p, x)` and `f(p, normals=x)` apart."""
-    return fr.with_normals(_load_ref(path, False)) if normals else load_ply(path)
+def _load_ref(path: str) -> PointCloud:
+    """A reference cloud, read once per worker process: what it derives
+    and keeps (its k-d tree, p2plane surface and YCbCr colours) is built at
+    most once per worker and serves every sample of build and score."""
+    return load_ply(path)
 
 
 def _load_sample(path: str | Path) -> PointCloud:
@@ -315,7 +315,7 @@ def _build_worker(args: tuple) -> dict:
         "distortion_id": did, "level": level, "seed": seed,
     }
     try:
-        cloud = _load_ref(ref_path, False)
+        cloud = _load_ref(ref_path)
         spec = DistortionSpec(distortion_id=did, level=level, seed=seed)
         out = apply_distortion(cloud, spec, adapters=adapters)
         save_ply(out, out_path)
@@ -379,7 +379,7 @@ def cmd_build(
 def _score_worker(args: tuple) -> list[tuple[str, str, str, float]]:
     ref_path, ref_id, degraded_path, degraded_id, metrics = args
     try:
-        reference = _load_ref(ref_path, not fr.PLANE_METRICS.isdisjoint(metrics))
+        reference = _load_ref(ref_path)
     except ValueError as exc:  # build's rows quote _load_ref's message as it is
         raise ValidationError(f"{ref_path}: {exc}") from None
     scores = fr.score_pair(reference, _load_sample(degraded_path), metrics)

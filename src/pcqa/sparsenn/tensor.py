@@ -38,7 +38,8 @@ class SparseTensor:
 
         self._mins = coords.min(axis=0)
         self._spans = coords.max(axis=0) - self._mins + 3  # +-1 margin for kernel offsets
-        if np.prod(self._spans.astype(np.float64)) >= 2**62:
+        # coordinates 2**63 - 3 or more apart wrap their int64 span to below 3
+        if np.any(self._spans < 3) or np.prod(self._spans.astype(np.float64)) >= 2**62:
             raise ValueError("coordinate extent too large to index")
         keys = self._pack(coords)
         order = np.argsort(keys, kind="stable")

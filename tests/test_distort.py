@@ -469,6 +469,17 @@ def test_octree_distinct_voxel_centers_preserved():
                                np.sort(cloud.positions, axis=0))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_octree_refuses_a_coordinate_whose_cell_overflows():
+    # float32 holds x = 1e30; its cell at side 8 is past int64, which the
+    # cast would silently turn into INT64_MIN and move the point to -7.4e19
+    pos = np.zeros((4, 3))
+    pos[:, 0] = (0.0, 1.0, 2.0, 1e30)
+    cloud = PointCloud(pos, np.zeros((4, 3)))
+    with pytest.raises(ValueError, match=r"coordinate 1e\+30 at voxel size 8\.0"):
+        apply_distortion(cloud, DistortionSpec(24, 1, 0))
+
+
 def test_octree_count_non_increasing_in_level():
     cloud = grid_cloud(np.random.default_rng(53), n=500, extent=100)
     counts = [len(REGISTRY[24].generate(cloud, level, rng(0))) for level in range(1, 8)]

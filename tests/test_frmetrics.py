@@ -490,12 +490,13 @@ def test_score_pair_of_a_geometry_distortion_matches_the_tree_oracle(rng, did, l
     ref = PointCloud(pos, rng.integers(0, 256, pos.shape))
     deg = apply_distortion(ref, DistortionSpec(did, level, 1))
     _assert_matches_oracle(ref, deg, fr.BUILTIN_METRICS)
-    # as the score stage calls it: the reference's normals made once, over
-    # the tree that then serves the forward query
-    with_normals = fr.with_normals(ref)
-    got = fr.score_pair(with_normals, deg, fr.BUILTIN_METRICS)
-    for m in fr.BUILTIN_METRICS:
-        assert repr(got[m]) == repr(_old_compute_metric(m, with_normals, deg)), m
+    # as the score stage calls it: the reference's normals and tree, made by
+    # its first score, serve every later one, and so do given normals
+    assert "plane_normals" in ref.__dict__
+    for reference in (ref, ref.with_normals(ref.plane_normals)):
+        got = fr.score_pair(reference, deg, fr.BUILTIN_METRICS)
+        for m in fr.BUILTIN_METRICS:
+            assert repr(got[m]) == repr(_old_compute_metric(m, ref, deg)), m
 
 
 def test_score_pair_rejects_unknown_metric(rng):

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pcqa import frmetrics as fr, pcio
+from pcqa.colors import rgb_to_ycbcr
 from pcqa.pcio import (
-    PointCloud, PlyError, SpatialIndex, atomic_write, bounding_box, estimate_normals,
-    load_ply, save_ply,
+    DEFAULT_NORMAL_K, PointCloud, PlyError, SpatialIndex, atomic_write, bounding_box,
+    estimate_normals, load_ply, save_ply,
 )
 
 from conftest import grid_cloud, random_cloud
@@ -691,15 +692,49 @@ def test_a_cloud_builds_its_tree_once_and_copies_with_its_positions_keep_it(rng,
     assert list(moved.index.nearest(cloud.positions[:3])[0]) == [39, 38, 37]
 
 
+def test_derived_data_is_built_once_and_never_carried_to_a_changed_copy(rng, monkeypatch):
+    cloud = random_cloud(rng, n=40)
+    ycc, normals = cloud.ycbcr, cloud.plane_normals
+    assert ycc is cloud.ycbcr and normals is cloud.plane_normals  # kept
+    np.testing.assert_array_equal(ycc, rgb_to_ycbcr(cloud.colors.astype(np.float64)))
+    full = estimate_normals(cloud, k=DEFAULT_NORMAL_K)[0].normals
+    np.testing.assert_array_equal(normals, full)
+
+    # new colours: the copy converts its own, bit for bit
+    c2 = 255 - cloud.colors
+    np.testing.assert_array_equal(cloud.with_colors(c2).ycbcr,
+                                  rgb_to_ycbcr(c2.astype(np.float64)))
+    # new positions: the copy estimates its own normals
+    p2 = cloud.positions * np.array([1.0, 2.0, 0.5])
+    np.testing.assert_array_equal(
+        cloud.with_positions(p2).plane_normals,
+        estimate_normals(PointCloud(p2, cloud.colors), k=DEFAULT_NORMAL_K)[0].normals)
+    # given normals are returned as they are, with no estimate
+    monkeypatch.setattr(pcio, "estimate_normals", None)
+    given = np.tile((1.0, 0.0, 0.0), (len(cloud), 1))
+    np.testing.assert_array_equal(cloud.with_normals(given).plane_normals, given)
+    own = PointCloud(cloud.positions, cloud.colors, given)
+    assert own.plane_normals is own.normals
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_cloud_too_small_for_a_plane_fit_gets_the_default_normal(rng, monkeypatch, n):
+    monkeypatch.setattr(pcio, "estimate_normals", None)  # nothing to estimate
+    cloud = random_cloud(rng, n=n)
+    np.testing.assert_array_equal(cloud.plane_normals, [[0.0, 0.0, 1.0]] * n)
+
+
 def test_no_function_takes_a_tree_as_an_argument():
-    # a tree is only ever its cloud's `index`: a second path that lends one
-    # would have to check that it belongs to the cloud
-    for f in (fr.score_pair, fr.with_normals, estimate_normals):
+    # a tree is only ever its cloud's `index`, and its p2plane normals its
+    # `plane_normals`: a second path that lends one, or a flag that asks a
+    # loader for them, would have to check that they belong to the cloud
+    for f in (fr.score_pair, estimate_normals):
         assert "index" not in inspect.signature(f).parameters, f.__name__
     for path in sorted(Path(pcio.__file__).parent.rglob("*.py")):
         text = path.read_text()
         assert "index=" not in text and "_lazy_index" not in text, path
         assert not re.search(r"\w+: SpatialIndex", text), path
+        assert not re.search(r"\bnormals: bool\b", text), path
 
 
 def test_atomic_write_failure_mid_write_keeps_previous_file(tmp_path):

@@ -104,6 +104,33 @@ def test_rerun_same_seed_byte_identical_manifest(tmp_path, refs_dir):
     assert (out1 / "manifest.jsonl").read_bytes() == (out2 / "manifest.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("jobs, n_tasks, pool", [
+    (64, 3, 3), (2, 5, 2), (2, 1, None), (4, 0, None), (1, 5, None),
+])
+def test_map_starts_no_more_workers_than_tasks(monkeypatch, jobs, n_tasks, pool):
+    # a forking pool starts all its workers at once: an in-process fake
+    # records how many were asked for, and starts none
+    import concurrent.futures
+
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, tasks, chunksize=1):
+            return map(worker, tasks)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    assert pl._map(str, list(range(n_tasks)), jobs) == [str(t) for t in range(n_tasks)]
+    assert pools == ([] if pool is None else [pool])
+
+
 def test_build_jobs_parallel_identical(tmp_path, refs_dir):
     out1, _ = build_dataset(tmp_path / "a", refs_dir, jobs=1)
     out2, _ = build_dataset(tmp_path / "b", refs_dir, jobs=4)
@@ -817,7 +844,11 @@ def _count_score_work(monkeypatch):
                         counted("builds", pcio.SpatialIndex.__init__))
     monkeypatch.setattr(pcio.SpatialIndex, "nearest",
                         counted("queries", pcio.SpatialIndex.nearest))
-    monkeypatch.setattr(fr, "estimate_normals", counted("normals", fr.estimate_normals))
+    # the reference's normals are estimated from pcio (`plane_normals`), a
+    # degraded cloud's at some rows from frmetrics
+    for module in (pcio, fr):
+        monkeypatch.setattr(module, "estimate_normals",
+                            counted("normals", module.estimate_normals))
     return counts
 
 
@@ -846,6 +877,19 @@ def test_score_worker_estimates_reference_normals_once(tmp_path, monkeypatch):
     assert per_task == [{"builds": 2, "queries": 2, "normals": 2},
                         {"builds": 1, "queries": 2, "normals": 1},
                         {"builds": 0, "queries": 0, "normals": 0}]
+
+
+def test_score_worker_keeps_one_reference_cloud_per_path(tmp_path):
+    ref = textured_ref(np.random.default_rng(9), n=300, extent=40)
+    save_ply(ref, tmp_path / "ref.ply")
+    for did in (17, 5):
+        save_ply(apply_distortion(ref, DistortionSpec(did, 3, 1)), tmp_path / f"d{did}.ply")
+    pl._load_ref.cache_clear()
+    # a p2plane task, then a colour-only one: the same cached cloud serves both
+    for did in (17, 5):
+        pl._score_worker(_score_task(tmp_path / "ref.ply", tmp_path / f"d{did}.ply", did))
+    assert pl._load_ref.cache_info().currsize == 1
+    pl._load_ref.cache_clear()
 
 
 def test_score_worker_keeps_the_reference_tree_without_a_plane_metric(tmp_path, monkeypatch):

@@ -278,6 +278,48 @@ def test_cli_build_fails_the_rows_of_a_reference_with_a_malformed_header(tmp_pat
         ("good", "ok", None)}
 
 
+def _far_cloud():
+    """A reference whose last point lies at x = 1e30, which float32 holds
+    but whose voxel cell int64 does not."""
+    cloud = grid_cloud(np.random.default_rng(3), n=60, extent=12)
+    pos = cloud.positions.copy()
+    pos[-1, 0] = 1e30
+    return cloud.with_positions(pos)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_eval_of_a_cloud_whose_voxel_cell_overflows_exits_1(tmp_path, inputs, capsys):
+    root, header = inputs
+    (tmp_path / "clouds").mkdir()
+    save_ply(_far_cloud(), tmp_path / "clouds" / "s0.ply")
+    path = _write_manifest(tmp_path / "m.jsonl", [header, VALID_ROW])
+    out = tmp_path / "out"
+    _assert_one_line_error(["eval", "--manifest", str(path), "--split", "test=ref0",
+                            "--checkpoint", str(root / "m.ckpt"), "--out", str(out)], capsys,
+                           "coordinate 1.0000000150474662e+30 at voxel size 1.0")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_build_fails_the_rows_of_a_reference_with_a_cell_past_int64(tmp_path, inputs,
+                                                                       capsys):
+    root, _ = inputs
+    refs = tmp_path / "refs"
+    refs.mkdir()
+    save_ply(_far_cloud(), refs / "far.ply")
+    (refs / "good.ply").write_bytes((root / "refs" / "ref0.ply").read_bytes())
+    assert cli_main(["build", "--refs", str(refs), "--out", str(tmp_path / "ds"),
+                     "--subset", f"{CHEAP_ID},24"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = pl.Manifest.load(tmp_path / "ds" / "manifest.jsonl").rows
+    # octree (24) voxelizes the far point: its rows fail; the others do not
+    assert {(r.reference_id, r.distortion_id, r.status,
+             r.error and r.error.split(" at ")[0]) for r in rows} == {
+        ("far", 5, "ok", None),
+        ("far", 24, "failed", "ValueError: coordinate 1.0000000150474662e+30"),
+        ("good", 5, "ok", None), ("good", 24, "ok", None)}
+
+
 def _ply_claiming(n: int, fmt: str) -> bytes:
     """A one-vertex PLY whose header claims `n` vertices."""
     text = _one_point_ply(red="0").replace("element vertex 1", f"element vertex {n}")

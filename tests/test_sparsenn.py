@@ -80,6 +80,20 @@ def test_voxelize_feature_scale():
     np.testing.assert_allclose(t.feats[0], [0.5, -0.5, 128 / 255 - 0.5])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("xs, size, match", [
+    ((0.0, 1e30), 1.0, r"coordinate 1e\+30 at voxel size 1\.0"),
+    ((0.0, 1.0), 1e-310, r"coordinate 1\.0 at voxel size 1e-310"),  # the quotient is inf
+    # cells +-2**62 are in range, but their int64 span 2**63 would wrap
+    ((-2.0**62, 2.0**62), 1.0, "extent too large"),
+], ids=["huge-coordinate", "tiny-voxel", "span-wraps"])
+def test_voxelize_refuses_cells_it_cannot_index(xs, size, match):
+    pos = np.zeros((len(xs), 3))
+    pos[:, 0] = xs
+    with pytest.raises(ValueError, match=match):
+        voxelize(PointCloud(pos, np.zeros(pos.shape)), size)
+
+
 def test_sparse_tensor_rejects_duplicates():
     with pytest.raises(ValueError, match="unique"):
         SparseTensor(np.zeros((2, 4), dtype=np.int64), np.zeros((2, 3)))
