@@ -690,7 +690,12 @@ def cmd_eval(
     labels, preds, types = [], [], []
     pred_lines = ["sample_id,distortion_id,level,label,prediction"]
     for row in test_rows:
-        q = predict(model, _load_sample(clouds_dir / row.path))
+        path = clouds_dir / row.path
+        cloud = _load_sample(path)
+        try:
+            q = predict(model, cloud)
+        except ValueError as exc:  # a cloud the voxel grid cannot index
+            raise ValidationError(f"{path}: {exc}") from None
         labels.append(float(row.label))
         preds.append(q)
         types.append(row.distortion_id)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import KernelMap
+from .tensor import CENTRE, KernelMap
 
 __all__ = [
     "conv_forward", "conv_backward",
@@ -30,22 +30,26 @@ __all__ = [
 
 
 def conv_forward(w: np.ndarray, feats: np.ndarray, kmap: KernelMap, *,
-                 out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
-    """f_out(u) = sum_i W_i f_in(u + i) over occupied neighbors. The caller
-    may lend two N x C_out arrays: `out` receives the result, `tmp` the
-    centre-tap product; fresh ones are allocated when they are None."""
-    if out is None:
-        out = np.zeros((feats.shape[0], w.shape[2]))
-    else:
-        out.fill(0.0)
-    for k, (in_rows, out_rows) in enumerate(kmap.pairs):
-        if len(in_rows) == len(feats):
-            # an offset paired at every site maps the site set into itself, and
-            # a nonzero shift cannot (the site farthest along it has no
-            # neighbour there): this is the centre, in_rows = out_rows = arange(N)
-            out += np.matmul(feats, w[k], out=tmp)
-        elif len(in_rows):
-            # rows unique per offset, fancy accumulation is safe
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """f_out(u) = sum_i W_i f_in(u + i) over occupied neighbors. The centre
+    tap pairs every site with itself, so its product is written straight
+    into `out`, an N x C_out array the caller may lend (allocated when None).
+    Offsets 0-12 sum into a compact array over the rows they reach, which is
+    then added to those rows, and offsets 14-26 scatter into `out`: each row
+    adds its terms in offset order, as a zero-filled loop would."""
+    out = np.matmul(feats, w[CENTRE], out=out)
+    rows, at = kmap.lower_rows
+    if len(rows):
+        lower = np.zeros((len(rows), w.shape[2]))
+        for k, (in_rows, _) in enumerate(kmap.pairs[:CENTRE]):
+            if len(in_rows):
+                # rows unique per offset, fancy accumulation is safe
+                lower[at[k]] += feats[in_rows] @ w[k]
+        lower += out[rows]
+        out[rows] = lower
+    for k in range(CENTRE + 1, len(kmap.pairs)):
+        in_rows, out_rows = kmap.pairs[k]
+        if len(in_rows):
             out[out_rows] += feats[in_rows] @ w[k]
     return out
 
@@ -57,7 +61,10 @@ def conv_backward(w: np.ndarray, feats: np.ndarray, dout: np.ndarray, dw: np.nda
     transposed and each offset's (input, output) rows swapped."""
     dfeats = np.zeros_like(feats)
     for k, (in_rows, out_rows) in enumerate(kmap.pairs):
-        if len(in_rows) == len(feats):  # the centre, as in conv_forward
+        if len(in_rows) == len(feats):
+            # an offset paired at every site maps the site set into itself, and
+            # a nonzero shift cannot (the site farthest along it has no
+            # neighbour there): this is the centre, in_rows = out_rows = arange(N)
             dw[k] += feats.T @ dout
             dfeats += dout @ w[k].T
         elif len(in_rows):
@@ -115,20 +122,19 @@ def layer_forward(
     shortcut: np.ndarray | None = None,
     *,
     out: np.ndarray | None = None,
-    tmp: np.ndarray | None = None,
 ) -> tuple[np.ndarray, LayerCache | None]:
     """conv -> batch norm (+ shortcut) -> ReLU. `params` holds keys
     w/gamma/beta/running_mean/running_var. Training returns the cache for
     layer_backward. Inference returns None and folds the running-statistics
     batch norm into the conv (Jacob et al., CVPR 2018): w * scale, then
     + beta - mean * scale, with scale = gamma / sqrt(var + eps). Inference
-    may lend conv_forward its `out` and `tmp` and then returns `out`, which
-    must be neither `feats` nor `shortcut`; training allocates fresh ones."""
+    may lend conv_forward its `out` and then returns it; `out` must be
+    neither `feats` nor `shortcut`. Training lets the conv allocate."""
     if training:
         y, bn_cache = bn_forward(conv_forward(params["w"], feats, kmap), params, momentum, eps)
     else:
         scale = params["gamma"] / np.sqrt(params["running_var"] + eps)
-        y = conv_forward(params["w"] * scale, feats, kmap, out=out, tmp=tmp)
+        y = conv_forward(params["w"] * scale, feats, kmap, out=out)
         y += params["beta"] - params["running_mean"] * scale
     if shortcut is not None:
         y += shortcut  # y is this layer's own output, never the shortcut

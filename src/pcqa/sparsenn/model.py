@@ -187,11 +187,11 @@ def forward(
     if kmap is None:
         kmap = build_kernel_map(tensor)
     x = tensor.feats
-    # inference rotates N x width buffers through the layers and one more
-    # takes the centre tap; training keeps fresh arrays, which its cache holds
+    # inference rotates N x width buffers through the layers, each conv
+    # writing its output straight into one; training keeps fresh arrays,
+    # which its cache holds
     shape = (len(tensor), cfg.width)
     buffers: list[np.ndarray] = []
-    tmp = None if training else np.empty(shape)
     layers: list[LayerCache] = []
     pooled: list[np.ndarray] = []
     for b in range(cfg.blocks):
@@ -203,7 +203,7 @@ def forward(
             out = None if training else _spare(buffers, (x, skip), shape)
             x, c = layer_forward(model.layer_view(b, l), x, kmap, training, cfg.bn_momentum,
                                  cfg.bn_eps, shortcut=skip if l == join else None,
-                                 out=out, tmp=tmp)
+                                 out=out)
             layers.append(c)
         pooled.append(global_pool(x))
     q, fc_cache = fc_forward(model.params, np.concatenate(pooled))

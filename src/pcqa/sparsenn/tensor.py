@@ -9,6 +9,7 @@ order, independent of input row permutation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -17,10 +18,11 @@ from ..pcio import PointCloud, voxel_means
 
 __all__ = ["SparseTensor", "KernelMap", "KERNEL_OFFSETS", "voxelize", "build_kernel_map"]
 
-# 3x3x3 kernel offsets in fixed lexicographic order; index 13 is the center
+# 3x3x3 kernel offsets in fixed lexicographic order; index CENTRE is (0, 0, 0)
 KERNEL_OFFSETS = np.array(
     list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64
 )
+CENTRE = 13
 
 
 class SparseTensor:
@@ -78,6 +80,16 @@ class KernelMap:
     def pair_counts(self) -> list[int]:
         return [len(p[0]) for p in self.pairs]
 
+    @functools.cached_property
+    def lower_rows(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The output rows that offsets 0-12 reach, ascending, and each of
+        those offsets' output rows as positions among them."""
+        hit = np.zeros(len(self.pairs[CENTRE][1]), dtype=bool)  # the centre pairs every site
+        for _, out_rows in self.pairs[:CENTRE]:
+            hit[out_rows] = True
+        at = np.cumsum(hit) - 1
+        return np.flatnonzero(hit), [at[out_rows] for _, out_rows in self.pairs[:CENTRE]]
+
 
 IN_CHANNELS = 3  # the feature width voxelize emits: one per RGB channel
 
@@ -96,7 +108,7 @@ def build_kernel_map(tensor: SparseTensor) -> KernelMap:
     """Sub-manifold kernel map: output sites equal input sites; for each
     offset i the pairs are (row of u+i, row of u) over occupied u+i."""
     # packing is linear and every u+i lies in the padded box: key(u+i) = key(u) + delta(i)
-    deltas = tensor._pack(np.pad(KERNEL_OFFSETS[:13], ((0, 0), (0, 1))) + tensor._mins - 1)
+    deltas = tensor._pack(np.pad(KERNEL_OFFSETS[:CENTRE], ((0, 0), (0, 1))) + tensor._mins - 1)
     in_rows = tensor._rows(tensor._keys + deltas[:, None])
     half = [(rows[ok], np.flatnonzero(ok)) for rows, ok in zip(in_rows, in_rows >= 0)]
     # offset 26 - i is -(offset i): v = u + i pairs (row of u, row of v) there, and

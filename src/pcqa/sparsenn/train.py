@@ -100,8 +100,8 @@ def train(model: Model, samples: list[TrainSample], config: TrainConfig) -> Trai
     """Per sample: augment -> voxelize -> forward -> smooth-L1 -> backward,
     accumulate; one SGD step every `accum` samples, and one over the
     samples left when training ends; shuffle per epoch.
-    A non-finite loss or accumulated gradient raises ValueError naming the
-    step and its samples."""
+    A non-finite loss or accumulated gradient, or a cloud the voxel grid
+    cannot index, raises ValueError naming the step and its samples."""
     if not samples:
         raise ValueError("training split is empty")
 
@@ -117,7 +117,11 @@ def train(model: Model, samples: list[TrainSample], config: TrainConfig) -> Trai
         for idx in order:
             sample = samples[idx]
             aug = augment(sample.cloud, rng, config)
-            tensor = voxelize(aug, model.config.voxel_size)
+            try:
+                tensor = voxelize(aug, model.config.voxel_size)
+            except ValueError as exc:
+                raise ValueError(f"training step {step + 1} on sample {sample.sample_id}: "
+                                 f"{exc}") from None
             q, cache = forward(model, tensor, training=True)
             loss, dq = smooth_l1(q, sample.label)
             if not math.isfinite(loss):

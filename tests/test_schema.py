@@ -296,7 +296,25 @@ def test_cli_eval_of_a_cloud_whose_voxel_cell_overflows_exits_1(tmp_path, inputs
     out = tmp_path / "out"
     _assert_one_line_error(["eval", "--manifest", str(path), "--split", "test=ref0",
                             "--checkpoint", str(root / "m.ckpt"), "--out", str(out)], capsys,
-                           "coordinate 1.0000000150474662e+30 at voxel size 1.0")
+                           "s0.ply: coordinate 1.0000000150474662e+30 at voxel size 1.0")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_train_on_a_cloud_whose_voxel_cell_overflows_exits_1(tmp_path, inputs, capsys):
+    root, header = inputs
+    (tmp_path / "clouds").mkdir()
+    save_ply(_far_cloud(), tmp_path / "clouds" / "s0.ply")
+    # a second reference holds the test split, so that s0 is trained on
+    refs = {**header["references"], "ref1": header["references"]["ref0"]}
+    path = _write_manifest(tmp_path / "m.jsonl", [{**header, "references": refs}, VALID_ROW])
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"model": VALID_CONFIG["model"]}))
+    out = tmp_path / "m.ckpt"
+    _assert_one_line_error(["train", "--manifest", str(path), "--split", "test=ref1",
+                            "--config", str(config), "--out", str(out)], capsys,
+                           "training step 1 on sample s0: coordinate",
+                           "lies outside the +-2**62 cells")
     assert not out.exists()
 
 
