@@ -28,8 +28,12 @@ def _load_config(args) -> pl.Config:
     """The --config file (or the defaults) with the command line's overrides,
     each checked as if the file had set it."""
     cfg = pl.Config.from_file(args.config) if args.config else pl.Config()
-    if getattr(args, "subset", None):
-        cfg = dataclasses.replace(cfg, distortions=[int(s) for s in args.subset.split(",")])
+    if getattr(args, "subset", None) is not None:  # "" is a bad list, not "all"
+        try:
+            ids = [int(s) for s in args.subset.split(",")]
+        except ValueError as exc:  # int() names the bad id
+            raise pl.ValidationError(f"--subset {args.subset!r}: bad distortion id: {exc}") from None
+        cfg = dataclasses.replace(cfg, distortions=ids)
     if not cfg.adapters and os.environ.get("PCQA_ADAPTERS"):
         cfg = dataclasses.replace(cfg, adapters=pl.load_adapters(os.environ["PCQA_ADAPTERS"]))
     return cfg
@@ -177,7 +181,8 @@ def run_guarded(func) -> int:
     instead of a traceback."""
     try:
         return func()
-    except (pl.ValidationError, ValueError, FileNotFoundError) as exc:
+    except (pl.ValidationError, ValueError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (AdapterError, RuntimeError, OSError) as exc:

@@ -49,7 +49,8 @@ class PointCloud:
 
     Its k-d tree `index` (shared by every query and normal estimate on
     it), p2plane `plane_normals` and `ycbcr` colours are built on first use
-    and kept.
+    and kept. A copy (`with_positions`, `with_colors`, `with_normals`)
+    builds its own; it inherits none of them.
     """
 
     positions: np.ndarray  # (N, 3) float64
@@ -111,22 +112,14 @@ class PointCloud:
     def ycbcr(self) -> np.ndarray:
         return rgb_to_ycbcr(self.colors.astype(np.float64))
 
-    def _same_positions(self, **changes) -> "PointCloud":
-        """A copy with `changes` that keeps the positions array, and so
-        this cloud's tree if it is built; nothing else built is carried."""
-        cloud = dataclasses.replace(self, **changes)
-        if "index" in self.__dict__:
-            cloud.__dict__["index"] = self.index
-        return cloud
-
     def with_positions(self, positions: np.ndarray) -> "PointCloud":
         return dataclasses.replace(self, positions=positions, normals=None)
 
     def with_colors(self, colors: np.ndarray) -> "PointCloud":
-        return self._same_positions(colors=colors)
+        return dataclasses.replace(self, colors=colors)
 
     def with_normals(self, normals: np.ndarray) -> "PointCloud":
-        return self._same_positions(normals=normals)
+        return dataclasses.replace(self, normals=normals)
 
 
 @dataclass(frozen=True)
@@ -236,6 +229,8 @@ def _parse_header(f) -> tuple[str, int, list[tuple[str, str]]]:
             if not args:
                 raise PlyError(f"malformed header line '{line}': no element name")
             in_vertex = args[0] == "vertex"
+            if in_vertex and vertex_count is not None:
+                raise PlyError("element 'vertex' is declared twice")
             if not in_vertex and vertex_count is None:  # its body would precede the vertices
                 raise PlyError(f"element '{args[0]}' comes before 'vertex'; vertex must be "
                                "the first element")
@@ -253,6 +248,8 @@ def _parse_header(f) -> tuple[str, int, list[tuple[str, str]]]:
             ptype, pname = args[:2]
             if ptype not in _PLY_NP_TYPES:
                 raise PlyError(f"unknown property type '{ptype}'")
+            if pname in dict(properties):
+                raise PlyError(f"vertex property '{pname}' is declared twice")
             properties.append((pname, ptype))
     if fmt is None:
         raise PlyError("header missing 'format' line")

@@ -61,10 +61,7 @@ def conv_backward(w: np.ndarray, feats: np.ndarray, dout: np.ndarray, dw: np.nda
     transposed and each offset's (input, output) rows swapped."""
     dfeats = np.zeros_like(feats)
     for k, (in_rows, out_rows) in enumerate(kmap.pairs):
-        if len(in_rows) == len(feats):
-            # an offset paired at every site maps the site set into itself, and
-            # a nonzero shift cannot (the site farthest along it has no
-            # neighbour there): this is the centre, in_rows = out_rows = arange(N)
+        if k == CENTRE:  # in_rows = out_rows = arange(N): no gather
             dw[k] += feats.T @ dout
             dfeats += dout @ w[k].T
         elif len(in_rows):

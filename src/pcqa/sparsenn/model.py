@@ -29,7 +29,7 @@ from .layers import (
     LayerCache, FCCache, fc_backward, fc_forward, global_pool,
     global_pool_backward, layer_backward, layer_forward,
 )
-from .tensor import IN_CHANNELS, KernelMap, SparseTensor, build_kernel_map
+from .tensor import IN_CHANNELS, SparseTensor
 
 __all__ = [
     "ModelConfig", "Model", "RESIDUAL_VARIANTS",
@@ -160,32 +160,25 @@ def _spare(buffers: list[np.ndarray], busy: tuple, shape: tuple[int, int]) -> np
 
 @dataclass
 class ModelCache:
-    kmap: KernelMap
-    n_rows: int
+    tensor: SparseTensor  # the input, whose kernel map every layer reads
     layers: list[LayerCache]  # conv{b}.{l} at index 3 * b + l
     fc: FCCache
 
 
-def forward(
-    model: Model,
-    tensor: SparseTensor,
-    training: bool = False,
-    kmap: KernelMap | None = None,
-) -> tuple[float, ModelCache | None]:
+def forward(model: Model, tensor: SparseTensor,
+            training: bool = False) -> tuple[float, ModelCache | None]:
     """Predicted quality score for one sparse tensor; unbounded scalar.
 
     Training normalizes by batch statistics, updates the running statistics
     in place and returns the ModelCache that `backward` needs; inference
     folds the running statistics into the convs, writes the activations into
     a few buffers that live for this call only, keeps nothing, returns None.
-    A prebuilt kernel map may be passed when evaluating repeatedly on the
-    same coordinate set (the map depends only on the coordinates).
+    Every layer reads the tensor's own kernel map, built once per tensor.
     """
     cfg = model.config
     if tensor.n_channels != IN_CHANNELS:
         raise ValueError(f"tensor has {tensor.n_channels} channels, model expects {IN_CHANNELS}")
-    if kmap is None:
-        kmap = build_kernel_map(tensor)
+    kmap = tensor.kernel_map
     x = tensor.feats
     # inference rotates N x width buffers through the layers, each conv
     # writing its output straight into one; training keeps fresh arrays,
@@ -209,7 +202,7 @@ def forward(
     q, fc_cache = fc_forward(model.params, np.concatenate(pooled))
     if not training:
         return q, None
-    return q, ModelCache(kmap=kmap, n_rows=len(tensor), layers=layers, fc=fc_cache)
+    return q, ModelCache(tensor=tensor, layers=layers, fc=fc_cache)
 
 
 def backward(model: Model, cache: ModelCache, dq: float,
@@ -220,16 +213,16 @@ def backward(model: Model, cache: ModelCache, dq: float,
     if grads is None:
         grads = {name: np.zeros_like(p) for name, p in model.params.items()}
     ds = fc_backward(model.params, dq, cache.fc, grads)
-    w = cfg.width
+    w, kmap = cfg.width, cache.tensor.kernel_map
     d: np.ndarray | None = None
     for b in range(cfg.blocks - 1, -1, -1):
         source, join = _shortcut(cfg.residual, b)
-        dpool = global_pool_backward(ds[b * w:(b + 1) * w], cache.n_rows)
+        dpool = global_pool_backward(ds[b * w:(b + 1) * w], len(cache.tensor))
         d = dpool if d is None else dpool + d
         for l in (2, 1, 0):
             layer_grads = {name: grads[f"conv{b}.{l}.{name}"] for name in ("w", "gamma", "beta")}
             d, dpre = layer_backward(model.layer_view(b, l), d, cache.layers[3 * b + l],
-                                     layer_grads, cache.kmap)
+                                     layer_grads, kmap)
             if l == join:
                 dskip = dpre
             if l == source:

@@ -26,7 +26,7 @@ CENTRE = 13
 
 
 class SparseTensor:
-    """Unique integer coordinates (N, 4) with per-row features (N, C_f)."""
+    """Unique integer coordinates (N, 4), per-row features (N, C_f) and their kernel map."""
 
     def __init__(self, coords: np.ndarray, feats: np.ndarray):
         coords = np.asarray(coords, dtype=np.int64)
@@ -69,6 +69,11 @@ class SparseTensor:
         """Row of each packed key, -1 where unoccupied."""
         pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
         return np.where(self._keys[pos] == keys, pos, -1)
+
+    @functools.cached_property
+    def kernel_map(self) -> "KernelMap":
+        """Built on first use and kept: it depends only on the coordinates."""
+        return build_kernel_map(self)
 
 
 class KernelMap:

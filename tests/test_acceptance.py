@@ -341,7 +341,6 @@ def test_criterion_7_sparse_engine():
         tt = SparseTensor(
             np.concatenate([pts, np.zeros((len(pts), 1), dtype=np.int64)], axis=1),
             rs.normal(size=(len(pts), 3)))
-        kmap = build_kernel_map(tt)
         cfg = ModelConfig(blocks=2, width=3, fc_hidden=3)
         m = init_model(cfg, seed=900 + seed)
         label = 3.1
@@ -356,10 +355,10 @@ def test_criterion_7_sparse_engine():
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                qp, _ = forward(m, tt, training=True, kmap=kmap)
+                qp, _ = forward(m, tt, training=True)
                 lp = smooth_l1(qp, label)[0]
                 arr[idx] = orig - h
-                qm, _ = forward(m, tt, training=True, kmap=kmap)
+                qm, _ = forward(m, tt, training=True)
                 lm = smooth_l1(qm, label)[0]
                 arr[idx] = orig
                 fd = (lp - lm) / (2 * h)

@@ -337,6 +337,39 @@ def test_elements_after_vertex_still_load(tmp_path):
     np.testing.assert_array_equal(cloud.colors, [[1, 2, 3], [4, 5, 6]])
 
 
+def _ply_bytes(fmt: str, header: str, rows: list[tuple]) -> bytes:
+    """A PLY of `rows` under the vertex `header` lines: each row's last
+    three columns are uchar, the ones before them float."""
+    if fmt == "ascii":
+        body = "".join(" ".join(map(str, row)) + "\n" for row in rows).encode("ascii")
+    else:
+        floats = len(rows[0]) - 3
+        body = np.array(rows, dtype=", ".join(["<f4"] * floats + ["u1"] * 3)).tobytes()
+    return f"ply\nformat {fmt} 1.0\n{header}end_header\n".encode("ascii") + body
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+def test_a_second_vertex_element_errors_naming_it(tmp_path, fmt):
+    # read on, the second element's row would be dropped without an error
+    path = tmp_path / "twice.ply"
+    path.write_bytes(_ply_bytes(
+        fmt, f"element vertex 2\n{VERTEX_PROPS}element vertex 1\n{VERTEX_PROPS}",
+        [(0, 0, 0, 1, 2, 3), (1, 1, 1, 4, 5, 6), (2, 2, 2, 7, 8, 9)]))
+    with pytest.raises(PlyError, match="element 'vertex' is declared twice"):
+        load_ply(path)
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+def test_a_repeated_vertex_property_errors_naming_it(tmp_path, fmt):
+    # read on, ASCII would take x from the last of the two columns, and
+    # binary would raise NumPy's "field 'x' occurs more than once"
+    path = tmp_path / "two-x.ply"
+    path.write_bytes(_ply_bytes(fmt, f"element vertex 1\nproperty float x\n{VERTEX_PROPS}",
+                                [(9, 0, 0, 0, 1, 2, 3)]))
+    with pytest.raises(PlyError, match="vertex property 'x' is declared twice"):
+        load_ply(path)
+
+
 @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
 def test_vertex_count_past_the_body_errors_naming_count_and_bytes(tmp_path, fmt):
     # 10^12 rows would need terabytes: the bytes after the header bound the claim
@@ -641,7 +674,6 @@ def test_normals_over_the_clouds_own_index_are_byte_equal(n, seed, on_grid):
     # a cloud whose tree served a query first, against a fresh copy's
     cloud.index.nearest(cloud.positions[:1])
     shared, shared_degenerate = estimate_normals(cloud, k)
-    assert shared.index is cloud.index
     fresh, fresh_degenerate = estimate_normals(PointCloud(cloud.positions.copy(), cloud.colors), k)
     assert shared.normals.tobytes() == fresh.normals.tobytes()
     assert shared_degenerate.tobytes() == fresh_degenerate.tobytes()
@@ -671,7 +703,7 @@ def test_normals_at_rows_are_the_full_estimates_rows_bit_for_bit(n, seed, on_gri
 # ---------------------------------------------------------------------------
 
 
-def test_a_cloud_builds_its_tree_once_and_copies_with_its_positions_keep_it(rng, monkeypatch):
+def test_a_cloud_builds_its_tree_once_and_every_copy_builds_its_own(rng, monkeypatch):
     builds = []
     build = SpatialIndex.__init__
 
@@ -684,12 +716,16 @@ def test_a_cloud_builds_its_tree_once_and_copies_with_its_positions_keep_it(rng,
     ids, _ = cloud.index.nearest(cloud.positions[:3])
     with_normals, _ = estimate_normals(cloud, k=8)
     assert builds == [40] and list(ids) == [0, 1, 2]
-    assert with_normals.index is cloud.index
-    assert with_normals.with_colors(255 - cloud.colors).index is cloud.index
-    assert cloud.with_normals(with_normals.normals).index is cloud.index
-    moved = with_normals.with_positions(cloud.positions[::-1])
-    assert moved.index is not cloud.index and builds == [40, 40]
-    assert list(moved.index.nearest(cloud.positions[:3])[0]) == [39, 38, 37]
+    # a copy inherits no tree, not even one over the same positions array
+    copies = [with_normals, cloud.with_colors(255 - cloud.colors),
+              cloud.with_normals(with_normals.normals),
+              cloud.with_positions(cloud.positions[::-1])]
+    assert all("index" not in copy.__dict__ for copy in copies)
+    trees = [copy.index for copy in copies]
+    assert builds == [40] * 5 and all(tree is not cloud.index for tree in trees)
+    assert len({id(tree) for tree in trees}) == 4
+    assert list(copies[1].index.nearest(cloud.positions[:3])[0]) == [0, 1, 2]
+    assert list(copies[3].index.nearest(cloud.positions[:3])[0]) == [39, 38, 37]
 
 
 def test_derived_data_is_built_once_and_never_carried_to_a_changed_copy(rng, monkeypatch):

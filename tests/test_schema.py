@@ -157,6 +157,37 @@ def test_cli_build_subset_goes_through_the_config_check(tmp_path, inputs, capsys
     assert not (tmp_path / "ds").exists()
 
 
+@pytest.mark.parametrize("subset, bad", [("2,,5", "''"), ("2,x", "'x'"), ("1.5", "'1.5'"),
+                                         ("", "''")],
+                         ids=["empty-id", "word", "fraction", "empty-list"])
+def test_cli_build_bad_subset_id_exits_1_naming_it(tmp_path, inputs, capsys, subset, bad):
+    root, _ = inputs
+    _assert_one_line_error(["build", "--refs", str(root / "refs"), "--out", str(tmp_path / "ds"),
+                            "--subset", subset], capsys,
+                           f"--subset '{subset}': bad distortion id: ", f": {bad}")
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["score", "--manifest", "{dir}", "--out", "{out}"],
+    ["eval", "--manifest", "{dir}", "--split", "test=ref0", "--checkpoint", "{ckpt}",
+     "--out", "{out}"],
+    ["eval", "--manifest", "{manifest}", "--split", "test=ref0", "--checkpoint", "{dir}",
+     "--out", "{out}"],
+    ["build", "--refs", "{refs}", "--out", "{out}", "--config", "{dir}"],
+    ["score", "--manifest", "{manifest}/manifest.jsonl", "--out", "{out}"],
+], ids=["score-manifest", "eval-manifest", "eval-checkpoint", "build-config",
+        "path-below-a-file"])
+def test_cli_directory_where_a_file_belongs_exits_1_naming_it(tmp_path, inputs, capsys, argv):
+    # IsADirectoryError, and NotADirectoryError for a path below a file, are input errors
+    root, _ = inputs
+    names = {"dir": tmp_path, "out": tmp_path / "out", "refs": root / "refs",
+             "manifest": root / "ds" / "manifest.jsonl", "ckpt": root / "m.ckpt"}
+    bad = next(a for a in argv if a == "{dir}" or "}/" in a).format(**names)
+    _assert_one_line_error([a.format(**names) for a in argv], capsys, bad)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("edit, message", [
     ({"distortion_id": 99}, "manifest row distortion_id must be a REGISTRY id"),
     ({"distortion_id": "5"}, "manifest row distortion_id must be a REGISTRY id"),

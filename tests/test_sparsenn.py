@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import importlib
 import inspect
 import itertools
 import tracemalloc
@@ -10,10 +12,10 @@ from hypothesis.extra import numpy as hnp
 
 from pcqa.pcio import PointCloud
 from pcqa.sparsenn import (
-    KERNEL_OFFSETS, KernelMap, Model, ModelConfig, SparseTensor, TrainConfig,
+    KERNEL_OFFSETS, KernelMap, Model, ModelConfig, SparseTensor, TrainConfig, TrainSample,
     backward, build_kernel_map, conv_forward, forward, global_pool,
     init_model, load_checkpoint, param_count, save_checkpoint, smooth_l1,
-    voxelize,
+    train, voxelize,
 )
 from pcqa.sparsenn import layers
 from pcqa.sparsenn.layers import (
@@ -21,7 +23,7 @@ from pcqa.sparsenn.layers import (
     layer_forward,
 )
 from pcqa.sparsenn.model import (
-    MAX_PARAMS, RESIDUAL_VARIANTS, CheckpointError,
+    MAX_PARAMS, RESIDUAL_VARIANTS, CheckpointError, ModelCache,
 )
 
 from conftest import grid_cloud, shell_cloud
@@ -141,6 +143,58 @@ def test_kernel_map_pairs_sorted_by_output_row(rng):
         assert np.all(np.diff(out_rows) > 0)
 
 
+def _count_kernel_map_builds(monkeypatch) -> list[int]:
+    """The site count of each kernel map built from here on."""
+    module = importlib.import_module("pcqa.sparsenn.tensor")
+    builds, build = [], module.build_kernel_map
+
+    def counted(tensor):
+        builds.append(len(tensor))
+        return build(tensor)
+    monkeypatch.setattr(module, "build_kernel_map", counted)
+    return builds
+
+
+def test_a_tensor_builds_its_kernel_map_once(rng, monkeypatch):
+    builds = _count_kernel_map_builds(monkeypatch)
+    t = random_tensor(rng, n=40)
+    model = init_model(ModelConfig(blocks=2, width=4, fc_hidden=4), seed=0)
+    assert builds == []  # built on first use only
+    forward(model, t)
+    _, cache = forward(model, t, training=True)
+    backward(model, cache, 1.0)
+    assert builds == [len(t)] and cache.tensor.kernel_map is t.kernel_map
+    for got, want in zip(t.kernel_map.pairs, build_kernel_map(t).pairs, strict=True):
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_each_training_step_builds_one_kernel_map(monkeypatch):
+    builds = _count_kernel_map_builds(monkeypatch)
+    r = np.random.default_rng(0)
+    samples = [TrainSample(f"s{i}", shell_cloud(r, n=60, radius=4.0), 2.0) for i in range(3)]
+    model = init_model(ModelConfig(blocks=1, width=4, fc_hidden=4), seed=0)
+    train(model, samples, TrainConfig(accum=2, max_steps=3))
+    assert len(builds) == 3
+
+
+def test_no_model_or_train_function_takes_a_kernel_map():
+    # a kernel map is only ever its tensor's `kernel_map`: a second path that
+    # lends one would have to check that it belongs to the tensor
+    for module in map(importlib.import_module, ("pcqa.sparsenn.model", "pcqa.sparsenn.train")):
+        owned = [v for v in vars(module).values() if getattr(v, "__module__", None)
+                 == module.__name__]
+        functions = [f for f in owned if inspect.isfunction(f)]
+        functions += [f for c in owned if inspect.isclass(c)
+                      for f in vars(c).values() if inspect.isfunction(f)]
+        assert len(functions) > 10, module.__name__
+        for f in functions:
+            for p in inspect.signature(f).parameters.values():
+                assert "kmap" not in p.name and "kernel_map" not in p.name, (f, p)
+                assert "KernelMap" not in str(p.annotation), (f, p)
+    assert [f.name for f in dataclasses.fields(ModelCache)] == ["tensor", "layers", "fc"]
+
+
 # ---------------------------------------------------------------------------
 # Convolution
 # ---------------------------------------------------------------------------
@@ -198,7 +252,8 @@ def test_submanifold_property_coords_unchanged(rng):
     # every layer writes exactly onto the input coordinate set: the engine
     # never allocates new rows, so forward implies output sites == input sites
     q, cache = forward(model, t, training=True)
-    assert cache.n_rows == len(t)
+    assert cache.tensor is t
+    assert all(c.out.shape[0] == len(t) for c in cache.layers)
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +400,12 @@ def test_smooth_l1_boundary_continuity():
 def _fd_check(seed, residual="D", h=1e-5, tol=1e-4):
     rng_l = np.random.default_rng(seed)
     t = random_tensor(rng_l, n=14, extent=4)
-    kmap = build_kernel_map(t)
     cfg = ModelConfig(blocks=2, width=3, fc_hidden=3, residual=residual)
     model = init_model(cfg, seed=seed + 1)
     label = 3.1
 
     def loss_of():
-        q, _ = forward(model, t, training=True, kmap=kmap)
+        q, _ = forward(model, t, training=True)
         return smooth_l1(q, label)[0]
 
     q, cache = forward(model, t, training=True)
@@ -444,10 +498,10 @@ def test_block_wiring_matches_paper_table(variant, b):
     # (blocks b down to 0) bit for bit
     rng_l = np.random.default_rng(41)
     t = random_tensor(rng_l, n=25, extent=4)
-    kmap = build_kernel_map(t)
+    kmap = t.kernel_map
     model = init_model(ModelConfig(blocks=2, width=5, fc_hidden=3, residual=variant), seed=2)
     dq = rng_l.normal()
-    q, cache = forward(model, t, training=True, kmap=kmap)
+    q, cache = forward(model, t, training=True)
     grads = backward(model, cache, dq)
 
     out0, back0 = _paper_block(model, 0, t.feats, kmap)
@@ -515,16 +569,16 @@ def test_model_size_ceiling_is_checked_in_closed_form():
 
 def test_training_is_the_only_mode_switch(rng):
     t = random_tensor(rng, n=30)
-    kmap = build_kernel_map(t)
     model = init_model(ModelConfig(blocks=2, width=4, fc_hidden=4), seed=5)
     before = {name: stat.copy() for name, stat in model.state.items()}
     # inference keeps nothing and leaves the running statistics alone
-    assert forward(model, t, kmap=kmap)[1] is None
-    assert layer_forward(model.layer_view(0, 0), t.feats, kmap, False, 0.9, 1e-5)[1] is None
+    assert forward(model, t)[1] is None
+    assert layer_forward(model.layer_view(0, 0), t.feats, t.kernel_map, False, 0.9,
+                         1e-5)[1] is None
     for name, stat in model.state.items():
         np.testing.assert_array_equal(stat, before[name])
     # training returns the backward cache and moves every running statistic
-    q, cache = forward(model, t, training=True, kmap=kmap)
+    q, cache = forward(model, t, training=True)
     assert len(cache.layers) == 6
     assert all(not np.array_equal(stat, before[name]) for name, stat in model.state.items())
 
@@ -728,7 +782,7 @@ def test_conv_calls_pass_the_kernel_map_last_and_buffers_by_keyword(rng, monkeyp
     assert [n for n, p in params.items() if p.kind is keyword] == ["out"]
     assert list(inspect.signature(conv_backward).parameters)[-1] == "kmap"
     t = random_tensor(rng, n=40)
-    kmap = build_kernel_map(t)
+    kmap = t.kernel_map
     calls = []
     for name in ("conv_forward", "conv_backward"):
         def spy(*args, _f=getattr(layers, name), **kwargs):
@@ -736,8 +790,8 @@ def test_conv_calls_pass_the_kernel_map_last_and_buffers_by_keyword(rng, monkeyp
             return _f(*args, **kwargs)
         monkeypatch.setattr(layers, name, spy)
     model = init_model(ModelConfig(blocks=2, width=8, fc_hidden=4), seed=0)
-    forward(model, t, kmap=kmap)
-    backward(model, forward(model, t, training=True, kmap=kmap)[1], 1.0)
+    forward(model, t)
+    backward(model, forward(model, t, training=True)[1], 1.0)
     assert len(calls) == 3 * 6
     for args, kwargs in calls:
         assert args[-1] is kmap and args[0].ndim == 3
@@ -1038,11 +1092,11 @@ def test_inference_forward_holds_no_layer_inputs(variant, bound):
     coords = np.unique(r.integers(0, 200, (10_500, 3)), axis=0)[:10_000]
     t = tensor_from(coords, r.normal(size=(len(coords), 3)))
     model = init_model(ModelConfig(residual=variant), seed=0)
-    kmap = build_kernel_map(t)
+    t.kernel_map  # built before tracing: the bound counts activations only
     activation = len(t) * model.config.width * 8
     tracemalloc.start()
     try:
-        forward(model, t, kmap=kmap)
+        forward(model, t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1052,11 +1106,11 @@ def test_inference_forward_holds_no_layer_inputs(variant, bound):
 def test_inference_buffers_do_not_outlive_the_forward_call(rng):
     t = random_tensor(rng, n=2000, extent=40)
     model = init_model(ModelConfig(blocks=2), seed=0)
-    kmap = build_kernel_map(t)
+    t.kernel_map  # built before tracing, so that `current` counts no kernel map
     activation = len(t) * model.config.width * 8
     tracemalloc.start()
     try:
-        forward(model, t, kmap=kmap)
+        forward(model, t)
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
